@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -64,7 +65,24 @@ def _json_default(value):
 
 
 def _parse_point(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    point = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not all(math.isfinite(v) for v in point):
+        raise ValueError(f"non-finite coordinate in point {text!r}")
+    return point
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -193,9 +211,13 @@ def cmd_verify(args) -> int:
     mode = CoeffMode.RATIONAL if args.mode == "exact" else CoeffMode.FLOAT
     if mode is CoeffMode.FLOAT:
         poly = poly.to_float()
-    residual = secantfit.verify_vanishing(poly, rep, r=args.r,
-                                          count=args.count, seed=args.seed,
-                                          mode=mode)
+    try:
+        residual = secantfit.verify_vanishing(poly, rep, r=args.r,
+                                              count=args.count, seed=args.seed,
+                                              mode=mode)
+    except secantfit.InsufficientSamplesError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     ok = float(residual) <= args.tol
     _emit(args, _report(args, {"max_residual": float(residual), "passed": ok},
                         {"residual_tol": args.tol}))
@@ -334,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = bn_sub.add_parser("top-face", help="explicit top-dimensional face")
     common(p, seed=False)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--grid", type=int, default=10000)
+    p.add_argument("--theta", type=_finite_float, default=0.0)
+    p.add_argument("--grid", type=_positive_int, default=10000)
     p.set_defaults(func=cmd_bn_top_face)
 
     p = bn_sub.add_parser("certify-face", help="search for an exposing "
@@ -344,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--params", required=True,
                    help="comma-separated curve angles")
-    p.add_argument("--grid", type=int, default=2048)
+    p.add_argument("--grid", type=_positive_int, default=2048)
     p.set_defaults(func=cmd_bn_certify_face)
 
     p = bn_sub.add_parser("witness", help="full not-basic-closed witness")

@@ -33,10 +33,16 @@ PRIMES = (
 _BAREISS_MAX_COLS = 160
 
 
-def _to_integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
-    """Clear denominators row by row (row scaling preserves the kernel)."""
+def _to_integer_rows(rows: Sequence[Sequence]) -> list[Sequence[int]]:
+    """Clear denominators row by row (row scaling preserves the kernel).
+
+    Rows of Python ints are passed through as they are, not copied.
+    """
     out = []
     for row in rows:
+        if set(map(type, row)) <= {int}:
+            out.append(row)
+            continue
         denom = 1
         for x in row:
             if isinstance(x, Fraction):

@@ -3,15 +3,17 @@
 Points on the chord variety of a frequency curve are cheap to sample: pick
 r curve parameters and convex weights and form the combination.  Every
 polynomial of degree at most D vanishing on the variety is then a null
-vector of the sample-by-monomial evaluation matrix.  The float path finds
-the null space by singular values with an explicit rank-gap policy; the
-exact path samples rational curve points, clears denominators, and computes
-a certified integer kernel (:mod:`orbitopes.exactla`).  A continued-fraction
-rounding step converts float fits to exact candidates for comparison.
+vector of the sample-by-monomial evaluation matrix.  The float path splits
+that matrix by rotation weight and finds the null space by singular values
+with an explicit rank-gap policy; the exact path samples rational curve
+points, clears denominators, and computes a certified integer kernel
+(:mod:`orbitopes.exactla`).  A continued-fraction rounding step converts
+float fits to exact candidates for comparison.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -28,7 +30,7 @@ from .poly import CoeffMode, Exponent, SparsePoly, monomials_up_to_degree
 SIGMA_NULL_FACTOR = 1e-9
 GAP_RATIO_REQUIRED = 1e4
 SAMPLE_FACTOR = 2.5
-_SVD_DIRECT_LIMIT = 20_000_000
+DRAWS_PER_SAMPLE = 20
 
 
 class FitError(RuntimeError):
@@ -120,7 +122,11 @@ def _affinely_dependent_exact(pts: list[tuple[Fraction, ...]]) -> bool:
 def sample_secants(rep: Representation, r: int, count: int, seed: int,
                    mode: CoeffMode = CoeffMode.FLOAT) -> list[SecantSample]:
     """Draw secant samples; tuples of affinely dependent curve points are
-    rejected and redrawn so every sample spans a genuine (r-1)-plane."""
+    rejected and redrawn so every sample spans a genuine (r-1)-plane.
+
+    Raises :class:`InsufficientSamplesError` when ``count`` samples are not
+    found in DRAWS_PER_SAMPLE * count draws.  The exact sampler draws each
+    curve parameter from about 2225 rationals, so with r = 1 it runs out."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if r < 1 or r > rep.ambient_dim:
@@ -128,9 +134,10 @@ def sample_secants(rep: Representation, r: int, count: int, seed: int,
     if not rep.is_reduced():
         raise ValueError("frequency set must be reduced")
     out: list[SecantSample] = []
+    draws = DRAWS_PER_SAMPLE * count
     if mode is CoeffMode.FLOAT:
         rng = np.random.default_rng(seed)
-        while len(out) < count:
+        for _ in range(draws):
             params = tuple(float(t) for t in rng.uniform(0.0, 2 * math.pi, size=r))
             pts = orbit_points(rep, np.array(params))
             if _affinely_dependent_floats(pts):
@@ -138,25 +145,30 @@ def sample_secants(rep: Representation, r: int, count: int, seed: int,
             weights = tuple(float(w) for w in rng.dirichlet(np.ones(r)))
             point = tuple(float(v) for v in np.asarray(weights) @ pts)
             out.append(SecantSample(params, weights, point))
-        return out
-    rng = random.Random(seed)
-    seen: set[tuple] = set()
-    while len(out) < count:
-        params = tuple(Fraction(rng.randint(-4 * d, 4 * d), d)
-                       for d in (rng.randint(1, 30) for _ in range(r)))
-        if len(set(params)) != r or params in seen:
-            continue
-        pts = [rational_point(rep, t) for t in params]
-        if _affinely_dependent_exact(pts):
-            continue
-        seen.add(params)
-        raw = [rng.randint(1, 64) for _ in range(r)]
-        total = sum(raw)
-        weights = tuple(Fraction(w, total) for w in raw)
-        point = tuple(sum(w * p[i] for w, p in zip(weights, pts))
-                      for i in range(rep.ambient_dim))
-        out.append(SecantSample(params, weights, point))
-    return out
+            if len(out) == count:
+                return out
+    else:
+        rng = random.Random(seed)
+        seen: set[tuple] = set()
+        for _ in range(draws):
+            params = tuple(Fraction(rng.randint(-4 * d, 4 * d), d)
+                           for d in (rng.randint(1, 30) for _ in range(r)))
+            if len(set(params)) != r or params in seen:
+                continue
+            pts = [rational_point(rep, t) for t in params]
+            if _affinely_dependent_exact(pts):
+                continue
+            seen.add(params)
+            raw = [rng.randint(1, 64) for _ in range(r)]
+            total = sum(raw)
+            weights = tuple(Fraction(w, total) for w in raw)
+            point = tuple(sum(w * p[i] for w, p in zip(weights, pts))
+                          for i in range(rep.ambient_dim))
+            out.append(SecantSample(params, weights, point))
+            if len(out) == count:
+                return out
+    raise InsufficientSamplesError(
+        f"only {len(out)} of {count} secant samples after {draws} draws")
 
 
 @dataclass(frozen=True)
@@ -179,9 +191,11 @@ def fit_hypersurface(rep: Representation, r: int, degree: int,
                      mode: CoeffMode = CoeffMode.FLOAT) -> FitResult:
     """Basis of degree-<=D polynomials vanishing on sampled secant points.
 
-    Float mode: singular-value null space of the (column-equilibrated)
-    evaluation matrix; directions below SIGMA_NULL_FACTOR * sigma_max are
-    null, and the cut must be witnessed by a singular-value gap of at least
+    Float mode: singular-value null spaces of the column-equilibrated
+    evaluation matrices of the rotation-weight blocks (:func:`weight_blocks`),
+    expanded back to monomials.  Over the singular values of all blocks,
+    directions below SIGMA_NULL_FACTOR * sigma_max are null, and the cut
+    must be witnessed by a singular-value gap of at least
     GAP_RATIO_REQUIRED, otherwise :class:`AmbiguousRankError` is raised.
     Exact mode: certified integer kernel of the cleared-denominator
     evaluation matrix.  Raises :class:`NoVanishingPolynomialError` when the
@@ -202,43 +216,122 @@ def fit_hypersurface(rep: Representation, r: int, degree: int,
     return _fit_exact(rep, basis, samples, count, seed)
 
 
-def _monomial_block(points: np.ndarray, basis: MonomialBasis) -> np.ndarray:
-    """Evaluate every basis monomial on a block of points."""
-    n_pts = points.shape[0]
-    powers = [np.vander(points[:, i], basis.max_degree + 1,
-                        increasing=True) for i in range(basis.nvars)]
-    out = np.empty((n_pts, basis.size))
-    for j, expo in enumerate(basis.exponents):
-        col = np.ones(n_pts)
-        for i, e in enumerate(expo):
-            if e:
-                col = col * powers[i][:, e]
-        out[:, j] = col
-    return out
+@dataclass(frozen=True)
+class WeightBlock:
+    """The real basis functions of one rotation weight.
+
+    ``pairs`` holds exponent pairs (a, b) of complex monomials u^a ubar^b in
+    u_k = x_k + i y_k, one per conjugate pair {(a, b), (b, a)}.  The block's
+    columns are Re(u^a ubar^b) for every pair, then Im(u^a ubar^b) for the
+    pairs with a != b (the others are real).
+    """
+
+    weight: int
+    pairs: tuple[tuple[Exponent, Exponent], ...]
+
+    @property
+    def imaginary(self) -> list[int]:
+        return [i for i, (a, b) in enumerate(self.pairs) if a != b]
+
+    @property
+    def size(self) -> int:
+        return len(self.pairs) + len(self.imaginary)
+
+
+def weight_blocks(rep: Representation, max_degree: int) -> list[WeightBlock]:
+    """Real basis of the polynomials of degree <= max_degree, by weight.
+
+    Turning the curve parameter by t multiplies u^a ubar^b by exp(i w t),
+    w = sum_k j_k (a_k - b_k).  The secant varieties are invariant under
+    these rotations, so a polynomial vanishes on one exactly when each of
+    its weight components does.  Weights w and -w span the same real
+    functions; only w >= 0 is listed.  The block sizes add up to the size
+    of :func:`monomial_basis`.
+    """
+    r = rep.r
+    by_weight: dict[int, list[tuple[Exponent, Exponent]]] = {}
+    for expo in monomials_up_to_degree(2 * r, max_degree):
+        a, b = expo[:r], expo[r:]
+        w = sum(j * (x - y) for j, x, y in zip(rep.indices, a, b))
+        if w > 0 or (w == 0 and a >= b):
+            by_weight.setdefault(w, []).append((a, b))
+    return [WeightBlock(w, tuple(by_weight[w])) for w in sorted(by_weight)]
+
+
+def _block_matrix(u_pow: np.ndarray, block: WeightBlock) -> np.ndarray:
+    """Evaluate a weight block's columns; ``u_pow[k, e]`` holds u_k^e."""
+    a = np.array([p[0] for p in block.pairs])
+    b = np.array([p[1] for p in block.pairs])
+    values = np.ones((u_pow.shape[2], len(block.pairs)), dtype=complex)
+    for k in range(u_pow.shape[0]):
+        values *= (u_pow[k, a[:, k]] * u_pow[k, b[:, k]].conj()).T
+    return np.hstack([values.real, values.imag[:, block.imaginary]])
+
+
+def _pair_terms(a: Exponent, b: Exponent):
+    """Yield (exponent, c, q) with u^a ubar^b = sum of c * i^q * x^exponent.
+
+    For each coordinate pair, (x + iy)^a (x - iy)^b = sum_q c_q x^(a+b-q)
+    (iy)^q with c_q = sum_s C(a, s) C(b, q-s) (-1)^(q-s); over the pairs the
+    c multiply and the q add.  q is returned mod 4.
+    """
+    factors = []
+    for ak, bk in zip(a, b):
+        d = ak + bk
+        factors.append([
+            (d - q, q, sum(comb(ak, s) * comb(bk, q - s) * (-1) ** (q - s)
+                           for s in range(max(0, q - bk), min(ak, q) + 1)))
+            for q in range(d + 1)])
+    for choice in itertools.product(*factors):
+        c = math.prod(f[2] for f in choice)
+        if c:
+            yield (tuple(e for f in choice for e in f[:2]), c,
+                   sum(f[1] for f in choice) % 4)
+
+
+def _expand_block_vector(basis: MonomialBasis, block: WeightBlock,
+                         vec: np.ndarray) -> np.ndarray:
+    """Coefficients on the real monomials of a block's null vector.
+
+    With alpha on Re(m) and beta on Im(m), the term c * i^q * x^e of m
+    contributes c * (alpha, beta, -alpha, -beta)[q] to x^e.
+    """
+    index = {e: i for i, e in enumerate(basis.exponents)}
+    beta = np.zeros(len(block.pairs))
+    beta[block.imaginary] = vec[len(block.pairs):]
+    coeffs = np.zeros(basis.size)
+    for (a, b), re, im in zip(block.pairs, vec, beta):
+        sign = (re, im, -re, -im)
+        for expo, c, q in _pair_terms(a, b):
+            coeffs[index[expo]] += c * sign[q]
+    return coeffs
 
 
 def _fit_float(rep: Representation, basis: MonomialBasis,
                samples: list[SecantSample], count: int, seed: int) -> FitResult:
     points = np.array([s.point for s in samples])
-    block_size = max(1, _SVD_DIRECT_LIMIT // max(basis.size, 1))
-    col_sumsq = np.zeros(basis.size)
-    for start in range(0, count, block_size):
-        block = _monomial_block(points[start:start + block_size], basis)
-        col_sumsq += np.einsum("ij,ij->j", block, block)
-    scale = np.sqrt(col_sumsq)
-    scale[scale == 0] = 1.0
+    u = points[:, 0::2] + 1j * points[:, 1::2]
+    u_pow = np.ones((rep.r, basis.max_degree + 1, count), dtype=complex)
+    for e in range(1, basis.max_degree + 1):
+        u_pow[:, e] = u_pow[:, e - 1] * u.T
 
-    if count * basis.size <= _SVD_DIRECT_LIMIT:
-        matrix = _monomial_block(points, basis) / scale
-        sigma, vh = _svd_sigma_vh(matrix)
-    else:
-        reduced = None
-        for start in range(0, count, block_size):
-            block = _monomial_block(points[start:start + block_size], basis) / scale
-            stacked = block if reduced is None else np.vstack([reduced, block])
-            reduced = np.linalg.qr(stacked, mode="r")
-        sigma, vh = _svd_sigma_vh(reduced)
+    blocks = weight_blocks(rep, basis.max_degree)
+    assert sum(block.size for block in blocks) == basis.size
+    solved = []
+    for block in blocks:
+        matrix = _block_matrix(u_pow, block)
+        norms = np.linalg.norm(matrix, axis=0)
+        # A basis function can vanish on the variety (Im(u1^2 ubar2) on
+        # {1,2}); scaling its rounding-noise column up to unit norm would
+        # hide that null direction.
+        scale = np.where(norms > 1e-12 * norms.max(), norms, 1.0)
+        # the SVD of the R factor has the block's singular values and right
+        # vectors, without the tall left factor
+        r_factor = np.linalg.qr(matrix / scale, mode="r")
+        _, sigma, vh = np.linalg.svd(r_factor)
+        solved.append((block, scale, sigma, vh))
 
+    sigma = np.sort(np.concatenate([s for _, _, s, _ in solved]))[::-1]
     threshold = SIGMA_NULL_FACTOR * sigma[0]
     nullity = int(np.sum(sigma < threshold))
     report = {
@@ -267,15 +360,11 @@ def _fit_float(rep: Representation, basis: MonomialBasis,
             f"singular-value gap ratio {gap_ratio:.2e} below required "
             f"{GAP_RATIO_REQUIRED:.0e}")
     polys = []
-    for row in vh[len(sigma) - nullity:]:
-        coeffs = row / scale
-        polys.append(_float_poly(basis, coeffs))
+    for block, scale, block_sigma, vh in solved:
+        for row in vh[block_sigma < threshold]:
+            coeffs = _expand_block_vector(basis, block, row / scale)
+            polys.append(_float_poly(basis, coeffs))
     return FitResult(basis, tuple(polys), report)
-
-
-def _svd_sigma_vh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    _, sigma, vh = np.linalg.svd(matrix, full_matrices=False)
-    return sigma, vh
 
 
 def _float_poly(basis: MonomialBasis, coeffs: np.ndarray) -> SparsePoly:

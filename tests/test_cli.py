@@ -1,4 +1,5 @@
 import json
+import time
 
 from orbitopes.cli import main
 
@@ -136,3 +137,31 @@ def test_usage_error_exit_code(capsys):
     assert main(["bogus-command"]) == 1
     assert main(["membership"]) == 1  # missing --point
     assert main(["faces", "--rep", "1,3,5"]) == 1  # not a coprime pair
+
+
+def test_secant_fit_exhausted_exact_sampler_exits_2(capsys):
+    # 2503 samples with r = 1 exceed the ~2225 distinct exact parameters
+    start = time.monotonic()
+    code = main(["secant-fit", "--rep", "1,3", "--r", "1", "--degree", "10",
+                 "--mode", "exact"])
+    assert code == 2
+    assert time.monotonic() - start < 30.0
+    assert "secant samples" in capsys.readouterr().err
+
+
+def test_membership_rejects_non_finite_point(capsys):
+    assert main(["membership", "--point", "nan,0"]) == 1
+    assert main(["membership", "--point", "0,inf"]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_bn_top_face_rejects_non_finite_theta(capsys):
+    assert main(["bn", "top-face", "--n", "3", "--theta", "nan"]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_bn_grid_below_one_is_a_usage_error(capsys):
+    assert main(["bn", "top-face", "--n", "3", "--grid", "0"]) == 1
+    assert main(["bn", "certify-face", "--n", "3", "--params", "0,0.1",
+                 "--grid", "0"]) == 1
+    assert capsys.readouterr().out == ""

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from orbitopes.exactla import (PRIMES, bareiss_echelon, exact_rank,
-                               nullspace_bareiss, nullspace_exact,
+from orbitopes.exactla import (PRIMES, _to_integer_rows, bareiss_echelon,
+                               exact_rank, nullspace_bareiss, nullspace_exact,
                                nullspace_modular, rational_reconstruction,
                                rref_mod_p)
 
@@ -37,6 +37,13 @@ def test_bareiss_handles_rational_rows():
     matrix = [[Fraction(1, 2), Fraction(1, 4)]]
     basis = nullspace_bareiss(matrix)
     assert len(basis) == 1 and is_kernel([[2, 1]], basis[0])
+
+
+def test_integer_rows_pass_through_and_rational_rows_are_cleared():
+    ints = [1, -2, 3]
+    rows = _to_integer_rows([ints, [Fraction(1, 2), Fraction(1, 3), 1]])
+    assert rows[0] is ints
+    assert rows[1] == [3, 2, 6]
 
 
 def test_bareiss_echelon_pivots():

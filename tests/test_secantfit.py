@@ -4,13 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from orbitopes import exactla, secantfit
 from orbitopes.curve import Representation, antipodal_point, rational_point
 from orbitopes.poly import CoeffMode, SparsePoly
 from orbitopes.secantfit import (InsufficientSamplesError,
                                  NoVanishingPolynomialError, evaluate_on_points,
                                  fit_hypersurface, monomial_basis,
                                  rationalize, sample_secants, secant_point,
-                                 verify_vanishing)
+                                 verify_vanishing, weight_blocks)
 from orbitopes.toeplitz import det_polynomial
 
 REP13 = Representation((1, 3))
@@ -73,6 +74,87 @@ def test_sample_secants_requires_reduced():
         sample_secants(Representation((2, 6)), 2, 5, seed=0)
 
 
+def test_sample_secants_exact_pool_exhausted():
+    with pytest.raises(InsufficientSamplesError):
+        sample_secants(REP13, 1, 2503, seed=0, mode=CoeffMode.RATIONAL)
+
+
+def test_sample_secants_float_draws_are_bounded(monkeypatch):
+    monkeypatch.setattr(secantfit, "_affinely_dependent_floats",
+                        lambda pts: True)
+    with pytest.raises(InsufficientSamplesError):
+        sample_secants(REP13, 2, 10, seed=0)
+
+
+@pytest.mark.parametrize("indices,degree", [((1, 2), 3), ((1, 4), 6),
+                                            ((1, 2, 3), 4)])
+def test_weight_blocks_partition_the_monomial_basis(indices, degree):
+    rep = Representation(indices)
+    blocks = weight_blocks(rep, degree)
+    assert sum(b.size for b in blocks) == monomial_basis(rep.ambient_dim,
+                                                        degree).size
+    pairs = [pair for b in blocks for pair in b.pairs]
+    assert len(set(pairs)) == len(pairs)
+    assert not {(b, a) for a, b in pairs if a != b} & set(pairs)
+    for block in blocks:
+        assert block.weight >= 0
+        for a, b in block.pairs:
+            assert sum(j * (x - y) for j, x, y in zip(indices, a, b)) == block.weight
+            assert sum(a) + sum(b) <= degree
+        assert block.size == len(block.pairs) + sum(a != b for a, b in block.pairs)
+
+
+def test_weight_block_expansion_matches_complex_monomials():
+    rep = Representation((1, 3))
+    basis = monomial_basis(4, 5)
+    rng = np.random.default_rng(31)
+    pts = rng.uniform(-1, 1, size=(10, 4))
+    u = pts[:, 0::2] + 1j * pts[:, 1::2]
+    for block in weight_blocks(rep, 5):
+        n_pairs = len(block.pairs)
+        for col in range(block.size):
+            vec = np.zeros(block.size)
+            vec[col] = 1.0
+            coeffs = secantfit._expand_block_vector(basis, block, vec)
+            poly = SparsePoly(4, dict(zip(basis.exponents, coeffs)),
+                              CoeffMode.FLOAT)
+            a, b = block.pairs[col if col < n_pairs
+                               else block.imaginary[col - n_pairs]]
+            m = np.prod(u ** np.array(a) * u.conj() ** np.array(b), axis=1)
+            expected = m.real if col < n_pairs else m.imag
+            assert np.allclose(evaluate_on_points(poly, pts), expected,
+                               atol=1e-12)
+
+
+# Float nullities of the weight-block fit against the certified exact
+# full-monomial fit ({1,3}, r=2, degree 8 is the f_float_fit and f_exact_fit
+# pair).  The modular solver is forced: Bareiss would take minutes at 126
+# columns.
+@pytest.mark.parametrize("indices,r,degree,nullity", [
+    ((1, 2), 1, 2, 6), ((1, 2), 1, 3, 22), ((1, 2), 2, 3, 1),
+    ((1, 2), 2, 4, 5), ((1, 2), 2, 5, 15),
+    ((1, 3), 2, 3, 0), ((1, 3), 2, 9, 5), ((1, 3), 1, 3, 18),
+    ((2, 3), 2, 6, 0),
+    ((1, 2, 3), 2, 3, 10), ((1, 2, 3), 3, 4, 1),
+])
+def test_float_weight_fit_nullity_matches_exact_fit(monkeypatch, indices, r,
+                                                    degree, nullity):
+    monkeypatch.setattr(exactla, "_BAREISS_MAX_COLS", 0)
+    rep = Representation(indices)
+
+    def fitted_nullity(mode):
+        try:
+            fit = fit_hypersurface(rep, r=r, degree=degree, seed=0, mode=mode)
+        except NoVanishingPolynomialError:
+            return 0
+        if mode is CoeffMode.RATIONAL:
+            assert fit.report["certified"]
+        return fit.nullity
+
+    assert fitted_nullity(CoeffMode.FLOAT) == nullity
+    assert fitted_nullity(CoeffMode.RATIONAL) == nullity
+
+
 def test_fit_insufficient_samples():
     with pytest.raises(InsufficientSamplesError):
         fit_hypersurface(REP13, r=2, degree=8, count=100, seed=0)
@@ -112,7 +194,22 @@ def test_float_f_fit_recovers_stored_polynomial(f_float_fit, f_stored):
     assert dist < 1e-8
 
 
+def test_float_g_fit_rounds_to_known_terms_for_hard_seed(g_printed_terms):
+    # With this sampler seed the degree-15 fit once rounded 3 of the 88
+    # known terms wrongly (coefficients off by up to 6.1e-7).
+    fit = fit_hypersurface(Representation((1, 4)), r=2, degree=15,
+                           seed=1384307085)
+    assert fit.nullity == 1
+    g, dist = rationalize(fit.polynomials[0], (12, 0, 3, 0), 8)
+    assert g.num_terms == 281
+    assert [e for e, c in g_printed_terms.terms.items()
+            if g.coefficient(e) != c] == []
+    # beyond 5e-7 an integer can round to the nearest 1/10**6 fraction
+    assert dist < 5e-7
+
+
 def test_float_and_exact_paths_agree_for_f(f_float_fit, f_exact_fit, f_stored):
+    assert f_float_fit.nullity == f_exact_fit.nullity == 1
     rounded, _ = rationalize(f_float_fit.polynomials[0], (0, 0, 4, 0), 1)
     exact = f_exact_fit.polynomials[0]
     exact = exact.scale(1 / exact.coefficient((0, 0, 4, 0)))
