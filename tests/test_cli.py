@@ -139,13 +139,22 @@ def test_usage_error_exit_code(capsys):
     assert main(["faces", "--rep", "1,3,5"]) == 1  # not a coprime pair
 
 
-def test_secant_fit_exhausted_exact_sampler_exits_2(capsys):
-    # 2503 samples with r = 1 exceed the ~2225 distinct exact parameters
+def test_exhausted_exact_sampler_exits_2(tmp_path, capsys):
+    # with r = 1, 2503 or 3000 samples exceed the ~2225 distinct exact
+    # curve parameters
     start = time.monotonic()
     code = main(["secant-fit", "--rep", "1,3", "--r", "1", "--degree", "10",
                  "--mode", "exact"])
     assert code == 2
     assert time.monotonic() - start < 30.0
+    assert "secant samples" in capsys.readouterr().err
+
+    from orbitopes import fixtures
+    path = tmp_path / "f.poly"
+    fixtures.secant_surface_13().dump_file(path)
+    code = main(["verify", "--rep", "1,3", "--r", "1", "--mode", "exact",
+                 "--count", "3000", "--poly", str(path)])
+    assert code == 2
     assert "secant samples" in capsys.readouterr().err
 
 

@@ -101,7 +101,6 @@ def test_weight_blocks_partition_the_monomial_basis(indices, degree):
         for a, b in block.pairs:
             assert sum(j * (x - y) for j, x, y in zip(indices, a, b)) == block.weight
             assert sum(a) + sum(b) <= degree
-        assert block.size == len(block.pairs) + sum(a != b for a, b in block.pairs)
 
 
 def test_weight_block_expansion_matches_complex_monomials():
