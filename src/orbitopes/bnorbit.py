@@ -86,6 +86,18 @@ class HyperplaneCertificate:
         }
 
 
+def _off_arcs(thetas: np.ndarray, active: Sequence[float],
+              exclusion: float) -> np.ndarray:
+    """Mask of the grid angles farther than ``exclusion`` from every active
+    parameter; raises ValueError when no grid angle is left."""
+    keep = np.ones(thetas.shape, dtype=bool)
+    for a in active:
+        keep &= np.abs((thetas - a + math.pi) % tau - math.pi) > exclusion
+    if not np.any(keep):
+        raise ValueError("exclusion arcs cover the whole grid")
+    return keep
+
+
 def _margin_on_grid(rep: Representation, normal: np.ndarray,
                     active: Sequence[float], grid: int,
                     exclusion: float) -> float:
@@ -93,13 +105,7 @@ def _margin_on_grid(rep: Representation, normal: np.ndarray,
     thetas = np.arange(grid) * (tau / grid)
     points = orbit_points(rep, thetas)
     slack = 1.0 - points @ normal
-    keep = np.ones(grid, dtype=bool)
-    for a in active:
-        dist = np.abs((thetas - a + math.pi) % tau - math.pi)
-        keep &= dist > exclusion
-    if not np.any(keep):
-        raise ValueError("exclusion arcs cover the whole grid")
-    return float(np.min(slack[keep]))
+    return float(np.min(slack[_off_arcs(thetas, active, exclusion)]))
 
 
 @dataclass(frozen=True)
@@ -179,11 +185,7 @@ def _validate_certificate(rep: Representation, w: np.ndarray,
     slack = 1.0 - orbit_points(rep, thetas) @ w
     if float(np.min(slack)) < -1e-10:
         return None
-    keep = np.ones(grid, dtype=bool)
-    for a in angles:
-        dist = np.abs((thetas - a + math.pi) % tau - math.pi)
-        keep &= dist > exclusion
-    margin = float(np.min(slack[keep]))
+    margin = float(np.min(slack[_off_arcs(thetas, angles, exclusion)]))
     if margin <= 1e-13:
         return None
     return margin
@@ -208,11 +210,7 @@ def certify_exposed_face(rep: Representation, angles: Sequence[float],
         raise ValueError(f"duplicate parameters in {angles}")
     exclusion = 4 * tau / grid
     thetas = np.arange(grid) * (tau / grid)
-    keep = np.ones(grid, dtype=bool)
-    for a in angles:
-        dist = np.abs((thetas - a + math.pi) % tau - math.pi)
-        keep &= dist > exclusion
-    grid_rows = orbit_points(rep, thetas[keep])
+    grid_rows = orbit_points(rep, thetas[_off_arcs(thetas, angles, exclusion)])
     equalities = orbit_points(rep, np.array(angles))
     delta, w_lp, status = max_min_slack(equalities, grid_rows, tol=tol)
     candidates = []

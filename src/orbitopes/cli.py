@@ -175,12 +175,16 @@ def cmd_boundary(args) -> int:
 def cmd_secant_fit(args) -> int:
     rep = Representation.parse(args.rep)
     mode = CoeffMode.RATIONAL if args.mode == "exact" else CoeffMode.FLOAT
+    tolerances = {"sigma_null_factor": secantfit.SIGMA_NULL_FACTOR,
+                  "gap_ratio_required": secantfit.GAP_RATIO_REQUIRED}
     try:
         fit = secantfit.fit_hypersurface(rep, r=args.r, degree=args.degree,
                                          count=args.count, seed=args.seed,
                                          mode=mode)
-    except secantfit.NoVanishingPolynomialError as exc:
-        _emit(args, _report(args, {"error": str(exc), "fit": exc.report}))
+    except (secantfit.NoVanishingPolynomialError,
+            secantfit.AmbiguousRankError) as exc:
+        _emit(args, _report(args, {"error": str(exc), "fit": exc.report},
+                            tolerances))
         return EXIT_VERIFY
     except secantfit.FitError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -195,14 +199,13 @@ def cmd_secant_fit(args) -> int:
     payload = {"fit": fit.report,
                "held_out_residuals": residuals,
                "polynomials": [p.dumps().splitlines() for p in fit.polynomials]}
-    _emit(args, _report(args, payload,
-                        {"sigma_null_factor": secantfit.SIGMA_NULL_FACTOR,
-                         "gap_ratio_required": secantfit.GAP_RATIO_REQUIRED}))
+    _emit(args, _report(args, payload, tolerances))
     if args.out:
         out = Path(args.out)
         for i, p in enumerate(fit.polynomials):
             p.dump_file(out / f"nullspace_{i}.poly")
-    return EXIT_OK
+    # an exact kernel whose nullity bound is not met proves nothing
+    return EXIT_VERIFY if fit.report.get("certified") is False else EXIT_OK
 
 
 def cmd_verify(args) -> int:

@@ -7,8 +7,10 @@ Two solvers with the same contract (a certified basis of the right kernel):
   bounded by minors of the input, which is fine for matrices up to a couple
   hundred columns but prohibitive beyond that.
 * :func:`nullspace_modular` — elimination over several word-size prime
-  fields, Chinese remaindering and rational reconstruction of the kernel
-  vectors, then exact re-verification over the integers.  The verified
+  fields (:func:`rref_mod_p`: in-place numpy row operations on int64
+  residues, forward on the trailing block, then back substitution on the
+  free columns), Chinese remaindering and rational reconstruction of the
+  kernel vectors, then exact re-verification over the integers.  The verified
   vectors give a lower bound on the nullity and the prime-field nullity an
   upper bound, so a matching pair certifies the kernel exactly.
 
@@ -128,29 +130,58 @@ def _clear_vector(v: list[Fraction]) -> list[Fraction]:
 
 
 def rref_mod_p(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(p); vectorized over rows."""
+    """Reduced row echelon form over GF(p) and its pivot columns.
+
+    Two phases on the int64 residues: forward elimination in place, where
+    each pivot clears only the trailing block below and right of it, then
+    one back-substitution pass, last pivot first, on the free columns
+    alone; the pivot columns become the identity.  The reduced form is
+    unique, so it does not depend on the choice of pivot rows.
+
+    The forward phase reduces the trailing block modulo p only once every
+    ``reduce_every`` pivots: one update adds less than (p-1)^2 in absolute
+    value, and ``reduce_every`` of them stay inside int64.  The pivot
+    column and the pivot row are reduced before each use, so every product
+    is below p^2.
+    """
     a = np.mod(matrix, p).astype(np.int64)
     nrows, ncols = a.shape
+    reduce_every = (2 ** 63 - 1 - p) // (p - 1) ** 2
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
         if r >= nrows:
             break
-        hits = np.nonzero(a[r:, col])[0]
+        column = a[r:, col]
+        column %= p
+        hits = np.flatnonzero(column)
         if hits.size == 0:
             continue
         i = r + int(hits[0])
         if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, col]), -1, p)
-        a[r] = (a[r] * inv) % p
-        others = np.nonzero(a[:, col])[0]
-        others = others[others != r]
-        if others.size:
-            a[others] = (a[others] - np.outer(a[others, col], a[r])) % p
+            a[[r, i], col:] = a[[i, r], col:]
+        row = a[r, col:]
+        row %= p
+        row *= pow(int(row[0]), -1, p)
+        row %= p
+        below = a[r + 1:, col:]
+        below -= np.outer(below[:, 0], row)
         pivots.append(col)
         r += 1
-    return a[:r], pivots
+        if r % reduce_every == 0:
+            below %= p
+    # Above its pivot a pivot column holds the multipliers and is then
+    # cleared, so back substitution computes only the free columns.
+    is_pivot = set(pivots)
+    free = [c for c in range(ncols) if c not in is_pivot]
+    tail = a[:r, free]
+    for k in range(r - 1, 0, -1):
+        tail[:k] -= np.outer(a[:k, pivots[k]], tail[k])
+        tail[:k] %= p
+    a = a[:r]
+    a[:, pivots] = np.eye(r, dtype=np.int64)
+    a[:, free] = tail
+    return a, pivots
 
 
 def rational_reconstruction(a: int, m: int) -> Fraction | None:

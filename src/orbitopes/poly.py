@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -33,6 +34,8 @@ class CoeffMode(enum.Enum):
 
 def _coerce(value, mode: CoeffMode):
     if mode is CoeffMode.RATIONAL:
+        if type(value) is Fraction:  # the constructor's type checks are slow
+            return value
         if isinstance(value, float):
             raise TypeError("float value in rational mode; convert explicitly")
         return Fraction(value)
@@ -51,7 +54,7 @@ class SparsePoly:
     polynomials.
     """
 
-    __slots__ = ("nvars", "terms", "mode")
+    __slots__ = ("nvars", "terms", "mode", "_cleared")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, object] = (),
                  mode: CoeffMode = CoeffMode.RATIONAL):
@@ -75,6 +78,7 @@ class SparsePoly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "_cleared", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparsePoly is immutable")
@@ -194,19 +198,48 @@ class SparsePoly:
     # -- evaluation and calculus -------------------------------------------
 
     def evaluate(self, point: Sequence):
-        """Evaluate at ``point`` (length ``nvars``); exact in rational mode."""
-        values = list(point)
+        """Evaluate at ``point`` (length ``nvars``); exact in rational mode.
+
+        Rational mode works on Python ints: with M the common denominator of
+        the coefficients and L that of the point, M * L^D * p(point) is the
+        integer-coefficient homogenization of M * p at (L, L * point).
+        """
+        values = [_coerce(v, self.mode) for v in point]
         if len(values) != self.nvars:
             raise ValueError(f"point has length {len(values)}, expected {self.nvars}")
-        values = [_coerce(v, self.mode) for v in values]
-        total = Fraction(0) if self.mode is CoeffMode.RATIONAL else 0.0
-        for expo, coeff in self.terms.items():
-            term = coeff
-            for e, v in zip(expo, values):
-                if e:
-                    term *= v ** e
+        if self.mode is CoeffMode.FLOAT:
+            total = 0.0
+            for expo, coeff in self.terms.items():
+                term = coeff
+                for e, v in zip(expo, values):
+                    if e:
+                        term *= v ** e
+                total += term
+            return total
+        if not self.terms:
+            return Fraction(0)
+        if self._cleared is None:
+            object.__setattr__(self, "_cleared", self._cleared_terms())
+        top, denom, terms = self._cleared
+        lead, *rows = cleared_power_table(values, top)
+        total = 0
+        for coeff, pad, factors in terms:
+            term = coeff * lead[pad]
+            for i, e in factors:
+                term *= rows[i][e]
             total += term
-        return total
+        return Fraction(total, denom * lead[top])
+
+    def _cleared_terms(self) -> tuple[int, int, list]:
+        """Degree D, common coefficient denominator M and, per term, the
+        integer M * coefficient, D - |e| and the nonzero (variable, exponent)
+        pairs; computed once for the rational evaluator."""
+        top = self.degree
+        denom = lcm(*[c.denominator for c in self.terms.values()])
+        terms = [(c.numerator * (denom // c.denominator), top - sum(expo),
+                  [(i, e) for i, e in enumerate(expo) if e])
+                 for expo, c in self.terms.items()]
+        return top, denom, terms
 
     def __call__(self, point: Sequence):
         return self.evaluate(point)
@@ -331,6 +364,23 @@ class SparsePoly:
                   mode: CoeffMode | None = None) -> "SparsePoly":
         with open(path, "r", encoding="ascii") as fh:
             return cls.loads(fh.read(), nvars=nvars, mode=mode)
+
+
+def cleared_power_table(point: Sequence[Fraction], degree: int) -> list[list[int]]:
+    """Integer powers 0..degree of the cleared point (L, L*x_1, ..., L*x_n).
+
+    L is the least common denominator of the point.  Row 0 holds the powers
+    of L and row i those of the integer L*x_i, so L^degree * x^e for
+    |e| <= degree is row 0 at degree - |e| times row i at e_i over all i.
+    """
+    denom = lcm(*[v.denominator for v in point])
+    table = []
+    for base in [denom] + [v.numerator * (denom // v.denominator) for v in point]:
+        powers = [1]
+        for _ in range(degree):
+            powers.append(powers[-1] * base)
+        table.append(powers)
+    return table
 
 
 def chebyshev_angle(j: int) -> tuple[SparsePoly, SparsePoly]:

@@ -25,7 +25,8 @@ import numpy as np
 
 from .curve import Representation, orbit_points, rational_point
 from .exactla import exact_rank, nullspace_exact
-from .poly import CoeffMode, Exponent, SparsePoly, monomials_up_to_degree
+from .poly import (CoeffMode, Exponent, SparsePoly, cleared_power_table,
+                   monomials_up_to_degree)
 
 SIGMA_NULL_FACTOR = 1e-9
 GAP_RATIO_REQUIRED = 1e4
@@ -34,7 +35,12 @@ DRAWS_PER_SAMPLE = 20
 
 
 class FitError(RuntimeError):
-    """Base class for interpolation failures."""
+    """Base class for interpolation failures; ``report`` holds the fit
+    diagnostics gathered before the failure (empty if none)."""
+
+    def __init__(self, message: str, report: dict | None = None):
+        super().__init__(message)
+        self.report = report or {}
 
 
 class InsufficientSamplesError(FitError):
@@ -43,10 +49,6 @@ class InsufficientSamplesError(FitError):
 
 class NoVanishingPolynomialError(FitError):
     """The sampled variety admits no equation of the requested degree."""
-
-    def __init__(self, message: str, report: dict | None = None):
-        super().__init__(message)
-        self.report = report or {}
 
 
 class AmbiguousRankError(FitError):
@@ -358,7 +360,7 @@ def _fit_float(rep: Representation, basis: MonomialBasis,
     if gap_ratio < GAP_RATIO_REQUIRED:
         raise AmbiguousRankError(
             f"singular-value gap ratio {gap_ratio:.2e} below required "
-            f"{GAP_RATIO_REQUIRED:.0e}")
+            f"{GAP_RATIO_REQUIRED:.0e}", report)
     polys = []
     for block, scale, block_sigma, vh in solved:
         for row in vh[block_sigma < threshold]:
@@ -387,16 +389,8 @@ def _integer_row(point: tuple[Fraction, ...], basis: MonomialBasis) -> list[int]
     With L the common denominator, the affine monomial row scaled by L^D
     equals the degree-D homogeneous monomials in (L, L*point), all integers.
     """
-    denom = 1
-    for v in point:
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in point]
     top = basis.max_degree
-    pow_table = [[1] * (top + 1) for _ in range(len(ints) + 1)]
-    for e in range(1, top + 1):
-        pow_table[0][e] = pow_table[0][e - 1] * denom
-        for i, v in enumerate(ints, start=1):
-            pow_table[i][e] = pow_table[i][e - 1] * v
+    pow_table = cleared_power_table(point, top)
     row = []
     for expo in basis.exponents:
         val = pow_table[0][top - sum(expo)]

@@ -1,6 +1,9 @@
 import json
 import time
 
+import pytest
+
+from orbitopes import exactla, secantfit
 from orbitopes.cli import main
 
 
@@ -174,3 +177,44 @@ def test_bn_grid_below_one_is_a_usage_error(capsys):
     assert main(["bn", "certify-face", "--n", "3", "--params", "0,0.1",
                  "--grid", "0"]) == 1
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("grid", ["1", "2", "3", "8"])
+def test_bn_certify_face_grid_covered_by_arcs(capsys, grid):
+    # the exclusion radius 4*2pi/grid covers the circle for grid <= 8
+    assert main(["bn", "certify-face", "--n", "3", "--params", "0,0.1",
+                 "--grid", grid]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exclusion arcs cover the whole grid" in captured.err
+
+
+def test_uncertified_exact_fit_exits_2(monkeypatch, tmp_path, capsys):
+    def uncertified(rows):
+        basis, info = real_modular(rows)
+        return basis, {**info, "certified": False}
+
+    real_modular = exactla.nullspace_modular
+    monkeypatch.setattr(exactla, "_BAREISS_MAX_COLS", 0)
+    monkeypatch.setattr(exactla, "nullspace_modular", uncertified)
+    code, out = run_cli(capsys, "secant-fit", "--rep", "1,2", "--r", "2",
+                        "--degree", "3", "--mode", "exact",
+                        "--out", str(tmp_path))
+    assert code == 2
+    report = json.loads(out)
+    assert report["fit"]["certified"] is False
+    assert report["fit"]["nullity"] == 1
+    assert (tmp_path / "nullspace_0.poly").exists()
+
+
+def test_ambiguous_rank_emits_fit_report(monkeypatch, capsys):
+    monkeypatch.setattr(secantfit, "GAP_RATIO_REQUIRED", 1e300)
+    code, out = run_cli(capsys, "secant-fit", "--rep", "1,2", "--r", "2",
+                        "--degree", "3")
+    assert code == 2
+    report = json.loads(out)
+    assert "gap ratio" in report["error"]
+    assert report["fit"]["nullity"] == 1
+    assert len(report["fit"]["sigma_tail"]) == 5
+    assert report["fit"]["gap_ratio"] < 1e300
+    assert report["tolerances"]["gap_ratio_required"] == 1e300

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitopes.exactla import (PRIMES, _to_integer_rows, bareiss_echelon,
                                exact_rank, nullspace_bareiss, nullspace_exact,
@@ -131,3 +133,89 @@ def test_rational_reconstruction_failure_is_none():
     big = Fraction(10 ** 30, 10 ** 30 + 1)
     residue = (big.numerator * pow(big.denominator, -1, PRIMES[0])) % PRIMES[0]
     assert rational_reconstruction(residue, PRIMES[0]) != big
+
+
+def gauss_jordan_mod_p(rows, ncols, p):
+    """Textbook Gauss-Jordan over GF(p) on lists of Python ints."""
+    m = [[x % p for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        hit = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if hit is None:
+            continue
+        m[r], m[hit] = m[hit], m[r]
+        inv = pow(m[r][col], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+    return m[:r], pivots
+
+
+@st.composite
+def shaped_matrices(draw):
+    kind = draw(st.sampled_from(
+        ["tall", "wide", "rank-deficient", "zero-columns", "all-zero", "1xn"]))
+    entries = st.integers(-10 ** 12, 10 ** 12) | st.integers(-3, 3)
+    # up to 12 pivots, so that the forward phase's deferred reduction
+    # (every 8 pivots for primes near 2^30) takes place
+    if kind == "1xn":
+        nrows, ncols = 1, draw(st.integers(1, 12))
+    elif kind == "tall":
+        ncols = draw(st.integers(1, 12))
+        nrows = draw(st.integers(ncols + 1, 16))
+    elif kind == "wide":
+        nrows = draw(st.integers(1, 12))
+        ncols = draw(st.integers(nrows + 1, 16))
+    else:
+        nrows, ncols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    if kind == "all-zero":
+        return [[0] * ncols for _ in range(nrows)]
+    if kind == "rank-deficient":
+        rank = draw(st.integers(1, max(1, min(nrows, ncols) - 1)))
+        left = draw(st.lists(st.lists(st.integers(-5, 5), min_size=rank,
+                                      max_size=rank),
+                             min_size=nrows, max_size=nrows))
+        right = draw(st.lists(st.lists(st.integers(-5, 5), min_size=ncols,
+                                       max_size=ncols),
+                              min_size=rank, max_size=rank))
+        return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                for row in left]
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if kind == "zero-columns":
+        zero = draw(st.sets(st.integers(0, ncols - 1), min_size=1))
+        rows = [[0 if j in zero else x for j, x in enumerate(row)]
+                for row in rows]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_matrices(), st.sampled_from([7, PRIMES[0], PRIMES[-1]]))
+def test_rref_mod_p_matches_gauss_jordan(rows, p):
+    ncols = len(rows[0])
+    # residues first: the kernel takes int64 input, as nullspace_modular gives it
+    matrix = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
+    rref, pivots = rref_mod_p(matrix, p)
+    expected, expected_pivots = gauss_jordan_mod_p(rows, ncols, p)
+    assert pivots == expected_pivots
+    assert rref.shape == (len(expected), ncols)
+    assert rref.tolist() == expected
+
+
+def test_rref_mod_p_many_pivots_matches_gauss_jordan():
+    # 40 pivots: far more updates than int64 holds without the deferred
+    # reduction of the trailing block
+    rng = random.Random(34)
+    p = PRIMES[0]
+    for rows in ([[rng.randrange(p) for _ in range(40)] for _ in range(50)],
+                 random_low_rank(rng, 50, 45, 30)):
+        matrix = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
+        rref, pivots = rref_mod_p(matrix, p)
+        expected, expected_pivots = gauss_jordan_mod_p(rows, len(rows[0]), p)
+        assert pivots == expected_pivots
+        assert rref.tolist() == expected

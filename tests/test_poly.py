@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orbitopes.poly import (CoeffMode, SparsePoly, chebyshev_angle,
                             monomials_up_to_degree)
@@ -234,3 +236,35 @@ def test_monomial_enumeration_counts():
     assert len(monomials_up_to_degree(4, 3)) == 35
     first = monomials_up_to_degree(2, 2)
     assert first == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+
+fractions = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                      st.integers(1, 10 ** 4))
+
+
+@st.composite
+def poly_and_point(draw):
+    nvars = draw(st.integers(1, 4))
+    exponents = st.tuples(*[st.integers(0, 5)] * nvars)
+    terms = draw(st.dictionaries(exponents, fractions, max_size=8))
+    # a nonzero, generally non-integer constant term
+    terms[(0,) * nvars] = draw(fractions.filter(bool))
+    point = draw(st.lists(fractions | st.integers(-9, 9), min_size=nvars,
+                          max_size=nvars))
+    return SparsePoly(nvars, terms), point
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_and_point())
+def test_rational_eval_matches_fraction_sum(case):
+    p, point = case
+    expected = Fraction(0)
+    for expo, coeff in p.terms.items():
+        term = coeff
+        for e, v in zip(expo, point):
+            term *= Fraction(v) ** e
+        expected += term
+    assume(expected != 0)
+    value = p.evaluate(point)
+    assert isinstance(value, Fraction)
+    assert value == expected
