@@ -27,7 +27,7 @@ import numpy as np
 from . import fixtures
 from .curve import Representation, orbit_point, orbit_points
 from .faces4d import FaceDescriptor, FaceKind
-from .lp import gauge, max_min_slack
+from .lp import _gauge_lp, max_min_slack
 from .poly import SparsePoly
 
 AFFINE_RANK_TOL = 1e-10
@@ -508,21 +508,25 @@ def slice_b4(step: float = 0.0125, hull_grid: int = 4096,
 
     hull_points = sm_points(3, np.arange(hull_grid) * (tau / hull_grid))
 
-    def tag(px: float, pz: float) -> str:
-        point = np.array([0.0, px, 0.0, pz])
-        value = gauge(hull_points, point)
-        return "black" if abs(value - 1.0) <= boundary_band else "gray"
+    def tagged(name: str, samples) -> PlotSeries:
+        # Neighbouring samples share most of the active set, so each gauge LP
+        # starts from the previous optimal basis of its series.
+        points, basis = [], None
+        for px, pz in samples:
+            result = _gauge_lp(hull_points, np.array([0.0, px, 0.0, pz]),
+                               basis=basis)
+            basis = result.basis
+            tag = "black" if abs(result.objective - 1.0) <= boundary_band else "gray"
+            points.append((float(px), float(pz), tag))
+        return PlotSeries(name, tuple(points))
 
     xs = np.arange(-1.2, 1.2 + step / 2, step)
-    series = []
-    for name, height in (("segment z=1", 1.0), ("segment z=-1", -1.0)):
-        series.append(PlotSeries(name, tuple(
-            (float(px), height, tag(px, height)) for px in xs)))
-    series.append(PlotSeries("line z=-x", tuple(
-        (float(px), float(-px), tag(px, -px)) for px in xs)))
-    series.append(PlotSeries("cubic z=3x-4x^3", tuple(
-        (float(px), float(3 * px - 4 * px ** 3), tag(px, 3 * px - 4 * px ** 3))
-        for px in xs)))
+    series = [
+        tagged("segment z=1", ((px, 1.0) for px in xs)),
+        tagged("segment z=-1", ((px, -1.0) for px in xs)),
+        tagged("line z=-x", ((px, -px) for px in xs)),
+        tagged("cubic z=3x-4x^3", ((px, 3 * px - 4 * px ** 3) for px in xs)),
+    ]
     return SliceReport(
         restricted_secant=restricted, cube_factor=cube, cubic_factor=cubic,
         circle_restriction=circle, secant_factorization_exact=secant_ok,

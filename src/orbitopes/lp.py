@@ -1,11 +1,15 @@
 """Dense two-phase revised simplex for small-basis linear programs.
 
 Everything this package asks of linear programming has a handful of rows and
-up to a few tens of thousands of columns (one per grid point), so a revised
-simplex that refactorizes the m x m basis every iteration is both simple and
-fast.  Dantzig pricing with an automatic switch to Bland's rule after a run
-of degenerate pivots keeps the method finite on the very degenerate,
-symmetric grids that show up here.
+up to a few tens of thousands of columns (one per grid point).  The method
+keeps the inverse of the m x m basis, updates it by a rank-one (eta) pivot
+after each basis change and factorizes it afresh every ``_REFACTOR_EVERY``
+pivots and before any final verdict; the optimal basic solution is solved
+once more from the final basis.  Dantzig pricing with an automatic switch to
+Bland's rule after a run of degenerate pivots keeps the method finite on the
+very degenerate, symmetric grids that show up here.  A caller solving a
+sequence of neighbouring problems can pass the previous optimal basis; when
+it is feasible for the new right-hand side, phase 1 is skipped.
 """
 
 from __future__ import annotations
@@ -15,6 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 _STALL_LIMIT = 30
+_REFACTOR_EVERY = 32  # eta updates between fresh factorizations of the basis
+# A warm-start basis above this (1-norm) condition number starts cold
+# instead; the optimal bases along the B_4 slice reach about 1e8.
+_WARM_COND_LIMIT = 1e12
 
 
 @dataclass
@@ -23,6 +31,7 @@ class SimplexResult:
     x: np.ndarray | None
     objective: float
     basis: list[int]
+    iterations: int             # pivots, phase 1 and phase 2 together
 
     @property
     def ok(self) -> bool:
@@ -30,8 +39,15 @@ class SimplexResult:
 
 
 def simplex_minimize(A: np.ndarray, b: np.ndarray, c: np.ndarray,
-                     tol: float = 1e-9, max_iter: int = 20000) -> SimplexResult:
-    """Solve min c.x subject to A x = b, x >= 0."""
+                     tol: float = 1e-9, max_iter: int = 20000,
+                     basis: list[int] | None = None) -> SimplexResult:
+    """Solve min c.x subject to A x = b, x >= 0.
+
+    ``basis`` optionally names m columns to start from, such as the optimal
+    basis of a neighbouring problem.  When that basis is nonsingular and
+    primal feasible (``B^-1 b >= -tol``) phase 1 is skipped; otherwise the
+    solve starts cold from the artificial basis.
+    """
     A = np.array(A, dtype=float)
     b = np.array(b, dtype=float)
     c = np.array(c, dtype=float)
@@ -40,83 +56,142 @@ def simplex_minimize(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     A[flip] *= -1.0
     b[flip] *= -1.0
 
-    # Phase 1: artificial identity basis.
-    art = list(range(n, n + m))
-    A1 = np.hstack([A, np.eye(m)])
-    c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    basis, x_b, status = _iterate(A1, b, c1, art, tol, max_iter)
-    if status != "optimal":
-        return SimplexResult(status, None, np.inf, basis)
-    if float(x_b @ c1[basis]) > 1e-7:
-        return SimplexResult("infeasible", None, np.inf, basis)
+    B_inv = None if basis is None else _feasible_inverse(A, b, basis, tol)
+    pivots = 0
+    if B_inv is None:
+        start = _phase_one(A, b, tol, max_iter)
+        if isinstance(start, SimplexResult):
+            return start
+        A, b, basis, B_inv, pivots = start
 
-    # Drive leftover zero-level artificials out of the basis.
-    keep_rows = list(range(m))
-    for pos, col in enumerate(list(basis)):
-        if col < n:
-            continue
-        B = A1[:, basis]
-        row = np.linalg.solve(B, A1)[pos, :n]
-        pivot = np.nonzero(np.abs(row) > 1e-7)[0]
-        pivot = [j for j in pivot if j not in basis]
-        if pivot:
-            basis[pos] = int(pivot[0])
-        else:
-            keep_rows[pos] = -1  # redundant constraint
-    rows = [i for i in keep_rows if i >= 0]
-    if len(rows) < m:
-        A = A[rows]
-        b = b[rows]
-        basis = [col for col in basis if col < n]
-        if len(basis) != len(rows):
-            return SimplexResult("stalled", None, np.inf, basis)
-    else:
-        basis = [col if col < n else -1 for col in basis]
-        if -1 in basis:
-            return SimplexResult("stalled", None, np.inf, basis)
-
-    basis, x_b, status = _iterate(A, b, c, basis, tol, max_iter)
+    basis, x_b, status, more, _ = _iterate(A, b, c, basis, B_inv, tol, max_iter)
     x = None
     objective = np.inf
     if status == "optimal":
         x = np.zeros(n)
         x[basis] = x_b
         objective = float(c @ x)
-    return SimplexResult(status, x, objective, basis)
+    return SimplexResult(status, x, objective, basis, pivots + more)
+
+
+def _feasible_inverse(A: np.ndarray, b: np.ndarray, basis: list[int],
+                      tol: float) -> np.ndarray | None:
+    """Inverse of the basis matrix when ``basis`` is a usable primal-feasible
+    start, else None.  A numerically singular basis is not usable: its
+    computed inverse need not raise, but its "feasible" point is garbage."""
+    m, n = A.shape
+    if len(basis) != m or not all(0 <= j < n for j in basis):
+        return None
+    B = A[:, basis]
+    try:
+        B_inv = np.linalg.inv(B)
+    except np.linalg.LinAlgError:
+        return None
+    # the 1-norm condition number, as np.linalg.cond(B, 1) computes it
+    if not np.linalg.norm(B, 1) * np.linalg.norm(B_inv, 1) <= _WARM_COND_LIMIT:
+        return None
+    if np.min(B_inv @ b) < -tol:
+        return None
+    return B_inv
+
+
+def _phase_one(A: np.ndarray, b: np.ndarray, tol: float, max_iter: int):
+    """Find a feasible basis from the artificial identity basis.
+
+    Returns ``(A, b, basis, B_inv, pivots)`` with redundant rows removed, or
+    the failed ``SimplexResult``.
+    """
+    m, n = A.shape
+    A1 = np.hstack([A, np.eye(m)])
+    c1 = np.concatenate([np.zeros(n), np.ones(m)])
+    basis, x_b, status, pivots, B_inv = _iterate(
+        A1, b, c1, list(range(n, n + m)), np.eye(m), tol, max_iter)
+    if status != "optimal":
+        return SimplexResult(status, None, np.inf, basis, pivots)
+    if float(x_b @ c1[basis]) > 1e-7:
+        return SimplexResult("infeasible", None, np.inf, basis, pivots)
+
+    # Drive leftover zero-level artificials out of the basis.  Row ``pos`` of
+    # the basis inverse, applied to A, is the tableau row of that artificial;
+    # when it vanishes, the constraint of the artificial's row is redundant.
+    keep_rows = [True] * m
+    for pos, col in enumerate(list(basis)):
+        if col < n:
+            continue
+        row = B_inv[pos] @ A
+        pivot = [j for j in np.nonzero(np.abs(row) > 1e-7)[0] if j not in basis]
+        if pivot:
+            entering = int(pivot[0])
+            _pivot(B_inv, B_inv @ A[:, entering], pos)
+            basis[pos] = entering
+            pivots += 1
+        else:
+            keep_rows[col - n] = False
+    if all(keep_rows):
+        return A, b, basis, B_inv, pivots
+    basis = [col for col in basis if col < n]
+    return A[keep_rows], b[keep_rows], basis, None, pivots
+
+
+def _pivot(B_inv: np.ndarray, direction: np.ndarray, leaving: int) -> None:
+    """Eta update, in place, of the basis inverse when the column with
+    ``B_inv``-coordinates ``direction`` replaces basis position ``leaving``."""
+    row = B_inv[leaving] / direction[leaving]
+    B_inv -= direction[:, None] * row
+    B_inv[leaving] = row
 
 
 def _iterate(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
-             tol: float, max_iter: int) -> tuple[list[int], np.ndarray, str]:
+             B_inv: np.ndarray | None, tol: float, max_iter: int):
+    """Primal simplex from a feasible ``basis`` (``B_inv`` its inverse, or
+    None to factorize).  Returns ``(basis, x_b, status, pivots, B_inv)``.
+
+    Pricing and the ratio test use the eta-updated inverse.  A verdict
+    (optimal or unbounded) is only taken on a freshly factorized basis, and
+    the optimal ``x_b`` is solved from the final basis matrix.
+    """
     m, n = A.shape
     basis = list(basis)
     bland = False
     degenerate_run = 0
+    pivots = 0
+    age = 0 if B_inv is not None else _REFACTOR_EVERY
     x_b = np.zeros(m)
-    for _ in range(max_iter):
-        B = A[:, basis]
-        try:
-            x_b = np.linalg.solve(B, b)
-            y = np.linalg.solve(B.T, c[basis])
-        except np.linalg.LinAlgError:
-            return basis, x_b, "stalled"
+    status = "stalled"
+    while pivots < max_iter:
+        if age >= _REFACTOR_EVERY:
+            try:
+                B_inv = np.linalg.inv(A[:, basis])
+            except np.linalg.LinAlgError:
+                break
+            age = 0
+        x_b = B_inv @ b
+        y = c[basis] @ B_inv
         reduced = c - y @ A
         reduced[basis] = 0.0
         if bland:
-            candidates = np.nonzero(reduced < -tol)[0]
-            if candidates.size == 0:
-                return basis, x_b, "optimal"
-            entering = int(candidates[0])
+            candidates = (reduced < -tol).nonzero()[0]
+            entering = int(candidates[0]) if candidates.size else -1
         else:
-            entering = int(np.argmin(reduced))
+            entering = int(reduced.argmin())
             if reduced[entering] >= -tol:
-                return basis, x_b, "optimal"
-        direction = np.linalg.solve(B, A[:, entering])
-        positive = np.nonzero(direction > tol)[0]
-        if positive.size == 0:
-            return basis, x_b, "unbounded"
+                entering = -1
+        verdict = "optimal"
+        if entering >= 0:
+            direction = B_inv @ A[:, entering]
+            positive = (direction > tol).nonzero()[0]
+            verdict = None if positive.size else "unbounded"
+        if verdict:
+            if age:
+                age = _REFACTOR_EVERY  # verdicts only on a fresh factorization
+                continue
+            status = verdict
+            if verdict == "optimal":
+                x_b = np.linalg.solve(A[:, basis], b)
+            break
         ratios = x_b[positive] / direction[positive]
-        best = float(np.min(ratios))
-        ties = positive[np.nonzero(ratios <= best + tol)[0]]
+        best = float(ratios.min())
+        ties = positive[(ratios <= best + tol).nonzero()[0]]
         # leaving rule: among ties pick the smallest basis index (anti-cycling)
         leaving = int(min(ties, key=lambda i: basis[int(i)]))
         if best <= tol:
@@ -125,8 +200,11 @@ def _iterate(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
                 bland = True
         else:
             degenerate_run = 0
+        _pivot(B_inv, direction, leaving)
+        age += 1
         basis[leaving] = entering
-    return basis, x_b, "stalled"
+        pivots += 1
+    return basis, x_b, status, pivots, B_inv
 
 
 def max_min_slack(equalities: np.ndarray, grid_rows: np.ndarray,
@@ -179,11 +257,18 @@ def gauge(points: np.ndarray, target: np.ndarray,
     whenever the origin is interior to the hull).  Returns ``inf`` when the
     target is outside the conic span.
     """
+    return _gauge_lp(points, target, tol).objective
+
+
+def _gauge_lp(points: np.ndarray, target: np.ndarray, tol: float = 1e-9,
+              basis: list[int] | None = None) -> SimplexResult:
+    """The gauge LP of :func:`gauge`, optionally warm-started from ``basis``.
+
+    Its ``objective`` is the gauge (``inf`` unless optimal); its ``basis``
+    can warm-start the next target of a sequence.
+    """
     P = np.asarray(points, dtype=float)
     t = np.asarray(target, dtype=float)
     if np.allclose(t, 0.0):
-        return 0.0
-    result = simplex_minimize(P.T, t, np.ones(P.shape[0]), tol=tol)
-    if not result.ok:
-        return np.inf
-    return result.objective
+        return SimplexResult("optimal", np.zeros(P.shape[0]), 0.0, [], 0)
+    return simplex_minimize(P.T, t, np.ones(P.shape[0]), tol=tol, basis=basis)

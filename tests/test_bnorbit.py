@@ -6,6 +6,7 @@ from math import tau
 import numpy as np
 import pytest
 
+from orbitopes import bnorbit
 from orbitopes.bnorbit import (_cyclotomic, _margin_on_grid,
                                _root_of_unity_power_sum_vanishes,
                                affinely_independent, certify_exposed_face,
@@ -13,6 +14,7 @@ from orbitopes.bnorbit import (_cyclotomic, _margin_on_grid,
                                not_basic_witness, slice_b4, slice_cubic,
                                sm_map, sm_points, sm_rep, top_face)
 from orbitopes.faces4d import FaceKind
+from orbitopes.lp import _gauge_lp
 
 
 def test_sm_map_examples():
@@ -210,3 +212,33 @@ def test_slice_series_tags():
     assert line[0.0] == "gray" and line[0.5] == "gray"
     csv = report.to_csv()
     assert csv.startswith("series,x,z,tag")
+
+
+def test_slice_warm_started_gauges_match_cold_ones(monkeypatch):
+    # Record the gauge LPs slice_b4 solves; a cold _gauge_lp is the LP whose
+    # objective lp.gauge returns.  The boundary band is slice_b4's default.
+    solved = []
+
+    def recording(points, target, tol=1e-9, basis=None):
+        result = _gauge_lp(points, target, tol, basis)
+        solved.append((points, target, basis is not None, result))
+        return result
+
+    monkeypatch.setattr(bnorbit, "_gauge_lp", recording)
+    report = slice_b4()
+    assert len(solved) == sum(len(s.points) for s in report.series)
+    start = 0
+    for s in report.series:
+        lps = solved[start:start + len(s.points)]
+        start += len(s.points)
+        # every sample but the first of a series starts from the previous basis
+        assert [warm_started for _, _, warm_started, _ in lps] == (
+            [False] + [True] * (len(lps) - 1))
+        warm_pivots = cold_pivots = 0
+        for (points, target, _, warm), (_, _, tag) in zip(lps, s.points):
+            cold = _gauge_lp(points, target)
+            assert abs(warm.objective - cold.objective) <= 1e-9
+            assert tag == ("black" if abs(cold.objective - 1.0) <= 2e-4 else "gray")
+            warm_pivots += warm.iterations
+            cold_pivots += cold.iterations
+        assert warm_pivots < cold_pivots

@@ -136,6 +136,14 @@ def test_byte_identical_reports(capsys):
     assert out1 == out2 and code1 == code2 == 0
 
 
+def test_slice_csv_is_byte_identical_across_runs(capsys, tmp_path):
+    for run in ("a", "b"):
+        code, _ = run_cli(capsys, "bn", "slice", "--out", str(tmp_path / run))
+        assert code == 0
+    first = (tmp_path / "a" / "slice_series.csv").read_bytes()
+    assert first == (tmp_path / "b" / "slice_series.csv").read_bytes()
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["bogus-command"]) == 1
     assert main(["membership"]) == 1  # missing --point

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 
+from orbitopes import lp
 from orbitopes.lp import gauge, max_min_slack, simplex_minimize
 
 
@@ -37,6 +38,42 @@ def test_simplex_redundant_constraints():
     A = np.array([[1.0, 1.0], [2.0, 2.0]])
     res = simplex_minimize(A, np.array([2.0, 4.0]), np.array([1.0, 0.0]))
     assert res.ok and abs(res.objective - 0.0) < 1e-9
+
+
+def test_simplex_drops_the_row_of_a_redundant_artificial():
+    # Phase 1 leaves a zero-level artificial at a basis position other than
+    # its own row; the row to drop is the artificial's.  Dropping the row at
+    # its basis position instead left a singular basis ("stalled").
+    A = np.array([[9, 0, 7, 4, 1], [-3, 1, -3, -1, 0], [-2, 2, -3, 1, -1],
+                  [0, -3, 2, -1, -1], [15, -12, 20, -1, 2],
+                  [-10, -3, -6, -3, -5]], dtype=float)
+    b = A @ np.array([0.0, 0.0, 1.0, 0.0, 2.0])
+    res = simplex_minimize(A, b, np.array([2.0, 0.0, 0.0, -3.0, -2.0]))
+    assert res.ok and abs(res.objective + 4.0) < 1e-9
+    assert np.allclose(res.x, [0.0, 0.0, 1.0, 0.0, 2.0])
+
+
+def test_basis_is_factorized_only_to_refactor_or_conclude(monkeypatch):
+    calls = {"solve": 0, "inv": 0}
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    rng = np.random.default_rng(2)
+    A = rng.uniform(-1, 1, size=(20, 400))
+    b = A @ rng.uniform(0, 1, size=400)
+    res = simplex_minimize(A, b, rng.uniform(0, 1, size=400))
+    assert res.ok and res.iterations > 2 * lp._REFACTOR_EVERY
+    assert calls["solve"] == 2  # the optimal x_b of each phase
+    # periodic refactorizations plus one fresh check per phase verdict
+    assert calls["inv"] <= 2 + res.iterations // lp._REFACTOR_EVERY
 
 
 def test_simplex_degenerate_vertex_terminates():

@@ -1,10 +1,14 @@
+import functools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orbitopes.curve import Representation, orbit_point
+from orbitopes.curve import Representation, orbit_point, orbit_points
+from orbitopes.lp import gauge
 from orbitopes.toeplitz import (Verdict, det_polynomial, embed, face_dimension,
                                 is_member, membership_report, numerical_rank,
                                 secant_membership_universal)
@@ -155,3 +159,29 @@ def test_psd_verdict_stable_under_tolerance_scaling():
 def test_rank_tolerance_policy_floors_scale_at_one():
     eigs = np.array([1e-12, 1e-12, 1e-12])
     assert numerical_rank(eigs, 1e-9) == 0
+
+
+@functools.cache
+def hull_points(n, grid=4096):
+    return orbit_points(universal(n), np.arange(grid) * (2 * math.pi / grid))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([2, 3]), st.data())
+def test_membership_agrees_with_the_lp_gauge(n, data):
+    # A convex combination of at most n curve points lies on the boundary of
+    # the universal body (Toeplitz rank below n+1); scaling it by s moves it
+    # to gauge s.  The LP gauge over 4096 curve points is an independent
+    # description of the same body.
+    m = data.draw(st.integers(1, n))
+    thetas = data.draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=m,
+                                max_size=m))
+    weights = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=m,
+                                          max_size=m)))
+    scale = data.draw(st.floats(0.6, 0.95) | st.floats(1.05, 1.4))
+    boundary = (weights / weights.sum()) @ orbit_points(universal(n),
+                                                        np.array(thetas))
+    point = scale * boundary
+    verdict = is_member(point)
+    assert verdict is not Verdict.BOUNDARY
+    assert (verdict is Verdict.INTERIOR) == (gauge(hull_points(n), point) < 1.0)
