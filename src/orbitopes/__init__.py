@@ -11,7 +11,7 @@ it; see the README.
 """
 
 from .curve import CurveInfo, Representation, curve_info, numeric_degree_probe
-from .poly import CoeffMode, SparsePoly, chebyshev_angle
+from .poly import CoeffMode, SparsePoly
 
 __version__ = "0.1.0"
 
@@ -20,7 +20,6 @@ __all__ = [
     "CurveInfo",
     "Representation",
     "SparsePoly",
-    "chebyshev_angle",
     "curve_info",
     "numeric_degree_probe",
     "__version__",

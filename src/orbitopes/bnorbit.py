@@ -5,7 +5,8 @@ For odd n the curve
     SM(theta) = (cos t, sin t, cos 3t, sin 3t, ..., cos nt, sin nt)
 
 spans the (n+1)-dimensional centrally symmetric orbitope B_{n+1}.  This
-module provides the simpliciality (affine independence) check, the explicit
+module provides the simpliciality check (through the affine-independence
+test of :mod:`orbitopes.curve`), the explicit
 top-dimensional exposed faces with their supporting hyperplanes, a grid
 linear-program search for exposing hyperplanes of arbitrary face candidates,
 an exact barycentric certificate that the origin is interior, and the full
@@ -25,12 +26,11 @@ from typing import Sequence
 import numpy as np
 
 from . import fixtures
-from .curve import Representation, orbit_point, orbit_points
+from .curve import (Representation, affinely_independent, antipodal_point,
+                    orbit_point, orbit_points, rational_point)
 from .faces4d import FaceDescriptor, FaceKind
 from .lp import _gauge_lp, max_min_slack
 from .poly import SparsePoly
-
-AFFINE_RANK_TOL = 1e-10
 
 
 def sm_rep(n: int) -> Representation:
@@ -47,20 +47,6 @@ def sm_map(n: int, theta: float) -> np.ndarray:
 
 def sm_points(n: int, thetas) -> np.ndarray:
     return orbit_points(sm_rep(n), np.asarray(thetas, dtype=float))
-
-
-def affinely_independent(points: Sequence[np.ndarray],
-                         tol: float = AFFINE_RANK_TOL) -> bool:
-    """Whether the points are affinely independent (rank of differences)."""
-    pts = [np.asarray(p, dtype=float) for p in points]
-    if not pts:
-        raise ValueError("need at least one point")
-    if len(pts) == 1:
-        return True
-    diffs = np.array([p - pts[0] for p in pts[1:]])
-    sigma = np.linalg.svd(diffs, compute_uv=False)
-    rank = int(np.sum(sigma > tol * max(sigma[0], 1.0)))
-    return rank == len(pts) - 1
 
 
 @dataclass(frozen=True)
@@ -381,15 +367,6 @@ class WitnessReport:
         }
 
 
-def _sm_exact_at_zero(n: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1) if i % 2 == 0 else Fraction(0) for i in range(n + 1))
-
-
-def _sm_exact_at_pi(n: int) -> tuple[Fraction, ...]:
-    # odd frequencies: cos(j*pi) = -1, sin(j*pi) = 0
-    return tuple(Fraction(-1) if i % 2 == 0 else Fraction(0) for i in range(n + 1))
-
-
 def not_basic_witness(n: int) -> WitnessReport:
     """Assemble the full witness that B_{n+1} is not basic closed.
 
@@ -401,10 +378,10 @@ def not_basic_witness(n: int) -> WitnessReport:
     nonvanishing gradient there, so the origin is a regular point of that
     hypersurface.
     """
-    rep = sm_rep(n)  # validates n
+    rep = sm_rep(n)
     half = Fraction(1, 2)
-    a = _sm_exact_at_zero(n)
-    b = _sm_exact_at_pi(n)
+    a = rational_point(rep, 0)
+    b = antipodal_point(rep)
     midpoint = tuple(half * (x + y) for x, y in zip(a, b))
     midpoint_zero = all(v == 0 for v in midpoint)
     interior = interior_certificate(n)

@@ -71,6 +71,14 @@ def _parse_point(text: str) -> list[float]:
     return point
 
 
+def _fraction(text: str) -> Fraction:
+    """A rational such as ``3/4``; a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -145,17 +153,17 @@ def cmd_faces(args) -> int:
         "boundary_components": faces4d.boundary_components(pq.p, pq.q),
     }
     if args.edge:
-        s, t = (Fraction(tok) for tok in args.edge.split(","))
+        s, t = (_fraction(tok) for tok in args.edge.split(","))
         payload["query"] = {"kind": "edge", "s": str(s), "t": str(t),
                             "is_edge": faces4d.is_edge(pq, s, t)}
     if args.polygon:
         which_str, t_str = args.polygon.split(",")
-        face = faces4d.polygon_faces(pq, int(which_str), Fraction(t_str))
+        face = faces4d.polygon_faces(pq, int(which_str), _fraction(t_str))
         payload["query"] = {"kind": "polygon", **face.to_json()}
     if args.vertex is not None:
         payload["query"] = {"kind": "vertex",
                             "parameter": args.vertex,
-                            "point": list(faces4d.z_point(pq, Fraction(args.vertex)))}
+                            "point": list(faces4d.z_point(pq, _fraction(args.vertex)))}
     _emit(args, _report(args, payload))
     return EXIT_OK
 
@@ -230,7 +238,7 @@ def cmd_verify(args) -> int:
 def cmd_rationalize(args) -> int:
     poly = SparsePoly.load_file(args.poly).to_float()
     anchor = tuple(int(tok) for tok in args.anchor.split(","))
-    result, dist = secantfit.rationalize(poly, anchor, Fraction(args.anchor_value))
+    result, dist = secantfit.rationalize(poly, anchor, _fraction(args.anchor_value))
     payload = {"terms": result.num_terms, "degree": result.degree,
                "max_rounding_distance": dist,
                "polynomial": result.dumps().splitlines()}
@@ -247,7 +255,7 @@ def cmd_bn_top_face(args) -> int:
 
 
 def cmd_bn_certify_face(args) -> int:
-    params = [float(Fraction(tok)) for tok in args.params.split(",")]
+    params = [float(_fraction(tok)) for tok in args.params.split(",")]
     cert = bnorbit.certify_face(args.n, params, grid=args.grid, tol=args.tol)
     if cert is None:
         _emit(args, _report(args, {"status": "no-certificate",

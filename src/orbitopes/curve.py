@@ -7,9 +7,11 @@ curve
 
 whose convex hull is the object of study everywhere else in this package.
 This module provides the trigonometric and the exact rational (tan-half-angle)
-parametrizations of the curve, its projective degree and smoothness data, and
-an independent numeric probe that re-derives the degree by intersecting the
-rational parametrization with a random affine hyperplane.
+parametrizations of the curve, both built on one table of integer
+angle-multiplication coefficients (those of ``(1+it)^(2j)``), the float
+affine-independence test for tuples of points, the projective degree and
+smoothness data, and an independent numeric probe that re-derives the degree
+by intersecting the rational parametrization with a random affine hyperplane.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .poly import chebyshev_angle
+AFFINE_RANK_TOL = 1e-10
 
 
 class DegenerateHyperplaneError(RuntimeError):
@@ -117,28 +119,25 @@ def orbit_points(rep: Representation, thetas: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _angle_polys(j: int):
-    return chebyshev_angle(j)
-
-
 def rational_point(rep: Representation, t) -> tuple[Fraction, ...]:
     """Exact curve point for the parameter ``t = tan(theta/2)``.
 
-    Uses cos(theta) = (1-t^2)/(1+t^2), sin(theta) = 2t/(1+t^2) and the
-    angle-multiplication polynomials for the higher frequencies.  As ``t``
+    With t = n/d, cos(j*theta) = sum_k re_k n^k d^(2j-k) / (d^2+n^2)^j,
+    and sin(j*theta) is the same sum over im_k, where re_k + i*im_k are
+    the coefficients of (1+it)^(2j) (:func:`_cleared_cos_sin`).  As ``t``
     runs over the rationals this covers the orbit minus the single point at
     theta = pi.
     """
     t = Fraction(t)
-    denom = 1 + t * t
-    c = (1 - t * t) / denom
-    s = 2 * t / denom
+    n, d = t.numerator, t.denominator
+    norm = d * d + n * n
     coords: list[Fraction] = []
     for j in rep.indices:
-        fj, gj = _angle_polys(j)
-        coords.append(fj.evaluate((c, s)))
-        coords.append(gj.evaluate((c, s)))
+        re, im = _cleared_cos_sin(j)
+        terms = [n ** k * d ** (2 * j - k) for k in range(2 * j + 1)]
+        denom = norm ** j
+        coords.append(Fraction(sum(c * x for c, x in zip(re, terms)), denom))
+        coords.append(Fraction(sum(c * x for c, x in zip(im, terms)), denom))
     return tuple(coords)
 
 
@@ -149,6 +148,21 @@ def antipodal_point(rep: Representation) -> tuple[Fraction, ...]:
         coords.append(Fraction((-1) ** j))
         coords.append(Fraction(0))
     return tuple(coords)
+
+
+def affinely_independent(points: Sequence[np.ndarray],
+                         tol: float = AFFINE_RANK_TOL) -> bool:
+    """Whether the points are affinely independent (rank of differences)."""
+    pts = np.asarray(points, dtype=float)
+    if len(pts) == 0:
+        raise ValueError("need at least one point")
+    if len(pts) == 1:
+        return True
+    sigma = np.linalg.svd(pts[1:] - pts[0], compute_uv=False)
+    # sorted largest first: full rank needs len(pts) - 1 values, all above
+    # the cut, and the last one is the smallest
+    return bool(len(sigma) == len(pts) - 1
+                and sigma[-1] > tol * max(sigma[0], 1.0))
 
 
 def curve_info(rep: Representation) -> CurveInfo:

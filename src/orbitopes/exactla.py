@@ -201,14 +201,6 @@ def rational_reconstruction(a: int, m: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
-def _kernel_mod_p(matrix: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
-    """Free columns and the RREF-rows of one prime-field elimination."""
-    rref, pivots = rref_mod_p(matrix, p)
-    ncols = matrix.shape[1]
-    free = [c for c in range(ncols) if c not in pivots]
-    return free, rref
-
-
 def nullspace_modular(rows: Sequence[Sequence],
                       primes: Sequence[int] = PRIMES,
                       min_primes: int = 2) -> tuple[list[tuple[Fraction, ...]], dict]:
@@ -229,14 +221,15 @@ def nullspace_modular(rows: Sequence[Sequence],
     best_nullity = ncols + 1
     used: list[int] = []
     for p in primes:
-        reduced = np.array([[x % p for x in row] for row in int_rows], dtype=np.int64)
-        free, rref = _kernel_mod_p(reduced, p)
-        nullity = len(free)
+        # no local name keeps the residue matrix alive past the elimination
+        rref, pivots = rref_mod_p(
+            np.array([[x % p for x in row] for row in int_rows], dtype=np.int64), p)
+        nullity = ncols - len(pivots)
         if nullity < best_nullity:
             best_nullity = nullity
-            mods = [(p, free, rref)]
-        elif nullity == best_nullity and mods and free == mods[0][1]:
-            mods.append((p, free, rref))
+            mods = [(p, pivots, rref)]
+        elif nullity == best_nullity and mods and pivots == mods[0][1]:
+            mods.append((p, pivots, rref))
         used.append(p)
         if len(mods) >= min_primes:
             basis = _try_finish(int_rows, ncols, mods)
@@ -252,11 +245,12 @@ def nullspace_modular(rows: Sequence[Sequence],
 
 def _try_finish(int_rows, ncols, mods) -> list[tuple[Fraction, ...]] | None:
     """CRT-combine the prime kernels, reconstruct, and verify exactly."""
-    _, free, _ = mods[0]
+    pivots = mods[0][1]
+    is_pivot = set(pivots)
+    free = [c for c in range(ncols) if c not in is_pivot]
     modulus = 1
     combined = {fc: [0] * ncols for fc in free}
     for p, _, rref in mods:
-        pivots = [c for c in range(ncols) if c not in free][: rref.shape[0]]
         for fc in free:
             vec = [0] * ncols
             vec[fc] = 1

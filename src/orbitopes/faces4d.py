@@ -136,18 +136,6 @@ def polygon_vertices(pq: PQData, which: int, t) -> list:
             for j in range(which)]
 
 
-def polygon_shared_turn(pq: PQData, which: int, t: Fraction) -> Fraction:
-    """The common turn of the coordinate block fixed along the polygon.
-
-    All polygon vertices t + j/which have the same value of which*t mod 1,
-    hence identical cos/sin coordinates in the corresponding block; with
-    rational parameters this identity is exact.
-    """
-    turns = {(which * v) % 1 for v in polygon_vertices(pq, which, Fraction(t))}
-    assert len(turns) == 1
-    return turns.pop()
-
-
 def polygon_faces(pq: PQData, which: int, t) -> FaceDescriptor:
     """The polygon face with vertex parameters t + j/which, j = 0..which-1.
 
@@ -263,7 +251,8 @@ def probe_face_family_dimension(pq: PQData, samples: int, seed: int) -> int:
     Draws random (s, t) pairs; when an edge pair admits a full product
     neighborhood of edge pairs (checked on a 5x5 grid with radius a quarter
     of the gap's distance to the interval endpoints), the family is
-    2-dimensional.  Returns the maximal dimension observed.
+    2-dimensional.  Returns the maximal dimension observed.  This checks
+    the claim that the exposed edges form a 2-parameter family.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

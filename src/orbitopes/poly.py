@@ -383,23 +383,6 @@ def cleared_power_table(point: Sequence[Fraction], degree: int) -> list[list[int
     return table
 
 
-def chebyshev_angle(j: int) -> tuple[SparsePoly, SparsePoly]:
-    """Polynomials (f_j, g_j) in (c, s) with cos(j*t) = f_j(cos t, sin t) and
-    sin(j*t) = g_j(cos t, sin t).
-
-    Built from the angle-addition recurrence f_{j+1} = c*f_j - s*g_j,
-    g_{j+1} = s*f_j + c*g_j starting from (c, s).
-    """
-    if j < 1:
-        raise ValueError(f"index must be >= 1, got {j}")
-    c = SparsePoly.variable(2, 0)
-    s = SparsePoly.variable(2, 1)
-    f, g = c, s
-    for _ in range(j - 1):
-        f, g = c * f - s * g, s * f + c * g
-    return f, g
-
-
 def monomials_up_to_degree(nvars: int, max_degree: int) -> list[Exponent]:
     """All exponent tuples of total degree <= max_degree, ascending graded-lex."""
     if nvars < 1:

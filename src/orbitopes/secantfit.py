@@ -23,7 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .curve import Representation, orbit_points, rational_point
+from .curve import (Representation, affinely_independent, orbit_points,
+                    rational_point)
 from .exactla import exact_rank, nullspace_exact
 from .poly import (CoeffMode, Exponent, SparsePoly, cleared_power_table,
                    monomials_up_to_degree)
@@ -88,7 +89,9 @@ def secant_point(rep: Representation, params: Sequence, weights: Sequence,
     """Convex combination of curve points; exact when mode is RATIONAL.
 
     Float parameters are angles; rational parameters are tan-half-angle
-    values fed to the exact parametrization.
+    values fed to the exact parametrization.  This is the reference
+    definition of a secant point: the tests check the points drawn by
+    :func:`sample_secants` in both modes against it.
     """
     if len(params) != len(weights):
         raise ValueError("params and weights must have equal length")
@@ -104,21 +107,6 @@ def secant_point(rep: Representation, params: Sequence, weights: Sequence,
         raise ValueError("weights must sum to 1")
     pts = orbit_points(rep, np.array([float(t) for t in params]))
     return tuple(float(v) for v in np.asarray(weights) @ pts)
-
-
-def _affinely_dependent_floats(pts: np.ndarray) -> bool:
-    if len(pts) < 2:
-        return False
-    diffs = pts[1:] - pts[0]
-    sigma = np.linalg.svd(diffs, compute_uv=False)
-    return sigma[-1] <= 1e-9 * max(sigma[0], 1.0)
-
-
-def _affinely_dependent_exact(pts: list[tuple[Fraction, ...]]) -> bool:
-    if len(pts) < 2:
-        return False
-    diffs = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
-    return exact_rank(diffs) < len(pts) - 1
 
 
 def sample_secants(rep: Representation, r: int, count: int, seed: int,
@@ -142,7 +130,7 @@ def sample_secants(rep: Representation, r: int, count: int, seed: int,
         for _ in range(draws):
             params = tuple(float(t) for t in rng.uniform(0.0, 2 * math.pi, size=r))
             pts = orbit_points(rep, np.array(params))
-            if _affinely_dependent_floats(pts):
+            if not affinely_independent(pts, tol=1e-9):
                 continue
             weights = tuple(float(w) for w in rng.dirichlet(np.ones(r)))
             point = tuple(float(v) for v in np.asarray(weights) @ pts)
@@ -158,7 +146,8 @@ def sample_secants(rep: Representation, r: int, count: int, seed: int,
             if len(set(params)) != r or params in seen:
                 continue
             pts = [rational_point(rep, t) for t in params]
-            if _affinely_dependent_exact(pts):
+            diffs = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
+            if exact_rank(diffs) < r - 1:
                 continue
             seen.add(params)
             raw = [rng.randint(1, 64) for _ in range(r)]
@@ -467,7 +456,9 @@ def rationalize(fit: SparsePoly, anchor: Sequence[int], anchor_value,
     then round every coefficient to a small-denominator rational.
 
     Returns the rounded polynomial and the largest rounding distance.
-    The anchor coefficient must not be tiny relative to the largest one.
+    The anchor coefficient must not be tiny relative to the largest one,
+    and the anchor value must be nonzero (zero would scale the fit to the
+    zero polynomial).
     """
     anchor = tuple(int(e) for e in anchor)
     coeffs = {e: float(c) for e, c in fit.terms.items()}
@@ -479,6 +470,8 @@ def rationalize(fit: SparsePoly, anchor: Sequence[int], anchor_value,
         raise ValueError(
             f"anchor coefficient {a:.3e} is below 1e-6 of the maximum {top:.3e}")
     anchor_value = Fraction(anchor_value)
+    if anchor_value == 0:
+        raise ValueError("anchor value must be nonzero")
     ratio = float(anchor_value) / a
     terms: dict[Exponent, Fraction] = {}
     worst = 0.0

@@ -76,15 +76,18 @@ def embed(point: Sequence[float]) -> HermitianToeplitz:
     return HermitianToeplitz(n, entries)
 
 
-def is_member(point: Sequence[float], tol: float = DEFAULT_TOL) -> Verdict:
-    """Membership of the point in the universal orbitope via the PSD test."""
-    eigs = embed(point).eigenvalues()
+def _verdict(eigs: np.ndarray, tol: float) -> Verdict:
     smallest = float(eigs[0])
     if smallest > tol:
         return Verdict.INTERIOR
     if smallest < -tol:
         return Verdict.OUTSIDE
     return Verdict.BOUNDARY
+
+
+def is_member(point: Sequence[float], tol: float = DEFAULT_TOL) -> Verdict:
+    """Membership of the point in the universal orbitope via the PSD test."""
+    return _verdict(embed(point).eigenvalues(), tol)
 
 
 def face_dimension(point: Sequence[float], tol: float = DEFAULT_TOL) -> int | None:
@@ -94,12 +97,11 @@ def face_dimension(point: Sequence[float], tol: float = DEFAULT_TOL) -> int | No
     k+1, so this returns rank - 1; interior points have no proper face and
     give None.  Raises for outside points.
     """
-    toeplitz = embed(point)
-    eigs = toeplitz.eigenvalues()
-    smallest = float(eigs[0])
-    if smallest < -tol:
+    eigs = embed(point).eigenvalues()
+    verdict = _verdict(eigs, tol)
+    if verdict is Verdict.OUTSIDE:
         raise ValueError("point is outside the orbitope")
-    if smallest > tol:
+    if verdict is Verdict.INTERIOR:
         return None
     return numerical_rank(eigs, tol) - 1
 
@@ -119,19 +121,14 @@ def secant_membership_universal(point: Sequence[float], k: int,
 
 def membership_report(point: Sequence[float], tol: float = DEFAULT_TOL) -> dict:
     """JSON-ready report: verdict, smallest eigenvalue, rank, face dimension."""
-    toeplitz = embed(point)
-    eigs = toeplitz.eigenvalues()
-    verdict = is_member(point, tol)
-    face_dim: int | None
-    if verdict is Verdict.OUTSIDE:
-        face_dim = None
-    else:
-        face_dim = face_dimension(point, tol)
+    eigs = embed(point).eigenvalues()
+    verdict = _verdict(eigs, tol)
+    rank = numerical_rank(eigs, tol)
     return {
         "verdict": verdict.value,
         "min_eigenvalue": float(eigs[0]),
-        "rank": numerical_rank(eigs, tol),
-        "face_dimension": face_dim,
+        "rank": rank,
+        "face_dimension": rank - 1 if verdict is Verdict.BOUNDARY else None,
     }
 
 

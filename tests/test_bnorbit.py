@@ -179,6 +179,35 @@ def test_witness_n5():
     assert report.slice_value_at_origin is None
 
 
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_witness_report_fields(n):
+    # the chord endpoints come from rational_point(rep, 0) and
+    # antipodal_point(rep)
+    report = not_basic_witness(n).to_json()
+    interior = report.pop("interior")
+    assert interior.pop("barycenter_residual") <= 1e-12
+    m = n + 2
+    turns = [Fraction(k, m) for k in range(m)]
+    assert interior == {
+        "n": n,
+        "vertex_turns": [f"{t.numerator}/{t.denominator}" for t in turns],
+        "weights": [f"1/{m}"] * m,
+        "target": [0.0] * (n + 1),
+        "exact_zero_sum": True,
+        "affinely_independent": True,
+    }
+    assert report == {
+        "n": n,
+        "secant_order": (n - 1) // 2,
+        "chord_params": [0.0, math.pi],
+        "chord_weights": ["1/2", "1/2"],
+        "chord_midpoint_exact_zero": True,
+        "slice_value_at_origin": "0" if n == 3 else None,
+        "slice_gradient_at_origin": ["-3", "1"] if n == 3 else None,
+        "accepted": True,
+    }
+
+
 def test_witness_rejects_even_n():
     with pytest.raises(ValueError):
         not_basic_witness(4)

@@ -105,6 +105,28 @@ def test_rationalize_subcommand(tmp_path, capsys):
     assert json.loads(out)["terms"] == 47
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["faces", "--rep", "1,3", "--edge", "1/0,1/2"], "zero denominator"),
+    (["faces", "--rep", "1,3", "--vertex", "1/0"], "zero denominator"),
+    (["faces", "--rep", "1,3", "--polygon", "3,1/0"], "zero denominator"),
+    (["bn", "certify-face", "--n", "3", "--params", "1/0,1"],
+     "zero denominator"),
+    (["rationalize", "--poly", "{poly}", "--anchor", "0,0,4,0",
+      "--anchor-value", "1/0"], "zero denominator"),
+    (["rationalize", "--poly", "{poly}", "--anchor", "0,0,4,0",
+      "--anchor-value", "0"], "must be nonzero"),
+])
+def test_bad_rational_arguments_are_usage_errors(tmp_path, capsys, argv,
+                                                 message):
+    from orbitopes import fixtures
+    path = tmp_path / "float.poly"
+    fixtures.secant_surface_13().to_float().dump_file(path)
+    assert main([tok.format(poly=path) for tok in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_bn_subcommands(tmp_path, capsys):
     code, out = run_cli(capsys, "bn", "top-face", "--n", "3")
     assert code == 0

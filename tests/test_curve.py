@@ -58,17 +58,18 @@ def test_rational_point_examples():
 
 def test_rational_point_matches_orbit_point():
     rng = random.Random(3)
-    rep = Representation((1, 3))
-    for _ in range(50):
-        t = Fraction(rng.randint(-40, 40), rng.randint(1, 17))
-        exact = rational_point(rep, t)
-        approx = orbit_point(rep, 2 * math.atan(t))
-        assert np.allclose([float(v) for v in exact], approx, atol=1e-12)
+    for idx in ((1, 3), (5, 8)):
+        rep = Representation(idx)
+        for _ in range(50):
+            t = Fraction(rng.randint(-40, 40), rng.randint(1, 17))
+            exact = rational_point(rep, t)
+            approx = orbit_point(rep, 2 * math.atan(t))
+            assert np.allclose([float(v) for v in exact], approx, atol=1e-12)
 
 
 def test_orbit_points_lie_on_sphere_exactly():
     rng = random.Random(4)
-    for idx in ((1,), (1, 3), (2, 3), (1, 2, 4)):
+    for idx in ((1,), (1, 3), (2, 3), (1, 2, 4), (5, 8)):
         rep = Representation(idx)
         for _ in range(20):
             t = Fraction(rng.randint(-30, 30), rng.randint(1, 11))

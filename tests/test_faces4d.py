@@ -8,8 +8,8 @@ import pytest
 from orbitopes.bnorbit import certify_exposed_face
 from orbitopes.faces4d import (FaceKind, boundary_components,
                                closure_is_unit_interval, is_basic_closed_4d,
-                               is_edge, polygon_faces, polygon_shared_turn,
-                               pq_data, probe_face_family_dimension, z_point)
+                               is_edge, polygon_faces, pq_data,
+                               probe_face_family_dimension, z_point)
 
 
 def coprime_pairs(limit):
@@ -130,8 +130,6 @@ def test_qgon_vertices_share_last_block_exactly():
     for p, q in ((1, 3), (2, 3), (2, 5), (3, 4)):
         d = pq_data(p, q)
         t = Fraction(1, 7 * q)
-        shared = polygon_shared_turn(d, q, t)
-        assert shared == (q * t) % 1
         pts = [z_point(d, v) for v in polygon_faces(d, q, t).parameters]
         for pt in pts[1:]:
             assert np.allclose(pt[2:], pts[0][2:], atol=1e-12)
@@ -193,3 +191,31 @@ def test_exposed_edges_admit_hyperplane_certificates():
             cert = certify_exposed_face(d.rep, [tau * s, tau * t])
             assert cert is not None and cert.margin > 1e-10
             checked += 1
+
+
+def _far_from_ends(d, gap, distance=0.02):
+    ends = [float(e) for pair in d.intervals for e in pair] + [0.0, 0.5, 1.0]
+    return min(abs(gap - e) for e in ends) >= distance
+
+
+@pytest.mark.parametrize("p,q", list(coprime_pairs(7)))
+def test_edge_classification_matches_hyperplane_search(p, q):
+    # two independent oracles: the Bezout gap intervals of faces4d and the
+    # grid-LP exposing-hyperplane search of bnorbit
+    d = pq_data(p, q)
+    rng = random.Random(100 * p + q)
+    checked = 0
+    while checked < 12:
+        s, t = sorted((rng.random(), rng.random()))
+        if not _far_from_ends(d, t - s):
+            continue
+        cert = certify_exposed_face(d.rep, [tau * s, tau * t], grid=1024)
+        assert (cert is not None) == is_edge(d, s, t), (s, t)
+        checked += 1
+    for which in (p, q):
+        if which < 3:
+            continue
+        for t in (Fraction(0), Fraction(2, 5 * which)):
+            face = polygon_faces(d, which, t)
+            angles = [tau * float(v) for v in face.parameters]
+            assert certify_exposed_face(d.rep, angles, grid=1024) is not None

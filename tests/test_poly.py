@@ -6,8 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orbitopes.poly import (CoeffMode, SparsePoly, chebyshev_angle,
-                            monomials_up_to_degree)
+from orbitopes.poly import CoeffMode, SparsePoly, monomials_up_to_degree
 
 
 def var(i, nvars=2):
@@ -95,46 +94,6 @@ def test_restrict_empty_is_identity(f_stored):
 def test_restrict_index_bounds():
     with pytest.raises(ValueError):
         var(0).restrict({5: 1})
-
-
-def test_chebyshev_base_case():
-    f1, g1 = chebyshev_angle(1)
-    assert f1 == var(0)
-    assert g1 == var(1)
-
-
-def test_chebyshev_double_angle():
-    f2, g2 = chebyshev_angle(2)
-    c, s = var(0), var(1)
-    assert f2 == c * c - s * s
-    assert g2 == (c * s).scale(2)
-
-
-def test_chebyshev_triple_angle_and_circle_reduction():
-    f3, g3 = chebyshev_angle(3)
-    c, s = var(0), var(1)
-    assert f3 == c ** 3 - (c * s * s).scale(3)
-    assert g3 == (c * c * s).scale(3) - s ** 3
-    # on the circle c^2 + s^2 = 1, f3 collapses to 4c^3 - 3c
-    cc, ss = Fraction(3, 5), Fraction(4, 5)
-    assert f3.evaluate([cc, ss]) == 4 * cc ** 3 - 3 * cc
-
-
-def test_chebyshev_identities_random_angles():
-    rng = random.Random(42)
-    for j in (1, 2, 3, 5, 8):
-        fj, gj = chebyshev_angle(j)
-        fj, gj = fj.to_float(), gj.to_float()
-        for _ in range(100):
-            theta = rng.uniform(0, 2 * math.pi)
-            c, s = math.cos(theta), math.sin(theta)
-            assert abs(fj.evaluate([c, s]) - math.cos(j * theta)) < 1e-12
-            assert abs(gj.evaluate([c, s]) - math.sin(j * theta)) < 1e-12
-
-
-def test_chebyshev_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        chebyshev_angle(0)
 
 
 def test_gradient_cubic_factor_at_origin():

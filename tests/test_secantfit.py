@@ -58,6 +58,7 @@ def test_sample_secants_float_shape_and_weights():
     for s in samples:
         assert len(s.params) == 2 and len(s.point) == 4
         assert abs(sum(s.weights) - 1) < 1e-12
+        assert secant_point(REP13, s.params, s.weights) == s.point
 
 
 def test_sample_secants_rational_exactness():
@@ -80,8 +81,8 @@ def test_sample_secants_exact_pool_exhausted():
 
 
 def test_sample_secants_float_draws_are_bounded(monkeypatch):
-    monkeypatch.setattr(secantfit, "_affinely_dependent_floats",
-                        lambda pts: True)
+    monkeypatch.setattr(secantfit, "affinely_independent",
+                        lambda pts, tol: False)
     with pytest.raises(InsufficientSamplesError):
         sample_secants(REP13, 2, 10, seed=0)
 
@@ -269,3 +270,9 @@ def test_rationalize_anchor_validation(f_stored):
         rationalize(f_stored.to_float(), (8, 0, 0, 0), 1)  # absent monomial
     with pytest.raises(ValueError):
         rationalize(SparsePoly.zero(4, CoeffMode.FLOAT), (0, 0, 0, 0), 1)
+
+
+def test_rationalize_rejects_zero_anchor_value(f_stored):
+    # a zero anchor value scales every coefficient to zero
+    with pytest.raises(ValueError, match="nonzero"):
+        rationalize(f_stored.to_float(), (0, 0, 4, 0), 0)
