@@ -7,12 +7,12 @@ For odd n the curve
 spans the (n+1)-dimensional centrally symmetric orbitope B_{n+1}.  This
 module provides the simpliciality check (through the affine-independence
 test of :mod:`orbitopes.curve`), the explicit
-top-dimensional exposed faces with their supporting hyperplanes, a grid
-linear-program search for exposing hyperplanes of arbitrary face candidates,
-an exact barycentric certificate that the origin is interior, and the full
-witness pipeline showing the body is not a basic closed semi-algebraic set:
-the origin lies both in the interior and on the secant surface swept out by
-chords of the curve.
+top-dimensional exposed faces with their supporting hyperplanes, exactly
+checked exposing hyperplanes of other face candidates, an exact barycentric
+certificate that the origin is interior, and the full witness pipeline
+showing the body is not a basic closed semi-algebraic set: the origin lies
+both in the interior and on the secant surface swept out by chords of the
+curve.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from . import fixtures
 from .curve import (Representation, affinely_independent, antipodal_point,
                     orbit_point, orbit_points, rational_point)
 from .faces4d import FaceDescriptor, FaceKind
-from .lp import _gauge_lp, max_min_slack
+from .lp import _gauge_lp
 from .poly import SparsePoly
 
 
@@ -49,6 +49,11 @@ def sm_points(n: int, thetas) -> np.ndarray:
     return orbit_points(sm_rep(n), np.asarray(thetas, dtype=float))
 
 
+# The certificate check of certify_exposed_face: |level - 1| at the active
+# parameters <= INTERPOLATION_TOL, least slack >= -SLACK_TOL, margin > MARGIN_FLOOR.
+INTERPOLATION_TOL, SLACK_TOL, MARGIN_FLOOR = 1e-10, 1e-10, 1e-13
+
+
 @dataclass(frozen=True)
 class HyperplaneCertificate:
     """A supporting hyperplane {x : x.normal = 1} touching the curve exactly
@@ -58,7 +63,6 @@ class HyperplaneCertificate:
     level: float
     active_params: tuple[float, ...]
     margin: float
-    grid: int
     exclusion: float
 
     def to_json(self) -> dict:
@@ -67,31 +71,44 @@ class HyperplaneCertificate:
             "level": self.level,
             "active_params": list(self.active_params),
             "margin": self.margin,
-            "grid": self.grid,
             "exclusion_radius": self.exclusion,
         }
 
 
 def _off_arcs(thetas: np.ndarray, active: Sequence[float],
               exclusion: float) -> np.ndarray:
-    """Mask of the grid angles farther than ``exclusion`` from every active
-    parameter; raises ValueError when no grid angle is left."""
+    """Mask of the angles farther than ``exclusion`` from every active
+    parameter; raises ValueError when the arcs cover the whole circle."""
+    centers = np.sort(np.asarray(active, dtype=float) % tau)
+    if np.max(np.diff(centers, append=centers[0] + tau)) <= 2 * exclusion:
+        raise ValueError("exclusion arcs cover the whole grid")
     keep = np.ones(thetas.shape, dtype=bool)
     for a in active:
         keep &= np.abs((thetas - a + math.pi) % tau - math.pi) > exclusion
-    if not np.any(keep):
-        raise ValueError("exclusion arcs cover the whole grid")
     return keep
 
 
-def _margin_on_grid(rep: Representation, normal: np.ndarray,
-                    active: Sequence[float], grid: int,
-                    exclusion: float) -> float:
-    """Min slack 1 - normal.point over a uniform grid off the active arcs."""
-    thetas = np.arange(grid) * (tau / grid)
-    points = orbit_points(rep, thetas)
-    slack = 1.0 - points @ normal
-    return float(np.min(slack[_off_arcs(thetas, active, exclusion)]))
+def _slack_margin(rep: Representation, w: np.ndarray, active: Sequence[float],
+                  exclusion: float) -> tuple[float, float]:
+    """Least slack 1 - w . point(theta) over the circle and off the
+    exclusion arcs, both exact.
+
+    The slack is a trigonometric polynomial of degree J (the largest
+    frequency); its critical points are among the arguments of the 2J roots
+    of z^J d/dtheta (w . point), a polynomial in z = e^{i theta}.  Off the
+    arcs the least value is at an off-arc critical point or an arc endpoint.
+    """
+    top = max(rep.indices)
+    coeffs = np.zeros(2 * top + 1, dtype=complex)
+    for i, j in enumerate(rep.indices):
+        a, b = w[2 * i], w[2 * i + 1]
+        coeffs[top + j] += j * complex(a, -b)
+        coeffs[top - j] -= j * complex(a, b)
+    critical = np.angle(np.roots(coeffs[::-1]))
+    ends = np.concatenate([np.subtract(active, exclusion), np.add(active, exclusion)])
+    off = np.concatenate([critical[_off_arcs(critical, active, exclusion)], ends])
+    slack = 1.0 - orbit_points(rep, np.concatenate([critical, off])) @ w
+    return float(np.min(slack[:critical.size])), float(np.min(slack[critical.size:]))
 
 
 @dataclass(frozen=True)
@@ -104,8 +121,7 @@ class TopFace:
                 "certificate": self.certificate.to_json()}
 
 
-def top_face(n: int, theta: float, grid: int = 10_000,
-             exclusion: float = 1e-3) -> TopFace:
+def top_face(n: int, theta: float, exclusion: float = 1e-3) -> TopFace:
     """The explicit (n-1)-dimensional simplicial exposed face at theta.
 
     Vertices are the curve points at theta + 2*pi*j/n and the exposing
@@ -121,10 +137,10 @@ def top_face(n: int, theta: float, grid: int = 10_000,
     for phi in params:
         level = float(normal @ sm_map(n, phi))
         assert abs(level - 1.0) < 1e-12
-    margin = _margin_on_grid(rep, normal, params, grid, exclusion)
+    _, margin = _slack_margin(rep, normal, params, exclusion)
     cert = HyperplaneCertificate(
         normal=tuple(normal), level=1.0, active_params=params,
-        margin=margin, grid=grid, exclusion=exclusion)
+        margin=margin, exclusion=exclusion)
     descriptor = FaceDescriptor(kind=FaceKind.SIMPLEX, parameters=params,
                                 exposed=True, dimension=n - 1)
     return TopFace(descriptor, cert)
@@ -154,69 +170,38 @@ def _tangent_normal(rep: Representation, angles: Sequence[float]) -> np.ndarray:
     return w
 
 
-def _validate_certificate(rep: Representation, w: np.ndarray,
-                          angles: Sequence[float], grid: int,
-                          exclusion: float) -> float | None:
-    """Check a candidate normal on a dense grid; returns the off-arc margin
-    or None if the candidate is not a valid support.
-
-    Validity asks for interpolation at the active parameters, no violation
-    anywhere on the circle (up to grid-level noise), and strictly positive
-    slack away from the active arcs.
-    """
-    eq = orbit_points(rep, np.array(list(angles)))
-    if float(np.max(np.abs(eq @ w - 1.0))) > 1e-10:
-        return None
-    thetas = np.arange(grid) * (tau / grid)
-    slack = 1.0 - orbit_points(rep, thetas) @ w
-    if float(np.min(slack)) < -1e-10:
-        return None
-    margin = float(np.min(slack[_off_arcs(thetas, angles, exclusion)]))
-    if margin <= 1e-13:
-        return None
-    return margin
-
-
 def certify_exposed_face(rep: Representation, angles: Sequence[float],
-                         grid: int = 2048, tol: float = 1e-9,
-                         refine: int = 4) -> HyperplaneCertificate | None:
-    """Search for a hyperplane exposing the curve points at ``angles``.
+                         grid: int = 2048) -> HyperplaneCertificate | None:
+    """Certify the curve points at ``angles`` as an exposed face.
 
-    A grid linear program maximizes the minimal slack of ``w . point <= 1``
-    over a uniform grid (minus exclusion arcs around the active parameters)
-    subject to ``w . point(angle) = 1``.  The LP optimum and the
-    interpolation-plus-tangency polish of it are then validated on a
-    ``refine``-times finer grid: equality at the active parameters, no
-    violation anywhere, strictly positive slack off the arcs.  ``None``
-    means no certificate was found at this grid/tolerance, never a proof of
-    non-faceness.
+    The one candidate is the hyperplane through the points and tangent to
+    the curve at each of them (:func:`_tangent_normal`).  It is a
+    certificate when it interpolates the points within
+    ``INTERPOLATION_TOL``, its slack is nowhere below ``-SLACK_TOL``, and
+    its slack off the exclusion arcs (radius ``4 * 2*pi / grid`` around
+    each parameter) exceeds ``MARGIN_FLOOR``; both slack minima are exact
+    (:func:`_slack_margin`).  ``None`` means no certificate, never a proof
+    of non-faceness.
     """
     angles = [float(a) % tau for a in angles]
     if len({round(a, 12) for a in angles}) != len(angles):
         raise ValueError(f"duplicate parameters in {angles}")
     exclusion = 4 * tau / grid
-    thetas = np.arange(grid) * (tau / grid)
-    grid_rows = orbit_points(rep, thetas[_off_arcs(thetas, angles, exclusion)])
-    equalities = orbit_points(rep, np.array(angles))
-    delta, w_lp, status = max_min_slack(equalities, grid_rows, tol=tol)
-    candidates = []
-    if status == "optimal" and w_lp is not None and delta > tol:
-        candidates.append(w_lp)
-    candidates.append(_tangent_normal(rep, angles))
-    fine = grid * refine
-    for w in candidates:
-        margin = _validate_certificate(rep, w, angles, fine, exclusion)
-        if margin is not None:
-            return HyperplaneCertificate(
-                normal=tuple(float(v) for v in w), level=1.0,
-                active_params=tuple(angles), margin=margin, grid=fine,
-                exclusion=exclusion)
-    return None
+    w = _tangent_normal(rep, angles)
+    # before any verdict, so arcs covering the circle are always a ValueError
+    least, margin = _slack_margin(rep, w, angles, exclusion)
+    level = orbit_points(rep, np.array(angles)) @ w
+    if (float(np.max(np.abs(level - 1.0))) > INTERPOLATION_TOL
+            or least < -SLACK_TOL or margin <= MARGIN_FLOOR):
+        return None
+    return HyperplaneCertificate(
+        normal=tuple(float(v) for v in w), level=1.0,
+        active_params=tuple(angles), margin=margin, exclusion=exclusion)
 
 
-def certify_face(n: int, params: Sequence[float], grid: int = 2048,
-                 tol: float = 1e-9) -> HyperplaneCertificate | None:
-    """Exposing-hyperplane search on the odd-frequency curve.
+def certify_face(n: int, params: Sequence[float],
+                 grid: int = 2048) -> HyperplaneCertificate | None:
+    """Exposing-hyperplane certificate on the odd-frequency curve.
 
     Accepts j+1 parameters with j+1 <= (n-1)/2 + 1 (the neighborliness
     range of the body).
@@ -225,7 +210,7 @@ def certify_face(n: int, params: Sequence[float], grid: int = 2048,
     if len(params) > (n - 1) // 2 + 1:
         raise ValueError(
             f"{len(params)} points exceed the neighborliness range of B_{n + 1}")
-    return certify_exposed_face(rep, params, grid=grid, tol=tol)
+    return certify_exposed_face(rep, params, grid=grid)
 
 
 # -- interior certificate ------------------------------------------------------

@@ -72,17 +72,29 @@ def _parse_point(text: str) -> list[float]:
 
 
 def _fraction(text: str) -> Fraction:
-    """A rational such as ``3/4``; a zero denominator is a usage error."""
+    """A rational such as ``3/4``; a zero denominator or a value too large
+    for a float is a usage error."""
     try:
-        return Fraction(text)
+        value = Fraction(text)
+        float(value)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    except OverflowError:
+        raise ValueError(f"{text!r} is too large for a float") from None
+    return value
 
 
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text!r}")
     return value
 
 
@@ -249,23 +261,22 @@ def cmd_rationalize(args) -> int:
 
 
 def cmd_bn_top_face(args) -> int:
-    face = bnorbit.top_face(args.n, args.theta, grid=args.grid)
+    face = bnorbit.top_face(args.n, args.theta)
     _emit(args, _report(args, face.to_json(), {"exclusion": 1e-3}))
     return EXIT_OK
 
 
 def cmd_bn_certify_face(args) -> int:
     params = [float(_fraction(tok)) for tok in args.params.split(",")]
-    cert = bnorbit.certify_face(args.n, params, grid=args.grid, tol=args.tol)
-    if cert is None:
-        _emit(args, _report(args, {"status": "no-certificate",
-                                   "note": "no exposing hyperplane found at "
-                                           "this grid resolution"},
-                            {"tol": args.tol}))
-        return EXIT_VERIFY
-    _emit(args, _report(args, {"status": "certified", **cert.to_json()},
-                        {"tol": args.tol}))
-    return EXIT_OK
+    cert = bnorbit.certify_face(args.n, params, grid=args.grid)
+    payload = ({"status": "no-certificate",
+                "note": "no exposing hyperplane found at this grid resolution"}
+               if cert is None else {"status": "certified", **cert.to_json()})
+    tolerances = {"interpolation_tol": bnorbit.INTERPOLATION_TOL,
+                  "slack_tol": bnorbit.SLACK_TOL,
+                  "margin_floor": bnorbit.MARGIN_FLOOR}
+    _emit(args, _report(args, payload, tolerances))
+    return EXIT_VERIFY if cert is None else EXIT_OK
 
 
 def cmd_bn_witness(args) -> int:
@@ -302,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         if out:
             p.add_argument("--out", help="directory for report/output files")
         if tol is not None:
-            p.add_argument("--tol", type=float, default=tol)
+            p.add_argument("--tol", type=_tolerance, default=tol)
 
     p = sub.add_parser("curve-info", help="degree/smoothness of the orbit curve")
     common(p, rep=True)
@@ -338,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True,
                    help="number of curve points per secant sample")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--count", type=int, help="sample count (default 2.5x basis)")
+    p.add_argument("--count", type=_positive_int,
+                   help="sample count (default 2.5x basis)")
     p.add_argument("--mode", choices=("float", "exact"), default="float")
     p.set_defaults(func=cmd_secant_fit)
 
@@ -368,12 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--theta", type=_finite_float, default=0.0)
-    p.add_argument("--grid", type=_positive_int, default=10000)
     p.set_defaults(func=cmd_bn_top_face)
 
     p = bn_sub.add_parser("certify-face", help="search for an exposing "
                                                "hyperplane certificate")
-    common(p, seed=False, tol=1e-9)
+    common(p, seed=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--params", required=True,
                    help="comma-separated curve angles")

@@ -1,7 +1,7 @@
 """Dense two-phase revised simplex for small-basis linear programs.
 
 Everything this package asks of linear programming has a handful of rows and
-up to a few tens of thousands of columns (one per grid point).  The method
+up to a few tens of thousands of columns (one per curve sample).  The method
 keeps the inverse of the m x m basis, updates it by a rank-one (eta) pivot
 after each basis change and factorizes it afresh every ``_REFACTOR_EVERY``
 pivots and before any final verdict; the optimal basic solution is solved
@@ -217,8 +217,10 @@ def max_min_slack(equalities: np.ndarray, grid_rows: np.ndarray,
         max  delta   s.t.  G w + delta <= 1,  E w = 1.
 
     Solved through the dual, which has one basis column per ambient
-    dimension; ``w`` is recovered from the active set and re-verified by the
-    caller against the grid.
+    dimension; ``w`` is recovered from the active set.  Nothing in the
+    package calls it: face certificates use the tangent hyperplane with an
+    exact slack check.  It is kept because the benchmark's trace targets in
+    ``perfbench`` name it.
     """
     E = np.atleast_2d(np.asarray(equalities, dtype=float))
     G = np.asarray(grid_rows, dtype=float)

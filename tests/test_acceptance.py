@@ -227,7 +227,7 @@ def test_criterion_09_odd_frequency_face_suite():
         a, b = rng.uniform(0, tau), rng.uniform(0, tau)
         if abs(a - b) < 1e-6:
             continue
-        cert = certify_face(3, [a, b], grid=10_000, tol=1e-9)
+        cert = certify_face(3, [a, b], grid=10_000)
         assert (cert is not None) == is_edge(pq, a / tau, b / tau)
         agreements += 1
     report(9, f"affine independence on 3000 draws; top-face functional "

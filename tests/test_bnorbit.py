@@ -7,14 +7,31 @@ import numpy as np
 import pytest
 
 from orbitopes import bnorbit
-from orbitopes.bnorbit import (_cyclotomic, _margin_on_grid,
-                               _root_of_unity_power_sum_vanishes,
+from orbitopes.bnorbit import (_cyclotomic, _root_of_unity_power_sum_vanishes,
+                               _slack_margin,
                                affinely_independent, certify_exposed_face,
                                certify_face, interior_certificate,
                                not_basic_witness, slice_b4, slice_cubic,
                                sm_map, sm_points, sm_rep, top_face)
+from orbitopes.curve import Representation
 from orbitopes.faces4d import FaceKind
 from orbitopes.lp import _gauge_lp
+
+
+def dense_slack(rep, normal, thetas):
+    """1 - normal . point(theta), summed block by block on a numpy grid."""
+    slack = np.ones_like(thetas)
+    for i, j in enumerate(rep.indices):
+        slack -= normal[2 * i] * np.cos(j * thetas)
+        slack -= normal[2 * i + 1] * np.sin(j * thetas)
+    return slack
+
+
+def off_arcs(thetas, active, exclusion):
+    keep = np.ones(thetas.shape, dtype=bool)
+    for a in active:
+        keep &= np.abs((thetas - a + math.pi) % tau - math.pi) > exclusion
+    return keep
 
 
 def test_sm_map_examples():
@@ -84,7 +101,7 @@ def test_top_face_functional_identity():
 def test_top_face_margin_lower_bound():
     # excluding arcs of radius 1e-3, the slack 1 - cos(3 d) at distance
     # d >= 1e-3 from the vertices is at least (1 - cos(3e-3)) / 2
-    face = top_face(3, 0.3, grid=10_000, exclusion=1e-3)
+    face = top_face(3, 0.3, exclusion=1e-3)
     assert face.certificate.margin >= (1 - math.cos(3e-3)) / 2
 
 
@@ -108,21 +125,79 @@ def test_certify_face_short_arc_triples_on_b6():
     assert cert is not None and cert.margin > 0
 
 
-def test_certificates_hold_on_fresh_finer_grid():
+def random44_certificates(count=5):
     rng = random.Random(44)
     rep = sm_rep(3)
-    count = 0
-    while count < 5:
+    certs = []
+    for _ in range(100):
         a = rng.uniform(0, tau)
         b = a + rng.uniform(0.2, 1.9)
         cert = certify_exposed_face(rep, [a, b])
-        if cert is None:
-            continue
-        fresh = _margin_on_grid(rep, np.array(cert.normal),
-                                cert.active_params, 3 * cert.grid,
-                                cert.exclusion)
-        assert fresh >= 0.9 * cert.margin
-        count += 1
+        if cert is not None:
+            certs.append(cert)
+        if len(certs) == count:
+            return rep, certs
+    raise AssertionError(f"{len(certs)} certificates in 100 draws")
+
+
+def test_certificates_hold_on_fresh_finer_grid():
+    rep, certs = random44_certificates()
+    thetas = np.linspace(0.0, tau, 200_001)
+    for cert in certs:
+        slack = dense_slack(rep, cert.normal, thetas)
+        assert slack.min() >= -1e-10
+        off = slack[off_arcs(thetas, cert.active_params, cert.exclusion)]
+        assert off.min() >= cert.margin - 1e-12
+
+
+def test_random44_certificate_is_not_crossed_near_its_contacts():
+    # A grid-LP hyperplane was once accepted here with true least slack
+    # -6.7e-9 about 0.00026 rad from an active parameter.
+    rep, certs = random44_certificates(2)
+    cert = certs[1]
+    for a in cert.active_params:
+        thetas = a + np.linspace(-0.01, 0.01, 2_000_001)
+        assert dense_slack(rep, cert.normal, thetas).min() >= -1e-10
+
+
+def test_hyperplane_crossed_inside_an_arc_is_refused(monkeypatch):
+    # that grid-LP hyperplane: it interpolates both parameters and has
+    # positive slack off the arcs, but dips to -6.7e-9 inside the first arc
+    crossed = np.array([0.9266780342060267, -0.6569032527742975,
+                        0.03788153640127281, 0.13214202214546358])
+    angles = [5.416335802913373, 5.916667398045628]
+    least, margin = _slack_margin(sm_rep(3), crossed, angles, 4 * tau / 2048)
+    assert least < -6e-9 and margin > 0
+    monkeypatch.setattr(bnorbit, "_tangent_normal", lambda rep, angles: crossed)
+    assert certify_exposed_face(sm_rep(3), angles) is None
+
+
+@pytest.mark.parametrize("indices", [(1, 3), (2, 5), (6, 7), (1, 3, 5, 7)])
+def test_slack_margin_matches_dense_grid(indices):
+    # grid spacing 6.3e-6: a unit normal's grid minimum is within 3e-10
+    rep = Representation(indices)
+    rng = np.random.default_rng(sum(indices))
+    thetas = np.linspace(0.0, tau, 1_000_001)
+    cases = []
+    for _ in range(2):
+        normal = rng.normal(size=2 * len(indices))
+        normal /= np.linalg.norm(normal)
+        slack = dense_slack(rep, normal, thetas)
+        # one arc around the global minimizer, so the two minima differ
+        active = [thetas[np.argmin(slack)], rng.uniform(0.0, tau)]
+        cases.append((normal, active, 0.05, slack))
+    if indices == (1, 3, 5, 7):
+        cert = top_face(7, 0.3).certificate  # only the frequency-7 block is nonzero
+        cases.append((np.array(cert.normal), cert.active_params, 0.01,
+                      dense_slack(rep, cert.normal, thetas)))
+    for normal, active, exclusion, slack in cases:
+        least, margin = _slack_margin(rep, normal, active, exclusion)
+        ends = np.concatenate([np.subtract(active, exclusion),
+                               np.add(active, exclusion)])
+        off = min(slack[off_arcs(thetas, active, exclusion)].min(),
+                  dense_slack(rep, normal, ends).min())
+        assert least == pytest.approx(slack.min(), abs=1e-9)
+        assert margin == pytest.approx(off, abs=1e-9)
 
 
 def test_cyclotomic_polynomials():

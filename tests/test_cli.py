@@ -118,6 +118,12 @@ def test_rationalize_subcommand(tmp_path, capsys):
 ])
 def test_bad_rational_arguments_are_usage_errors(tmp_path, capsys, argv,
                                                  message):
+    assert_usage_error(tmp_path, capsys, argv, message)
+
+
+def assert_usage_error(tmp_path, capsys, argv, message):
+    """``argv`` (with ``{poly}`` standing for a float polynomial file) exits
+    1 with ``message`` on stderr and nothing on stdout."""
     from orbitopes import fixtures
     path = tmp_path / "float.poly"
     fixtures.secant_surface_13().to_float().dump_file(path)
@@ -125,6 +131,34 @@ def test_bad_rational_arguments_are_usage_errors(tmp_path, capsys, argv,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["bn", "certify-face", "--n", "3", "--params", "1e400,1"],
+     "too large for a float"),
+    (["faces", "--rep", "1,3", "--vertex", "1e400"], "too large for a float"),
+    (["rationalize", "--poly", "{poly}", "--anchor", "0,0,4,0",
+      "--anchor-value", "1e400"], "too large for a float"),
+    (["membership", "--point", "0,0", "--tol", "nan"], "not a finite number"),
+    (["membership", "--point", "0,0", "--tol", "-1"], "must be at least 0"),
+    (["face-dim", "--point", "0,0", "--tol", "nan"], "not a finite number"),
+    (["face-dim", "--point", "0,0", "--tol", "-1"], "must be at least 0"),
+    (["verify", "--rep", "1,3", "--r", "2", "--poly", "{poly}",
+      "--tol", "nan"], "not a finite number"),
+    (["verify", "--rep", "1,3", "--r", "2", "--poly", "{poly}",
+      "--tol", "-1"], "must be at least 0"),
+    (["secant-fit", "--rep", "1,2", "--r", "2", "--degree", "3",
+      "--count", "-5"], "must be at least 1"),
+])
+def test_out_of_range_arguments_are_usage_errors(tmp_path, capsys, argv,
+                                                 message):
+    assert_usage_error(tmp_path, capsys, argv, message)
+
+
+def test_zero_tolerance_is_valid(capsys):
+    code, out = run_cli(capsys, "membership", "--point", "0,0", "--tol", "0")
+    assert code == 0
+    assert json.loads(out)["tolerances"]["psd_tol"] == 0.0
 
 
 def test_bn_subcommands(tmp_path, capsys):
@@ -203,7 +237,6 @@ def test_bn_top_face_rejects_non_finite_theta(capsys):
 
 
 def test_bn_grid_below_one_is_a_usage_error(capsys):
-    assert main(["bn", "top-face", "--n", "3", "--grid", "0"]) == 1
     assert main(["bn", "certify-face", "--n", "3", "--params", "0,0.1",
                  "--grid", "0"]) == 1
     assert capsys.readouterr().out == ""

@@ -201,7 +201,7 @@ def _far_from_ends(d, gap, distance=0.02):
 @pytest.mark.parametrize("p,q", list(coprime_pairs(7)))
 def test_edge_classification_matches_hyperplane_search(p, q):
     # two independent oracles: the Bezout gap intervals of faces4d and the
-    # grid-LP exposing-hyperplane search of bnorbit
+    # tangent-hyperplane certificate of bnorbit
     d = pq_data(p, q)
     rng = random.Random(100 * p + q)
     checked = 0
