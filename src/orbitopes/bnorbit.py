@@ -52,6 +52,8 @@ def sm_points(n: int, thetas) -> np.ndarray:
 # The certificate check of certify_exposed_face: |level - 1| at the active
 # parameters <= INTERPOLATION_TOL, least slack >= -SLACK_TOL, margin > MARGIN_FLOOR.
 INTERPOLATION_TOL, SLACK_TOL, MARGIN_FLOOR = 1e-10, 1e-10, 1e-13
+# top_face's margin is the least slack farther than this from every vertex.
+TOP_FACE_EXCLUSION = 1e-3
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,7 @@ class TopFace:
                 "certificate": self.certificate.to_json()}
 
 
-def top_face(n: int, theta: float, exclusion: float = 1e-3) -> TopFace:
+def top_face(n: int, theta: float) -> TopFace:
     """The explicit (n-1)-dimensional simplicial exposed face at theta.
 
     Vertices are the curve points at theta + 2*pi*j/n and the exposing
@@ -137,10 +139,10 @@ def top_face(n: int, theta: float, exclusion: float = 1e-3) -> TopFace:
     for phi in params:
         level = float(normal @ sm_map(n, phi))
         assert abs(level - 1.0) < 1e-12
-    _, margin = _slack_margin(rep, normal, params, exclusion)
+    _, margin = _slack_margin(rep, normal, params, TOP_FACE_EXCLUSION)
     cert = HyperplaneCertificate(
         normal=tuple(normal), level=1.0, active_params=params,
-        margin=margin, exclusion=exclusion)
+        margin=margin, exclusion=TOP_FACE_EXCLUSION)
     descriptor = FaceDescriptor(kind=FaceKind.SIMPLEX, parameters=params,
                                 exposed=True, dimension=n - 1)
     return TopFace(descriptor, cert)
@@ -286,7 +288,7 @@ class InteriorCertificate:
         }
 
 
-def interior_certificate(n: int, target=None) -> InteriorCertificate:
+def interior_certificate(n: int) -> InteriorCertificate:
     """Certify the origin as an interior point of B_{n+1}.
 
     Uses the m = n+2 curve points at m-th roots of unity with equal weights
@@ -296,8 +298,6 @@ def interior_certificate(n: int, target=None) -> InteriorCertificate:
     combination of a full-dimensional simplex.
     """
     rep = sm_rep(n)
-    if target is not None and any(target):
-        raise ValueError("only the origin target is supported")
     m = n + 2
     turns = tuple(Fraction(k, m) for k in range(m))
     weights = tuple(Fraction(1, m) for _ in range(m))
@@ -445,8 +445,12 @@ class SliceReport:
         return "\n".join(lines) + "\n"
 
 
-def slice_b4(step: float = 0.0125, hull_grid: int = 4096,
-             boundary_band: float = 2e-4) -> SliceReport:
+# slice_b4: spacing of the x samples, curve points of the inner hull, and
+# the band around gauge 1 whose samples are tagged black.
+SLICE_STEP, SLICE_HULL_GRID, SLICE_BOUNDARY_BAND = 0.0125, 4096, 2e-4
+
+
+def slice_b4() -> SliceReport:
     """Slice B_4 with the plane w = y = 0 and classify its boundary arcs.
 
     The two boundary hypersurfaces restrict to z^2 - 1 = (z+1)(z-1) and to
@@ -468,7 +472,7 @@ def slice_b4(step: float = 0.0125, hull_grid: int = 4096,
     one = SparsePoly.constant(2, 1)
     circle_ok = circle == (z + one) * (z - one)
 
-    hull_points = sm_points(3, np.arange(hull_grid) * (tau / hull_grid))
+    hull_points = sm_points(3, np.arange(SLICE_HULL_GRID) * (tau / SLICE_HULL_GRID))
 
     def tagged(name: str, samples) -> PlotSeries:
         # Neighbouring samples share most of the active set, so each gauge LP
@@ -478,11 +482,11 @@ def slice_b4(step: float = 0.0125, hull_grid: int = 4096,
             result = _gauge_lp(hull_points, np.array([0.0, px, 0.0, pz]),
                                basis=basis)
             basis = result.basis
-            tag = "black" if abs(result.objective - 1.0) <= boundary_band else "gray"
-            points.append((float(px), float(pz), tag))
+            black = abs(result.objective - 1.0) <= SLICE_BOUNDARY_BAND
+            points.append((float(px), float(pz), "black" if black else "gray"))
         return PlotSeries(name, tuple(points))
 
-    xs = np.arange(-1.2, 1.2 + step / 2, step)
+    xs = np.arange(-1.2, 1.2 + SLICE_STEP / 2, SLICE_STEP)
     series = [
         tagged("segment z=1", ((px, 1.0) for px in xs)),
         tagged("segment z=-1", ((px, -1.0) for px in xs)),

@@ -1,11 +1,14 @@
 """Command line front end.
 
 Every subcommand prints a single JSON report to stdout (and optionally
-writes files under ``--out``); the report embeds the full configuration,
-the package version and every tolerance used, so identical invocations
-produce byte-identical output.  Exit codes: 0 on success, 2 when a
-verification fails (residual above tolerance, no certificate found,
-witness rejected), 1 on usage errors.
+writes it, with any data files, under ``--out``); the report embeds the
+full configuration, the package version and every tolerance used, so
+identical invocations produce byte-identical output.  Exit codes: 0 on
+success; 2 when a verification fails (residual above tolerance, no
+certificate found, witness rejected, point outside the body, interpolation
+failure), always with a JSON report; 1 on usage errors (bad arguments,
+unreadable files, inputs over a budget), with a message on stderr and
+nothing on stdout.
 """
 
 from __future__ import annotations
@@ -14,19 +17,23 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__, bnorbit, faces4d, secantfit, toeplitz
 from .curve import (DegenerateHyperplaneError, Representation, curve_info,
                     numeric_degree_probe)
 from .poly import CoeffMode, SparsePoly
 
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_VERIFY = 2
+EXIT_OK, EXIT_USAGE, EXIT_VERIFY = 0, 1, 2
+
+# Input budgets; a larger value is a usage error.  The basis size is the
+# number of monomials of degree <= --degree in the ambient variables.
+MAX_FREQUENCY = 64                                    # in --rep
+MAX_SAMPLES = 10_000                                  # --count
+MAX_BASIS_SIZE = {"float": 4_000, "exact": 1_001}     # by --mode
+MAX_N = 201                                           # bn --n
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,31 +43,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _report(args, payload: dict, tolerances: dict | None = None) -> dict:
-    config = {k: v for k, v in sorted(vars(args).items())
-              if k != "func" and v is not None}
-    return {
-        "version": __version__,
-        "config": config,
-        "tolerances": tolerances or {},
-        **payload,
-    }
+@dataclass(frozen=True)
+class Outcome:
+    """What a handler returns: the report payload, the tolerances it used,
+    its verdict, and the extra ``--out`` files (name -> text).  Handlers
+    never print, write files or pick exit codes; :func:`main` does."""
 
-
-def _emit(args, report: dict) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
-    print(text)
-    if getattr(args, "out", None):
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(text + "\n")
+    payload: dict
+    tolerances: dict = field(default_factory=dict)
+    passed: bool = True
+    files: dict = field(default_factory=dict)
 
 
 def _json_default(value):
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
     raise TypeError(f"not JSON serializable: {type(value)}")
 
 
@@ -98,18 +95,36 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_in(low: int | None, high: int | None):
+    """argparse type: an integer within the bounds that are not None."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
+def _rep(args) -> Representation:
+    rep = Representation.parse(args.rep)
+    if rep.max_index > MAX_FREQUENCY:
+        raise ValueError(f"frequency {rep.max_index} over the budget {MAX_FREQUENCY}")
+    return rep
+
+
+def _fit_tolerances() -> dict:
+    return {"sigma_null_factor": secantfit.SIGMA_NULL_FACTOR,
+            "gap_ratio_required": secantfit.GAP_RATIO_REQUIRED}
 
 
 # -- subcommand handlers -------------------------------------------------------
 
 
-def cmd_curve_info(args) -> int:
-    rep = Representation.parse(args.rep)
+def cmd_curve_info(args) -> Outcome:
+    rep = _rep(args)
     info = curve_info(rep)
     payload = {
         "degree": info.degree,
@@ -128,36 +143,30 @@ def cmd_curve_info(args) -> int:
                 break
             except DegenerateHyperplaneError:
                 seed += 1000
-    _emit(args, _report(args, payload))
-    return EXIT_OK
+    return Outcome(payload)
 
 
-def cmd_membership(args) -> int:
-    point = _parse_point(args.point)
-    report = toeplitz.membership_report(point, tol=args.tol)
-    _emit(args, _report(args, report, {"psd_tol": args.tol}))
-    return EXIT_OK
+def cmd_membership(args) -> Outcome:
+    report = toeplitz.membership_report(_parse_point(args.point), tol=args.tol)
+    return Outcome(report, {"psd_tol": args.tol})
 
 
-def cmd_face_dim(args) -> int:
-    point = _parse_point(args.point)
-    try:
-        dim = toeplitz.face_dimension(point, tol=args.tol)
-    except ValueError as exc:
-        _emit(args, _report(args, {"error": str(exc)}, {"psd_tol": args.tol}))
-        return EXIT_VERIFY
-    _emit(args, _report(args, {"face_dimension": dim}, {"psd_tol": args.tol}))
-    return EXIT_OK
+def cmd_face_dim(args) -> Outcome:
+    report = toeplitz.membership_report(_parse_point(args.point), tol=args.tol)
+    outside = report["verdict"] == toeplitz.Verdict.OUTSIDE.value
+    payload = ({"error": "point is outside the orbitope"} if outside
+               else {"face_dimension": report["face_dimension"]})
+    return Outcome(payload, {"psd_tol": args.tol}, not outside)
 
 
 def _pq_from_rep(args) -> faces4d.PQData:
-    rep = Representation.parse(args.rep)
+    rep = _rep(args)
     if rep.r != 2:
         raise ValueError(f"need a coprime frequency pair p,q, got {rep}")
     return faces4d.pq_data(*rep.indices)
 
 
-def cmd_faces(args) -> int:
+def cmd_faces(args) -> Outcome:
     pq = _pq_from_rep(args)
     payload: dict = {
         "p": pq.p, "q": pq.q, "k": pq.k, "ell": pq.ell,
@@ -176,39 +185,28 @@ def cmd_faces(args) -> int:
         payload["query"] = {"kind": "vertex",
                             "parameter": args.vertex,
                             "point": list(faces4d.z_point(pq, _fraction(args.vertex)))}
-    _emit(args, _report(args, payload))
-    return EXIT_OK
+    return Outcome(payload)
 
 
-def cmd_boundary(args) -> int:
+def cmd_boundary(args) -> Outcome:
     pq = _pq_from_rep(args)
     verdict = faces4d.is_basic_closed_4d(pq.p, pq.q)
-    payload = {
+    return Outcome({
         "boundary_components": faces4d.boundary_components(pq.p, pq.q),
         "closure_of_gaps_is_unit_interval": faces4d.closure_is_unit_interval(pq),
         **verdict.to_json(),
-    }
-    _emit(args, _report(args, payload))
-    return EXIT_OK
+    })
 
 
-def cmd_secant_fit(args) -> int:
-    rep = Representation.parse(args.rep)
+def cmd_secant_fit(args) -> Outcome:
+    rep = _rep(args)
+    size = math.comb(rep.ambient_dim + max(args.degree, 0), rep.ambient_dim)
+    if size > MAX_BASIS_SIZE[args.mode]:
+        raise ValueError(f"degree {args.degree} needs {size} monomials, over the "
+                         f"{args.mode} budget {MAX_BASIS_SIZE[args.mode]}")
     mode = CoeffMode.RATIONAL if args.mode == "exact" else CoeffMode.FLOAT
-    tolerances = {"sigma_null_factor": secantfit.SIGMA_NULL_FACTOR,
-                  "gap_ratio_required": secantfit.GAP_RATIO_REQUIRED}
-    try:
-        fit = secantfit.fit_hypersurface(rep, r=args.r, degree=args.degree,
-                                         count=args.count, seed=args.seed,
-                                         mode=mode)
-    except (secantfit.NoVanishingPolynomialError,
-            secantfit.AmbiguousRankError) as exc:
-        _emit(args, _report(args, {"error": str(exc), "fit": exc.report},
-                            tolerances))
-        return EXIT_VERIFY
-    except secantfit.FitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    fit = secantfit.fit_hypersurface(rep, r=args.r, degree=args.degree,
+                                     count=args.count, seed=args.seed, mode=mode)
     residuals = []
     for p in fit.polynomials:
         scaled = p.to_float()
@@ -219,81 +217,62 @@ def cmd_secant_fit(args) -> int:
     payload = {"fit": fit.report,
                "held_out_residuals": residuals,
                "polynomials": [p.dumps().splitlines() for p in fit.polynomials]}
-    _emit(args, _report(args, payload, tolerances))
-    if args.out:
-        out = Path(args.out)
-        for i, p in enumerate(fit.polynomials):
-            p.dump_file(out / f"nullspace_{i}.poly")
+    files = {f"nullspace_{i}.poly": p.dumps() for i, p in enumerate(fit.polynomials)}
     # an exact kernel whose nullity bound is not met proves nothing
-    return EXIT_VERIFY if fit.report.get("certified") is False else EXIT_OK
+    return Outcome(payload, _fit_tolerances(),
+                   fit.report.get("certified") is not False, files)
 
 
-def cmd_verify(args) -> int:
-    rep = Representation.parse(args.rep)
+def cmd_verify(args) -> Outcome:
+    rep = _rep(args)
     poly = SparsePoly.load_file(args.poly)
     mode = CoeffMode.RATIONAL if args.mode == "exact" else CoeffMode.FLOAT
     if mode is CoeffMode.FLOAT:
         poly = poly.to_float()
-    try:
-        residual = secantfit.verify_vanishing(poly, rep, r=args.r,
-                                              count=args.count, seed=args.seed,
-                                              mode=mode)
-    except secantfit.InsufficientSamplesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    ok = float(residual) <= args.tol
-    _emit(args, _report(args, {"max_residual": float(residual), "passed": ok},
-                        {"residual_tol": args.tol}))
-    return EXIT_OK if ok else EXIT_VERIFY
+    residual = float(secantfit.verify_vanishing(
+        poly, rep, r=args.r, count=args.count, seed=args.seed, mode=mode))
+    ok = residual <= args.tol
+    return Outcome({"max_residual": residual, "passed": ok},
+                   {"residual_tol": args.tol}, ok)
 
 
-def cmd_rationalize(args) -> int:
+def cmd_rationalize(args) -> Outcome:
     poly = SparsePoly.load_file(args.poly).to_float()
     anchor = tuple(int(tok) for tok in args.anchor.split(","))
     result, dist = secantfit.rationalize(poly, anchor, _fraction(args.anchor_value))
     payload = {"terms": result.num_terms, "degree": result.degree,
                "max_rounding_distance": dist,
                "polynomial": result.dumps().splitlines()}
-    _emit(args, _report(args, payload))
-    if args.out:
-        result.dump_file(Path(args.out) / "rationalized.poly")
-    return EXIT_OK
+    return Outcome(payload, files={"rationalized.poly": result.dumps()})
 
 
-def cmd_bn_top_face(args) -> int:
+def cmd_bn_top_face(args) -> Outcome:
     face = bnorbit.top_face(args.n, args.theta)
-    _emit(args, _report(args, face.to_json(), {"exclusion": 1e-3}))
-    return EXIT_OK
+    return Outcome(face.to_json(), {"exclusion": bnorbit.TOP_FACE_EXCLUSION})
 
 
-def cmd_bn_certify_face(args) -> int:
+def cmd_bn_certify_face(args) -> Outcome:
     params = [float(_fraction(tok)) for tok in args.params.split(",")]
     cert = bnorbit.certify_face(args.n, params, grid=args.grid)
     payload = ({"status": "no-certificate",
-                "note": "no exposing hyperplane found at this grid resolution"}
+                "note": "no exposing hyperplane found"}
                if cert is None else {"status": "certified", **cert.to_json()})
     tolerances = {"interpolation_tol": bnorbit.INTERPOLATION_TOL,
                   "slack_tol": bnorbit.SLACK_TOL,
                   "margin_floor": bnorbit.MARGIN_FLOOR}
-    _emit(args, _report(args, payload, tolerances))
-    return EXIT_VERIFY if cert is None else EXIT_OK
+    return Outcome(payload, tolerances, cert is not None)
 
 
-def cmd_bn_witness(args) -> int:
+def cmd_bn_witness(args) -> Outcome:
     report = bnorbit.not_basic_witness(args.n)
-    _emit(args, _report(args, report.to_json()))
-    return EXIT_OK if report.accepted else EXIT_VERIFY
+    return Outcome(report.to_json(), passed=report.accepted)
 
 
-def cmd_bn_slice(args) -> int:
+def cmd_bn_slice(args) -> Outcome:
     report = bnorbit.slice_b4()
-    _emit(args, _report(args, report.to_json()))
     ok = report.secant_factorization_exact and report.circle_factorization_exact
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "slice_series.csv").write_text(report.to_csv())
-    return EXIT_OK if ok else EXIT_VERIFY
+    return Outcome(report.to_json(), passed=ok,
+                   files={"slice_series.csv": report.to_csv()})
 
 
 # -- parser wiring --------------------------------------------------------------
@@ -304,14 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, rep=False, seed=True, out=True, tol=None):
+    def common(p, rep=False, seed=True, tol=None):
         if rep:
             p.add_argument("--rep", required=True,
                            help="comma-separated frequency list, e.g. 1,3")
         if seed:
             p.add_argument("--seed", type=int, default=0)
-        if out:
-            p.add_argument("--out", help="directory for report/output files")
+        p.add_argument("--out", help="directory for report/output files")
         if tol is not None:
             p.add_argument("--tol", type=_tolerance, default=tol)
 
@@ -349,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True,
                    help="number of curve points per secant sample")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--count", type=_positive_int,
+    p.add_argument("--count", type=_int_in(1, MAX_SAMPLES),
                    help="sample count (default 2.5x basis)")
     p.add_argument("--mode", choices=("float", "exact"), default="float")
     p.set_defaults(func=cmd_secant_fit)
@@ -358,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "secant samples")
     common(p, rep=True, tol=1e-8)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--count", type=int, default=10000)
+    p.add_argument("--count", type=_int_in(None, MAX_SAMPLES), default=10000)
     p.add_argument("--poly", required=True, help="polynomial file to verify")
     p.add_argument("--mode", choices=("float", "exact"), default="float")
     p.set_defaults(func=cmd_verify)
@@ -378,22 +356,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = bn_sub.add_parser("top-face", help="explicit top-dimensional face")
     common(p, seed=False)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_in(None, MAX_N), required=True)
     p.add_argument("--theta", type=_finite_float, default=0.0)
     p.set_defaults(func=cmd_bn_top_face)
 
     p = bn_sub.add_parser("certify-face", help="search for an exposing "
                                                "hyperplane certificate")
     common(p, seed=False)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_in(None, MAX_N), required=True)
     p.add_argument("--params", required=True,
                    help="comma-separated curve angles")
-    p.add_argument("--grid", type=_positive_int, default=2048)
+    p.add_argument("--grid", type=_int_in(1, None), default=2048)
     p.set_defaults(func=cmd_bn_certify_face)
 
     p = bn_sub.add_parser("witness", help="full not-basic-closed witness")
     common(p, seed=False)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_in(None, MAX_N), required=True)
     p.set_defaults(func=cmd_bn_witness)
 
     p = bn_sub.add_parser("slice", help="planar slice of the 4-dimensional "
@@ -411,10 +389,29 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        try:
+            outcome = args.func(args)
+        except secantfit.FitError as exc:  # a failed verdict, with diagnostics
+            print(f"error: {exc}", file=sys.stderr)
+            outcome = Outcome({"error": str(exc), "fit": exc.report},
+                              _fit_tolerances(), passed=False)
+        config = {k: v for k, v in sorted(vars(args).items())
+                  if k != "func" and v is not None}
+        report = {"version": __version__, "config": config,
+                  "tolerances": outcome.tolerances, **outcome.payload}
+        text = json.dumps(report, indent=2, sort_keys=True,
+                          default=_json_default, allow_nan=False)
+        if args.out:
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            for name, content in {"report.json": text + "\n",
+                                  **outcome.files}.items():
+                (out / name).write_text(content)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    print(text)
+    return EXIT_OK if outcome.passed else EXIT_VERIFY
 
 
 if __name__ == "__main__":

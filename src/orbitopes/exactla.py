@@ -201,9 +201,7 @@ def rational_reconstruction(a: int, m: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
-def nullspace_modular(rows: Sequence[Sequence],
-                      primes: Sequence[int] = PRIMES,
-                      min_primes: int = 2) -> tuple[list[tuple[Fraction, ...]], dict]:
+def nullspace_modular(rows: Sequence[Sequence]) -> tuple[list[tuple[Fraction, ...]], dict]:
     """Certified kernel basis via multi-prime elimination and reconstruction.
 
     Returns ``(basis, info)`` where ``info`` records the primes used, the
@@ -220,7 +218,7 @@ def nullspace_modular(rows: Sequence[Sequence],
     mods: list[tuple[int, list[int], np.ndarray]] = []
     best_nullity = ncols + 1
     used: list[int] = []
-    for p in primes:
+    for p in PRIMES:
         # no local name keeps the residue matrix alive past the elimination
         rref, pivots = rref_mod_p(
             np.array([[x % p for x in row] for row in int_rows], dtype=np.int64), p)
@@ -231,7 +229,7 @@ def nullspace_modular(rows: Sequence[Sequence],
         elif nullity == best_nullity and mods and pivots == mods[0][1]:
             mods.append((p, pivots, rref))
         used.append(p)
-        if len(mods) >= min_primes:
+        if len(mods) >= 2:  # reconstruction needs two agreeing primes
             basis = _try_finish(int_rows, ncols, mods)
             if basis is not None:
                 return basis, {

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_TOL = 1e-9           # pricing, ratio-test and feasibility tolerance
+_MAX_ITER = 20000     # pivots per phase
 _STALL_LIMIT = 30
 _REFACTOR_EVERY = 32  # eta updates between fresh factorizations of the basis
 # A warm-start basis above this (1-norm) condition number starts cold
@@ -39,13 +41,12 @@ class SimplexResult:
 
 
 def simplex_minimize(A: np.ndarray, b: np.ndarray, c: np.ndarray,
-                     tol: float = 1e-9, max_iter: int = 20000,
                      basis: list[int] | None = None) -> SimplexResult:
     """Solve min c.x subject to A x = b, x >= 0.
 
     ``basis`` optionally names m columns to start from, such as the optimal
     basis of a neighbouring problem.  When that basis is nonsingular and
-    primal feasible (``B^-1 b >= -tol``) phase 1 is skipped; otherwise the
+    primal feasible (``B^-1 b >= -_TOL``) phase 1 is skipped; otherwise the
     solve starts cold from the artificial basis.
     """
     A = np.array(A, dtype=float)
@@ -56,15 +57,15 @@ def simplex_minimize(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     A[flip] *= -1.0
     b[flip] *= -1.0
 
-    B_inv = None if basis is None else _feasible_inverse(A, b, basis, tol)
+    B_inv = None if basis is None else _feasible_inverse(A, b, basis)
     pivots = 0
     if B_inv is None:
-        start = _phase_one(A, b, tol, max_iter)
+        start = _phase_one(A, b)
         if isinstance(start, SimplexResult):
             return start
         A, b, basis, B_inv, pivots = start
 
-    basis, x_b, status, more, _ = _iterate(A, b, c, basis, B_inv, tol, max_iter)
+    basis, x_b, status, more, _ = _iterate(A, b, c, basis, B_inv)
     x = None
     objective = np.inf
     if status == "optimal":
@@ -74,8 +75,8 @@ def simplex_minimize(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     return SimplexResult(status, x, objective, basis, pivots + more)
 
 
-def _feasible_inverse(A: np.ndarray, b: np.ndarray, basis: list[int],
-                      tol: float) -> np.ndarray | None:
+def _feasible_inverse(A: np.ndarray, b: np.ndarray,
+                      basis: list[int]) -> np.ndarray | None:
     """Inverse of the basis matrix when ``basis`` is a usable primal-feasible
     start, else None.  A numerically singular basis is not usable: its
     computed inverse need not raise, but its "feasible" point is garbage."""
@@ -90,12 +91,12 @@ def _feasible_inverse(A: np.ndarray, b: np.ndarray, basis: list[int],
     # the 1-norm condition number, as np.linalg.cond(B, 1) computes it
     if not np.linalg.norm(B, 1) * np.linalg.norm(B_inv, 1) <= _WARM_COND_LIMIT:
         return None
-    if np.min(B_inv @ b) < -tol:
+    if np.min(B_inv @ b) < -_TOL:
         return None
     return B_inv
 
 
-def _phase_one(A: np.ndarray, b: np.ndarray, tol: float, max_iter: int):
+def _phase_one(A: np.ndarray, b: np.ndarray):
     """Find a feasible basis from the artificial identity basis.
 
     Returns ``(A, b, basis, B_inv, pivots)`` with redundant rows removed, or
@@ -105,7 +106,7 @@ def _phase_one(A: np.ndarray, b: np.ndarray, tol: float, max_iter: int):
     A1 = np.hstack([A, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis, x_b, status, pivots, B_inv = _iterate(
-        A1, b, c1, list(range(n, n + m)), np.eye(m), tol, max_iter)
+        A1, b, c1, list(range(n, n + m)), np.eye(m))
     if status != "optimal":
         return SimplexResult(status, None, np.inf, basis, pivots)
     if float(x_b @ c1[basis]) > 1e-7:
@@ -142,7 +143,7 @@ def _pivot(B_inv: np.ndarray, direction: np.ndarray, leaving: int) -> None:
 
 
 def _iterate(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
-             B_inv: np.ndarray | None, tol: float, max_iter: int):
+             B_inv: np.ndarray | None):
     """Primal simplex from a feasible ``basis`` (``B_inv`` its inverse, or
     None to factorize).  Returns ``(basis, x_b, status, pivots, B_inv)``.
 
@@ -158,7 +159,7 @@ def _iterate(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
     age = 0 if B_inv is not None else _REFACTOR_EVERY
     x_b = np.zeros(m)
     status = "stalled"
-    while pivots < max_iter:
+    while pivots < _MAX_ITER:
         if age >= _REFACTOR_EVERY:
             try:
                 B_inv = np.linalg.inv(A[:, basis])
@@ -170,16 +171,16 @@ def _iterate(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
         reduced = c - y @ A
         reduced[basis] = 0.0
         if bland:
-            candidates = (reduced < -tol).nonzero()[0]
+            candidates = (reduced < -_TOL).nonzero()[0]
             entering = int(candidates[0]) if candidates.size else -1
         else:
             entering = int(reduced.argmin())
-            if reduced[entering] >= -tol:
+            if reduced[entering] >= -_TOL:
                 entering = -1
         verdict = "optimal"
         if entering >= 0:
             direction = B_inv @ A[:, entering]
-            positive = (direction > tol).nonzero()[0]
+            positive = (direction > _TOL).nonzero()[0]
             verdict = None if positive.size else "unbounded"
         if verdict:
             if age:
@@ -191,10 +192,10 @@ def _iterate(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
             break
         ratios = x_b[positive] / direction[positive]
         best = float(ratios.min())
-        ties = positive[(ratios <= best + tol).nonzero()[0]]
+        ties = positive[(ratios <= best + _TOL).nonzero()[0]]
         # leaving rule: among ties pick the smallest basis index (anti-cycling)
         leaving = int(min(ties, key=lambda i: basis[int(i)]))
-        if best <= tol:
+        if best <= _TOL:
             degenerate_run += 1
             if degenerate_run >= _STALL_LIMIT:
                 bland = True
@@ -207,8 +208,8 @@ def _iterate(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
     return basis, x_b, status, pivots, B_inv
 
 
-def max_min_slack(equalities: np.ndarray, grid_rows: np.ndarray,
-                  tol: float = 1e-9) -> tuple[float, np.ndarray | None, str]:
+def max_min_slack(equalities: np.ndarray,
+                  grid_rows: np.ndarray) -> tuple[float, np.ndarray | None, str]:
     """Maximize the minimal slack of ``grid_rows . w <= 1`` subject to
     ``equalities . w = 1``.
 
@@ -233,12 +234,12 @@ def max_min_slack(equalities: np.ndarray, grid_rows: np.ndarray,
     A = np.vstack([top, last])
     b = np.concatenate([np.zeros(dim), [1.0]])
     c = np.concatenate([np.ones(n_grid), np.ones(m0), -np.ones(m0)])
-    result = simplex_minimize(A, b, c, tol=tol)
+    result = simplex_minimize(A, b, c)
     if not result.ok:
         return -np.inf, None, result.status
 
     delta = result.objective
-    active = [j for j in result.basis if j < n_grid and result.x[j] > tol]
+    active = [j for j in result.basis if j < n_grid and result.x[j] > _TOL]
     rows = [E[i] for i in range(m0)]
     rhs = [1.0] * m0
     for j in active:
@@ -250,8 +251,7 @@ def max_min_slack(equalities: np.ndarray, grid_rows: np.ndarray,
     return delta, w, "optimal"
 
 
-def gauge(points: np.ndarray, target: np.ndarray,
-          tol: float = 1e-9) -> float:
+def gauge(points: np.ndarray, target: np.ndarray) -> float:
     """Minkowski gauge of ``target`` with respect to conv(points).
 
     Solves min sum(mu) over mu >= 0 with points^T mu = target; the optimum
@@ -259,10 +259,10 @@ def gauge(points: np.ndarray, target: np.ndarray,
     whenever the origin is interior to the hull).  Returns ``inf`` when the
     target is outside the conic span.
     """
-    return _gauge_lp(points, target, tol).objective
+    return _gauge_lp(points, target).objective
 
 
-def _gauge_lp(points: np.ndarray, target: np.ndarray, tol: float = 1e-9,
+def _gauge_lp(points: np.ndarray, target: np.ndarray,
               basis: list[int] | None = None) -> SimplexResult:
     """The gauge LP of :func:`gauge`, optionally warm-started from ``basis``.
 
@@ -273,4 +273,4 @@ def _gauge_lp(points: np.ndarray, target: np.ndarray, tol: float = 1e-9,
     t = np.asarray(target, dtype=float)
     if np.allclose(t, 0.0):
         return SimplexResult("optimal", np.zeros(P.shape[0]), 0.0, [], 0)
-    return simplex_minimize(P.T, t, np.ones(P.shape[0]), tol=tol, basis=basis)
+    return simplex_minimize(P.T, t, np.ones(P.shape[0]), basis=basis)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 from typing import Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -300,16 +300,11 @@ class SparsePoly:
         return SparsePoly(self.nvars, {e: float(c) for e, c in self.terms.items()},
                           CoeffMode.FLOAT)
 
-    def to_rational(self, max_denominator: int | None = None) -> "SparsePoly":
+    def to_rational(self) -> "SparsePoly":
         if self.mode is CoeffMode.RATIONAL:
             return self
-        out = {}
-        for e, c in self.terms.items():
-            frac = Fraction(c)
-            if max_denominator is not None:
-                frac = frac.limit_denominator(max_denominator)
-            out[e] = frac
-        return SparsePoly(self.nvars, out, CoeffMode.RATIONAL)
+        return SparsePoly(self.nvars, {e: Fraction(c) for e, c in self.terms.items()},
+                          CoeffMode.RATIONAL)
 
     # -- text format ---------------------------------------------------------
 
@@ -325,11 +320,13 @@ class SparsePoly:
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
-    def loads(cls, text: str, nvars: int | None = None,
-              mode: CoeffMode | None = None) -> "SparsePoly":
-        """Parse the text format; infers nvars and mode unless given."""
+    def loads(cls, text: str, nvars: int | None = None) -> "SparsePoly":
+        """Parse the text format; infers nvars unless given, and the mode
+        from the first coefficient.  A coefficient that is not a finite
+        number (``nan``, ``1e400``, ``1/0``), or a float one after a
+        rational first coefficient, is a ValueError."""
         terms: dict[Exponent, object] = {}
-        inferred_mode = mode
+        mode = None
         for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
@@ -338,32 +335,33 @@ class SparsePoly:
             expo = tuple(int(tok) for tok in rest)
             if nvars is None:
                 nvars = len(expo)
-            if "/" in head:
-                coeff = Fraction(head)
-                line_mode = CoeffMode.RATIONAL
-            elif any(ch in head for ch in ".eE") or head in ("inf", "-inf", "nan"):
-                coeff = float(head)
-                line_mode = CoeffMode.FLOAT
-            else:
-                coeff = Fraction(head)
-                line_mode = CoeffMode.RATIONAL
-            if inferred_mode is None:
-                inferred_mode = line_mode
-            terms[expo] = terms.get(expo, 0) + (
-                coeff if inferred_mode is CoeffMode.RATIONAL else float(coeff))
+            is_float = "/" not in head and any(ch in head for ch in ".eE")
+            try:
+                coeff = float(head) if is_float else Fraction(head)
+                finite = isfinite(coeff)
+            except (ValueError, ZeroDivisionError, OverflowError):
+                finite = False
+            if not finite:
+                raise ValueError(f"coefficient {head!r} is not a finite number")
+            if mode is None:
+                mode = CoeffMode.FLOAT if is_float else CoeffMode.RATIONAL
+            if mode is CoeffMode.FLOAT:
+                coeff = float(coeff)
+            elif is_float:
+                raise ValueError(f"float coefficient {head!r} in a rational polynomial")
+            terms[expo] = terms.get(expo, 0) + coeff
         if nvars is None:
             raise ValueError("cannot infer nvars from empty text; pass nvars=")
-        return cls(nvars, terms, inferred_mode or CoeffMode.RATIONAL)
+        return cls(nvars, terms, mode or CoeffMode.RATIONAL)
 
     def dump_file(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(self.dumps())
 
     @classmethod
-    def load_file(cls, path, nvars: int | None = None,
-                  mode: CoeffMode | None = None) -> "SparsePoly":
+    def load_file(cls, path) -> "SparsePoly":
         with open(path, "r", encoding="ascii") as fh:
-            return cls.loads(fh.read(), nvars=nvars, mode=mode)
+            return cls.loads(fh.read())
 
 
 def cleared_power_table(point: Sequence[Fraction], degree: int) -> list[list[int]]:

@@ -33,6 +33,7 @@ SIGMA_NULL_FACTOR = 1e-9
 GAP_RATIO_REQUIRED = 1e4
 SAMPLE_FACTOR = 2.5
 DRAWS_PER_SAMPLE = 20
+MAX_DENOMINATOR = 10 ** 6  # of the rounded coefficients of rationalize
 
 
 class FitError(RuntimeError):
@@ -450,10 +451,11 @@ def verify_vanishing(p: SparsePoly, rep: Representation, r: int, count: int,
     return worst
 
 
-def rationalize(fit: SparsePoly, anchor: Sequence[int], anchor_value,
-                max_denominator: int = 10 ** 6) -> tuple[SparsePoly, float]:
+def rationalize(fit: SparsePoly, anchor: Sequence[int],
+                anchor_value) -> tuple[SparsePoly, float]:
     """Rescale a float fit so the anchor monomial takes the anchor value,
-    then round every coefficient to a small-denominator rational.
+    then round every coefficient to the nearest rational with denominator
+    at most MAX_DENOMINATOR.
 
     Returns the rounded polynomial and the largest rounding distance.
     The anchor coefficient must not be tiny relative to the largest one,
@@ -477,7 +479,7 @@ def rationalize(fit: SparsePoly, anchor: Sequence[int], anchor_value,
     worst = 0.0
     for expo, c in coeffs.items():
         scaled = c * ratio
-        rounded = Fraction(scaled).limit_denominator(max_denominator)
+        rounded = Fraction(scaled).limit_denominator(MAX_DENOMINATOR)
         worst = max(worst, abs(float(rounded) - scaled))
         if rounded != 0:
             terms[expo] = rounded

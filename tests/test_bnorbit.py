@@ -101,7 +101,8 @@ def test_top_face_functional_identity():
 def test_top_face_margin_lower_bound():
     # excluding arcs of radius 1e-3, the slack 1 - cos(3 d) at distance
     # d >= 1e-3 from the vertices is at least (1 - cos(3e-3)) / 2
-    face = top_face(3, 0.3, exclusion=1e-3)
+    assert bnorbit.TOP_FACE_EXCLUSION == 1e-3
+    face = top_face(3, 0.3)
     assert face.certificate.margin >= (1 - math.cos(3e-3)) / 2
 
 
@@ -235,7 +236,9 @@ def test_interior_certificate_n5_and_n7():
 
 
 def test_interior_certificate_rejects_other_targets():
-    with pytest.raises(ValueError):
+    # the origin is the only target; there is no parameter to ask for another
+    assert interior_certificate(3).target == (0.0,) * 4
+    with pytest.raises(TypeError):
         interior_certificate(3, target=[0.1, 0, 0, 0])
 
 
@@ -320,11 +323,11 @@ def test_slice_series_tags():
 
 def test_slice_warm_started_gauges_match_cold_ones(monkeypatch):
     # Record the gauge LPs slice_b4 solves; a cold _gauge_lp is the LP whose
-    # objective lp.gauge returns.  The boundary band is slice_b4's default.
+    # objective lp.gauge returns.  The boundary band is SLICE_BOUNDARY_BAND.
     solved = []
 
-    def recording(points, target, tol=1e-9, basis=None):
-        result = _gauge_lp(points, target, tol, basis)
+    def recording(points, target, basis=None):
+        result = _gauge_lp(points, target, basis)
         solved.append((points, target, basis is not None, result))
         return result
 

@@ -281,3 +281,105 @@ def test_ambiguous_rank_emits_fit_report(monkeypatch, capsys):
     assert len(report["fit"]["sigma_tail"]) == 5
     assert report["fit"]["gap_ratio"] < 1e300
     assert report["tolerances"]["gap_ratio_required"] == 1e300
+
+
+@pytest.mark.parametrize("coefficient", ["nan", "inf", "-inf", "1e400", "1/0"])
+@pytest.mark.parametrize("command", [
+    ["verify", "--rep", "1,3", "--r", "2", "--count", "10", "--poly", "{poly}"],
+    ["verify", "--rep", "1,3", "--r", "2", "--count", "10", "--mode", "exact",
+     "--poly", "{poly}"],
+    ["rationalize", "--poly", "{poly}", "--anchor", "0,0,4,0",
+     "--anchor-value", "1"],
+])
+def test_non_finite_poly_coefficient_is_a_usage_error(tmp_path, capsys, command,
+                                                       coefficient):
+    path = tmp_path / "bad.poly"
+    path.write_text(f"1.5 0 0 4 0\n{coefficient} 1 0 0 0\n")
+    assert main([tok.format(poly=path) for tok in command]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not a finite number" in captured.err
+
+
+def test_face_dim_malformed_point_is_a_usage_error(tmp_path, capsys):
+    assert_usage_error(tmp_path, capsys, ["face-dim", "--point", "1,2,3"],
+                       "positive even length")
+    code, out = run_cli(capsys, "face-dim", "--point", "2,0,0,0")
+    assert code == 2
+    assert json.loads(out)["error"] == "point is outside the orbitope"
+
+
+def test_every_fit_error_exits_2_with_a_report(tmp_path, capsys):
+    from orbitopes import fixtures
+    path = tmp_path / "f.poly"
+    fixtures.secant_surface_13().dump_file(path)
+    for argv, message in [
+        (["secant-fit", "--rep", "1,2", "--r", "2", "--degree", "3",
+          "--count", "5"], "need at least 35 samples"),
+        (["verify", "--rep", "1,3", "--r", "1", "--mode", "exact",
+          "--count", "3000", "--poly", str(path)], "secant samples"),
+    ]:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert message in report["error"] and message in captured.err
+        assert report["fit"] == {}
+        assert report["config"]["count"] == int(argv[argv.index("--count") + 1])
+
+
+def test_bad_out_directory_is_a_usage_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        assert main(["bn", "witness", "--n", "3", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["curve-info", "--rep", "1,65"], "frequency 65 over the budget 64"),
+    (["secant-fit", "--rep", "1,4", "--r", "2", "--degree", "16"],
+     "4845 monomials, over the float budget 4000"),
+    (["secant-fit", "--rep", "1,3", "--r", "2", "--degree", "11",
+      "--mode", "exact"], "1365 monomials, over the exact budget 1001"),
+    (["secant-fit", "--rep", "1,3", "--r", "2", "--degree", "2",
+      "--count", "10001"], "must be at most 10000"),
+    (["verify", "--rep", "1,3", "--r", "2", "--poly", "{poly}",
+      "--count", "10001"], "must be at most 10000"),
+    (["bn", "top-face", "--n", "203"], "must be at most 201"),
+    (["bn", "certify-face", "--n", "203", "--params", "0"],
+     "must be at most 201"),
+    (["bn", "witness", "--n", "203"], "must be at most 201"),
+])
+def test_over_budget_inputs_are_usage_errors(tmp_path, capsys, argv, message):
+    assert_usage_error(tmp_path, capsys, argv, message)
+
+
+@pytest.mark.parametrize("argv,target", [
+    (["curve-info", "--rep", "1,64"], "orbitopes.cli.curve_info"),
+    (["secant-fit", "--rep", "1,4", "--r", "2", "--degree", "15"],
+     "orbitopes.secantfit.fit_hypersurface"),
+    (["secant-fit", "--rep", "1,3", "--r", "2", "--degree", "10",
+      "--mode", "exact", "--count", "10000"],
+     "orbitopes.secantfit.fit_hypersurface"),
+    (["verify", "--rep", "1,3", "--r", "2", "--poly", "{poly}",
+      "--count", "10000"], "orbitopes.secantfit.verify_vanishing"),
+    (["bn", "top-face", "--n", "201"], "orbitopes.bnorbit.top_face"),
+    (["bn", "certify-face", "--n", "201", "--params", "0"],
+     "orbitopes.bnorbit.certify_face"),
+    (["bn", "witness", "--n", "201"], "orbitopes.bnorbit.not_basic_witness"),
+])
+def test_budgets_admit_their_largest_values(tmp_path, monkeypatch, capsys,
+                                            argv, target):
+    # the computation is replaced by a stub: only the budget check runs
+    from orbitopes import fixtures
+
+    def reached(*args, **kwargs):
+        raise ValueError("budget check passed")
+
+    monkeypatch.setattr(target, reached)
+    path = tmp_path / "f.poly"
+    fixtures.secant_surface_13().to_float().dump_file(path)
+    assert main([tok.format(poly=path) for tok in argv]) == 1
+    assert "budget check passed" in capsys.readouterr().err

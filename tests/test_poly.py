@@ -227,3 +227,17 @@ def test_rational_eval_matches_fraction_sum(case):
     value = p.evaluate(point)
     assert isinstance(value, Fraction)
     assert value == expected
+
+
+@pytest.mark.parametrize("text", [
+    "nan 1 0\n", "-inf 1 0\n", "1e400 1 0\n", "1/0 1 0\n", "x 1 0\n",
+    "1/2 1 0\n0.5 0 1\n",     # a float coefficient in a rational polynomial
+])
+def test_loads_rejects_non_finite_and_mixed_coefficients(text):
+    with pytest.raises(ValueError):
+        SparsePoly.loads(text)
+
+
+def test_loads_reads_rational_terms_of_a_float_polynomial():
+    p = SparsePoly.loads("0.5 1 0\n3 0 1\n")
+    assert p == SparsePoly(2, {(1, 0): 0.5, (0, 1): 3.0}, CoeffMode.FLOAT)
