@@ -218,47 +218,6 @@ def certify_face(n: int, params: Sequence[float],
 # -- interior certificate ------------------------------------------------------
 
 
-def _poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Divide integer polynomials with a monic divisor; exact arithmetic."""
-    num = list(num)
-    dd = len(den) - 1
-    quot = [0] * max(len(num) - dd, 0)
-    for i in range(len(num) - 1, dd - 1, -1):
-        coeff = num[i]
-        if coeff == 0:
-            continue
-        quot[i - dd] = coeff
-        for j, d in enumerate(den):
-            num[i - dd + j] -= coeff * d
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
-def _cyclotomic(m: int) -> list[int]:
-    """Coefficients of the m-th cyclotomic polynomial (ascending)."""
-    poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
-    for d in range(1, m):
-        if m % d == 0:
-            quot, rem = _poly_divmod_monic(poly, _cyclotomic(d))
-            assert not rem
-            poly = quot
-    return poly
-
-
-def _root_of_unity_power_sum_vanishes(j: int, m: int) -> bool:
-    """Exact check that sum_k zeta^(j*k) = 0 for zeta a primitive m-th root.
-
-    The sum, as an integer polynomial sum_k x^(j*k mod m), vanishes at zeta
-    exactly when the m-th cyclotomic polynomial divides it.
-    """
-    coeffs = [0] * m
-    for k in range(m):
-        coeffs[(j * k) % m] += 1
-    _, rem = _poly_divmod_monic(coeffs, _cyclotomic(m))
-    return not rem
-
-
 @dataclass(frozen=True)
 class InteriorCertificate:
     """Barycentric proof that the target is interior: n+2 affinely
@@ -292,16 +251,17 @@ def interior_certificate(n: int) -> InteriorCertificate:
     """Certify the origin as an interior point of B_{n+1}.
 
     Uses the m = n+2 curve points at m-th roots of unity with equal weights
-    1/m: since m divides no frequency, every coordinate sums to zero, a fact
-    certified exactly through cyclotomic divisibility.  The m points are
-    affinely independent, so the origin is a strictly positive barycentric
-    combination of a full-dimensional simplex.
+    1/m: since m divides no frequency, every coordinate sums to zero exactly.
+    The m points are affinely independent, so the origin is a strictly
+    positive barycentric combination of a full-dimensional simplex.
     """
     rep = sm_rep(n)
     m = n + 2
     turns = tuple(Fraction(k, m) for k in range(m))
     weights = tuple(Fraction(1, m) for _ in range(m))
-    exact = all(_root_of_unity_power_sum_vanishes(j, m) for j in rep.indices)
+    # sum_k zeta^(j k) over the m-th roots of unity zeta^k is a geometric
+    # series: it equals m when m | j and 0 otherwise.
+    exact = all(j % m for j in rep.indices)
     pts = sm_points(n, [float(t) * tau for t in turns])
     residual = float(np.max(np.abs(pts.mean(axis=0))))
     independent = affinely_independent(list(pts))

@@ -34,6 +34,8 @@ MAX_FREQUENCY = 64                                    # in --rep
 MAX_SAMPLES = 10_000                                  # --count
 MAX_BASIS_SIZE = {"float": 4_000, "exact": 1_001}     # by --mode
 MAX_N = 201                                           # bn --n
+MAX_POINT_COORDS = 128                                # in --point
+MAX_POLY_DEGREE = 128                                 # of a --poly file
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,6 +65,8 @@ def _json_default(value):
 
 def _parse_point(text: str) -> list[float]:
     point = [float(tok) for tok in text.split(",") if tok.strip()]
+    if len(point) > MAX_POINT_COORDS:
+        raise ValueError(f"{len(point)} coordinates over the budget {MAX_POINT_COORDS}")
     if not all(math.isfinite(v) for v in point):
         raise ValueError(f"non-finite coordinate in point {text!r}")
     return point
@@ -113,6 +117,13 @@ def _rep(args) -> Representation:
     if rep.max_index > MAX_FREQUENCY:
         raise ValueError(f"frequency {rep.max_index} over the budget {MAX_FREQUENCY}")
     return rep
+
+
+def _poly(args) -> SparsePoly:
+    poly = SparsePoly.load_file(args.poly)
+    if poly.degree > MAX_POLY_DEGREE:
+        raise ValueError(f"degree {poly.degree} over the budget {MAX_POLY_DEGREE}")
+    return poly
 
 
 def _fit_tolerances() -> dict:
@@ -225,7 +236,7 @@ def cmd_secant_fit(args) -> Outcome:
 
 def cmd_verify(args) -> Outcome:
     rep = _rep(args)
-    poly = SparsePoly.load_file(args.poly)
+    poly = _poly(args)
     mode = CoeffMode.RATIONAL if args.mode == "exact" else CoeffMode.FLOAT
     if mode is CoeffMode.FLOAT:
         poly = poly.to_float()
@@ -237,7 +248,7 @@ def cmd_verify(args) -> Outcome:
 
 
 def cmd_rationalize(args) -> Outcome:
-    poly = SparsePoly.load_file(args.poly).to_float()
+    poly = _poly(args).to_float()
     anchor = tuple(int(tok) for tok in args.anchor.split(","))
     result, dist = secantfit.rationalize(poly, anchor, _fraction(args.anchor_value))
     payload = {"terms": result.num_terms, "degree": result.degree,

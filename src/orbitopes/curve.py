@@ -218,15 +218,11 @@ def _cleared_cos_sin(j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Integer coefficients of cos/sin(j*theta(t)) * (1+t^2)^j.
 
     These are the real and imaginary parts of (1+it)^(2j) as polynomials
-    in t, computed by repeated multiplication with (1+it).
+    in t: by the binomial theorem the coefficient of t^k is C(2j, k) i^k.
     """
-    re, im = [1], [0]
-    for _ in range(2 * j):
-        shifted_re = [0] + re
-        shifted_im = [0] + im
-        re, im = ([a - b for a, b in zip(re + [0], shifted_im)],
-                  [a + b for a, b in zip(im + [0], shifted_re)])
-    return tuple(re), tuple(im)
+    coeffs = [math.comb(2 * j, k) for k in range(2 * j + 1)]
+    return (tuple(c * (1, 0, -1, 0)[k % 4] for k, c in enumerate(coeffs)),
+            tuple(c * (0, 1, 0, -1)[k % 4] for k, c in enumerate(coeffs)))
 
 
 def numeric_degree_probe(rep: Representation, seed: int) -> int:

@@ -5,13 +5,13 @@ Hermitian Toeplitz matrix with unit diagonal and k-th superdiagonal entry
 x_k + i y_k.  The convex hull of the frequency-(1..n) curve is exactly the
 set of points whose matrix is positive semidefinite, so membership, face
 dimension and secant-variety membership all reduce to eigenvalue and rank
-computations on this matrix.
+computations on this matrix.  :func:`embed` builds it with one index into
+its list of diagonals, and :func:`eigenvalues` feeds every verdict.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,35 +27,6 @@ class Verdict(enum.Enum):
     OUTSIDE = "outside"
 
 
-@dataclass(frozen=True)
-class HermitianToeplitz:
-    """Unit-diagonal Hermitian Toeplitz matrix given by its first row tail."""
-
-    n: int
-    entries: tuple[complex, ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("order must be positive")
-        if len(self.entries) != self.n:
-            raise ValueError(f"expected {self.n} entries, got {len(self.entries)}")
-
-    def matrix(self) -> np.ndarray:
-        size = self.n + 1
-        m = np.eye(size, dtype=complex)
-        for k, c in enumerate(self.entries, start=1):
-            for a in range(size - k):
-                m[a, a + k] = c
-                m[a + k, a] = np.conj(c)
-        return m
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix())
-
-    def rank(self, tol: float = DEFAULT_TOL) -> int:
-        return numerical_rank(self.eigenvalues(), tol)
-
-
 def numerical_rank(eigenvalues: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     """Count of eigenvalues above the relative threshold.
 
@@ -66,14 +37,25 @@ def numerical_rank(eigenvalues: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     return int(np.sum(np.abs(eigenvalues) > tol * scale))
 
 
-def embed(point: Sequence[float]) -> HermitianToeplitz:
-    """Pack a point of R^(2n) into its Hermitian Toeplitz matrix."""
-    point = list(point)
-    if len(point) % 2 != 0 or not point:
+def embed(point: Sequence[float]) -> np.ndarray:
+    """The (n+1) x (n+1) Hermitian Toeplitz matrix of a point of R^(2n).
+
+    Entry (a, b) is the diagonal b - a of [conj(u_n), ..., conj(u_1), 1,
+    u_1, ..., u_n], with u_k = x_k + i y_k.
+    """
+    point = np.array(point, dtype=float)
+    if len(point) % 2 != 0 or not len(point):
         raise ValueError(f"point must have positive even length, got {len(point)}")
     n = len(point) // 2
-    entries = tuple(complex(point[2 * k], point[2 * k + 1]) for k in range(n))
-    return HermitianToeplitz(n, entries)
+    u = point.view(complex)  # each pair (x_k, y_k) read as one complex number
+    diagonals = np.concatenate([np.conj(u[::-1]), [1], u])
+    index = np.arange(n + 1)
+    return diagonals[index[None, :] - index[:, None] + n]
+
+
+def eigenvalues(point: Sequence[float]) -> np.ndarray:
+    """Eigenvalues of the point's Toeplitz matrix, in ascending order."""
+    return np.linalg.eigvalsh(embed(point))
 
 
 def _verdict(eigs: np.ndarray, tol: float) -> Verdict:
@@ -87,7 +69,7 @@ def _verdict(eigs: np.ndarray, tol: float) -> Verdict:
 
 def is_member(point: Sequence[float], tol: float = DEFAULT_TOL) -> Verdict:
     """Membership of the point in the universal orbitope via the PSD test."""
-    return _verdict(embed(point).eigenvalues(), tol)
+    return _verdict(eigenvalues(point), tol)
 
 
 def face_dimension(point: Sequence[float], tol: float = DEFAULT_TOL) -> int | None:
@@ -97,13 +79,10 @@ def face_dimension(point: Sequence[float], tol: float = DEFAULT_TOL) -> int | No
     k+1, so this returns rank - 1; interior points have no proper face and
     give None.  Raises for outside points.
     """
-    eigs = embed(point).eigenvalues()
-    verdict = _verdict(eigs, tol)
-    if verdict is Verdict.OUTSIDE:
+    report = membership_report(point, tol)
+    if report["verdict"] == Verdict.OUTSIDE.value:
         raise ValueError("point is outside the orbitope")
-    if verdict is Verdict.INTERIOR:
-        return None
-    return numerical_rank(eigs, tol) - 1
+    return report["face_dimension"]
 
 
 def secant_membership_universal(point: Sequence[float], k: int,
@@ -113,15 +92,16 @@ def secant_membership_universal(point: Sequence[float], k: int,
     Equivalent to all (k+2)-minors of the Toeplitz matrix vanishing, i.e.
     numerical rank at most k+1.
     """
-    toeplitz = embed(point)
-    if not 0 <= k < toeplitz.n:
-        raise ValueError(f"secant order k={k} out of range for n={toeplitz.n}")
-    return toeplitz.rank(tol) <= k + 1
+    eigs = eigenvalues(point)
+    n = len(eigs) - 1
+    if not 0 <= k < n:
+        raise ValueError(f"secant order k={k} out of range for n={n}")
+    return numerical_rank(eigs, tol) <= k + 1
 
 
 def membership_report(point: Sequence[float], tol: float = DEFAULT_TOL) -> dict:
     """JSON-ready report: verdict, smallest eigenvalue, rank, face dimension."""
-    eigs = embed(point).eigenvalues()
+    eigs = eigenvalues(point)
     verdict = _verdict(eigs, tol)
     rank = numerical_rank(eigs, tol)
     return {

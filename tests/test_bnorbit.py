@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from orbitopes import bnorbit
-from orbitopes.bnorbit import (_cyclotomic, _root_of_unity_power_sum_vanishes,
-                               _slack_margin,
-                               affinely_independent, certify_exposed_face,
-                               certify_face, interior_certificate,
-                               not_basic_witness, slice_b4, slice_cubic,
-                               sm_map, sm_points, sm_rep, top_face)
+from orbitopes.bnorbit import (_slack_margin, affinely_independent,
+                               certify_exposed_face, certify_face,
+                               interior_certificate, not_basic_witness,
+                               slice_b4, slice_cubic, sm_map, sm_points,
+                               sm_rep, top_face)
 from orbitopes.curve import Representation
 from orbitopes.faces4d import FaceKind
 from orbitopes.lp import _gauge_lp
@@ -201,21 +200,6 @@ def test_slack_margin_matches_dense_grid(indices):
         assert margin == pytest.approx(off, abs=1e-9)
 
 
-def test_cyclotomic_polynomials():
-    assert _cyclotomic(1) == [-1, 1]
-    assert _cyclotomic(2) == [1, 1]
-    assert _cyclotomic(5) == [1, 1, 1, 1, 1]
-    assert _cyclotomic(6) == [1, -1, 1]
-
-
-def test_root_of_unity_power_sums():
-    assert _root_of_unity_power_sum_vanishes(1, 5)
-    assert _root_of_unity_power_sum_vanishes(3, 5)
-    assert _root_of_unity_power_sum_vanishes(3, 7)
-    assert not _root_of_unity_power_sum_vanishes(5, 5)
-    assert not _root_of_unity_power_sum_vanishes(10, 5)
-
-
 def test_interior_certificate_n3():
     cert = interior_certificate(3)
     assert cert.weights == (Fraction(1, 5),) * 5
@@ -233,6 +217,11 @@ def test_interior_certificate_n5_and_n7():
         assert cert.weights == (Fraction(1, n + 2),) * (n + 2)
         assert cert.exact_zero_sum and cert.affinely_independent
         assert cert.barycenter_residual <= 1e-12
+
+
+def test_interior_certificate_zero_sum_up_to_the_n_budget():
+    for n in range(3, 202, 2):
+        assert interior_certificate(n).exact_zero_sum
 
 
 def test_interior_certificate_rejects_other_targets():

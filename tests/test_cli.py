@@ -351,6 +351,10 @@ def test_bad_out_directory_is_a_usage_error(tmp_path, capsys):
     (["bn", "certify-face", "--n", "203", "--params", "0"],
      "must be at most 201"),
     (["bn", "witness", "--n", "203"], "must be at most 201"),
+    (["membership", "--point", ",".join(["0"] * 130)],
+     "130 coordinates over the budget 128"),
+    (["face-dim", "--point", ",".join(["0"] * 130)],
+     "130 coordinates over the budget 128"),
 ])
 def test_over_budget_inputs_are_usage_errors(tmp_path, capsys, argv, message):
     assert_usage_error(tmp_path, capsys, argv, message)
@@ -383,3 +387,30 @@ def test_budgets_admit_their_largest_values(tmp_path, monkeypatch, capsys,
     fixtures.secant_surface_13().to_float().dump_file(path)
     assert main([tok.format(poly=path) for tok in argv]) == 1
     assert "budget check passed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["membership", "face-dim"])
+def test_point_budget_admits_its_largest_value(command, capsys):
+    assert main([command, "--point", ",".join(["0.001"] * 128)]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["command"] == command
+
+
+@pytest.mark.parametrize("argv,target", [
+    (["verify", "--rep", "1,3", "--r", "2", "--count", "1"],
+     "orbitopes.secantfit.verify_vanishing"),
+    (["rationalize", "--anchor", "0,0,4,0", "--anchor-value", "1"],
+     "orbitopes.secantfit.rationalize"),
+])
+def test_poly_degree_budget(tmp_path, monkeypatch, capsys, argv, target):
+    # the computation is replaced by a stub: only the budget check runs
+    def reached(*args, **kwargs):
+        raise ValueError("budget check passed")
+
+    monkeypatch.setattr(target, reached)
+    for degree, message in ((128, "budget check passed"),
+                            (129, "degree 129 over the budget 128")):
+        path = tmp_path / f"degree{degree}.poly"
+        path.write_text(f"1/1 {degree} 0 0 0\n")
+        assert main(argv + ["--poly", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err

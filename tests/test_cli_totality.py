@@ -42,7 +42,7 @@ def lists(*valid, bad=()):
 
 POLY = value("good.poly", "float.poly", bad=[f"{name}.poly" for name in (
     "nan", "inf", "overflow", "huge", "zero-denominator", "mixed", "empty",
-    "garbage", "missing")])
+    "garbage", "high-degree", "missing")])
 SEED = value("0", "1", "7")
 TOL = value("0", "1e-9", "1e-3")
 MODE = value("float", "exact")
@@ -50,7 +50,8 @@ COUNT = value("1", "50", "200", bad=["10001"])
 FIT_REP = lists("1,2", "1,3", "1,2,3", "2,4", bad=["1,1", "1,65"])
 PAIR = lists("1,2", "1,3", "2,3", "2,5", "3,4", "3,6", bad=["1,2,3"])
 POINT = lists("0,0,0,0", "0.1,0.2,0.3,0.4", "1,0,1,0", "2,0,0,0", "0.5,0",
-              bad=["1,2,3"])
+              bad=["1,2,3", ",".join(["0.001"] * 130),
+                   ",".join(["0.001"] * 10_000)])
 N = value("3", "5", "7", bad=["2", "203"])
 OUT = value("out", bad=["good.poly", "good.poly/sub"])
 # subcommand -> (required options, optional options, flags)
@@ -145,7 +146,8 @@ def poly_dir(tmp_path_factory):
                        "zero-denominator": "1/0 0 0 4 0\n",
                        "mixed": "1/1 0 0 4 0\n0.5 1 0 0 0\n",
                        "empty": "",
-                       "garbage": "1/1 0 x 4\n"}.items():
+                       "garbage": "1/1 0 x 4\n",
+                       "high-degree": "1/1 20000 0 0 0\n"}.items():
         (path / f"{name}.poly").write_text(text)
     return path
 

@@ -58,7 +58,7 @@ def test_rational_point_examples():
 
 def test_rational_point_matches_orbit_point():
     rng = random.Random(3)
-    for idx in ((1, 3), (5, 8)):
+    for idx in ((1, 3), (5, 8), (1, 64)):
         rep = Representation(idx)
         for _ in range(50):
             t = Fraction(rng.randint(-40, 40), rng.randint(1, 17))

@@ -39,8 +39,12 @@ COMMANDS = [
     ["boundary", "--rep", "3,4", "--out", "out"],
     ["curve-info", "--rep", "1,3", "--probe", "--seed", "4"],
     ["curve-info", "--rep", "2,3", "--probe"],
+    ["curve-info", "--rep", "1,64", "--probe"],
     ["bn", "witness", "--n", "3"],
     ["bn", "witness", "--n", "5", "--out", "out"],
+    ["bn", "witness", "--n", "7"],
+    ["bn", "witness", "--n", "199"],
+    ["bn", "witness", "--n", "201"],
     ["bn", "slice"],
     ["verify", "--rep", "1,3", "--r", "2", "--poly", POLY, "--mode", "exact",
      "--count", "200", "--seed", "3", "--tol", "0"],

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from orbitopes.curve import Representation, orbit_point, orbit_points
 from orbitopes.lp import gauge
-from orbitopes.toeplitz import (Verdict, det_polynomial, embed, face_dimension,
-                                is_member, membership_report, numerical_rank,
-                                secant_membership_universal)
+from orbitopes.toeplitz import (Verdict, det_polynomial, eigenvalues, embed,
+                                face_dimension, is_member, membership_report,
+                                numerical_rank, secant_membership_universal)
 
 
 def universal(n):
@@ -19,19 +19,19 @@ def universal(n):
 
 
 def test_embed_origin_is_identity():
-    m = embed([0.0] * 6).matrix()
+    m = embed([0.0] * 6)
     assert np.array_equal(m, np.eye(4))
 
 
 def test_embed_base_point_is_all_ones():
-    m = embed([1, 0] * 4).matrix()
+    m = embed([1, 0] * 4)
     assert np.array_equal(m, np.ones((5, 5)))
 
 
-def test_embed_orbit_point_is_rank_one_outer_product():
-    n = 4
+@pytest.mark.parametrize("n", [1, 4, 64])
+def test_embed_orbit_point_is_rank_one_outer_product(n):
     theta = 0.9
-    m = embed(orbit_point(universal(n), theta)).matrix()
+    m = embed(orbit_point(universal(n), theta))
     v = np.exp(-1j * theta * np.arange(n + 1))
     assert np.allclose(m, np.outer(v, v.conj()), atol=1e-12)
 
@@ -84,7 +84,7 @@ def test_random_convex_combinations_rank_bound():
         weights = rng.dirichlet(np.ones(m))
         combo = weights @ np.array([orbit_point(rep, t) for t in thetas])
         assert is_member(combo) is not Verdict.OUTSIDE
-        assert embed(combo).rank() <= m
+        assert numerical_rank(eigenvalues(combo)) <= m
 
 
 def test_generic_combinations_achieve_rank():
@@ -96,7 +96,7 @@ def test_generic_combinations_achieve_rank():
         thetas = rng.uniform(0, 2 * math.pi, size=m)
         weights = rng.dirichlet(np.ones(m))
         combo = weights @ np.array([orbit_point(rep, t) for t in thetas])
-        assert embed(combo).rank() == m
+        assert numerical_rank(eigenvalues(combo)) == m
 
 
 def test_membership_report_shape():
@@ -125,7 +125,7 @@ def test_det_polynomial_matches_numeric_determinant():
         det = det_polynomial(n).to_float()
         for _ in range(10):
             point = [rng.uniform(-0.6, 0.6) for _ in range(2 * n)]
-            numeric = float(np.linalg.det(embed(point).matrix()).real)
+            numeric = float(np.linalg.det(embed(point)).real)
             assert abs(det.evaluate(point) - numeric) < 1e-10
 
 
@@ -149,7 +149,7 @@ def test_psd_verdict_stable_under_tolerance_scaling():
     for _ in range(50):
         theta = rng.uniform(0, 2 * math.pi)
         interior = 0.5 * orbit_point(rep, theta)  # strictly inside
-        eigs = embed(interior).eigenvalues()
+        eigs = eigenvalues(interior)
         assert min(abs(eigs)) > 10 * 1e-9
         for tol in (1e-10, 1e-9, 1e-8):
             assert is_member(interior, tol) is Verdict.INTERIOR
