@@ -231,10 +231,6 @@ class InteriorCertificate:
     exact_zero_sum: bool
     affinely_independent: bool
 
-    @property
-    def params(self) -> tuple[float, ...]:
-        return tuple(float(t) * tau for t in self.turns)
-
     def to_json(self) -> dict:
         return {
             "n": self.n,

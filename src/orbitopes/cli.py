@@ -99,6 +99,16 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _psd_tolerance(text: str) -> float:
+    """A PSD tolerance below 1: the Toeplitz matrix has unit diagonal, so
+    its largest eigenvalue is at least 1 and a tolerance of 1 or more
+    would make every rank 0."""
+    value = _tolerance(text)
+    if value >= 1:
+        raise argparse.ArgumentTypeError(f"must be below 1, got {text!r}")
+    return value
+
+
 def _int_in(low: int | None, high: int | None):
     """argparse type: an integer within the bounds that are not None."""
     def parse(text: str) -> int:
@@ -294,15 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, rep=False, seed=True, tol=None):
+    def common(p, rep=False, seed=True):
         if rep:
             p.add_argument("--rep", required=True,
                            help="comma-separated frequency list, e.g. 1,3")
         if seed:
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="directory for report/output files")
-        if tol is not None:
-            p.add_argument("--tol", type=_tolerance, default=tol)
 
     p = sub.add_parser("curve-info", help="degree/smoothness of the orbit curve")
     common(p, rep=True)
@@ -311,20 +319,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_curve_info)
 
     p = sub.add_parser("membership", help="PSD-Toeplitz membership of a point")
-    common(p, seed=False, tol=toeplitz.DEFAULT_TOL)
+    common(p, seed=False)
+    p.add_argument("--tol", type=_psd_tolerance, default=toeplitz.DEFAULT_TOL)
     p.add_argument("--point", required=True, help="comma-separated coordinates")
     p.set_defaults(func=cmd_membership)
 
     p = sub.add_parser("face-dim", help="face dimension of a boundary point")
-    common(p, seed=False, tol=toeplitz.DEFAULT_TOL)
+    common(p, seed=False)
+    p.add_argument("--tol", type=_psd_tolerance, default=toeplitz.DEFAULT_TOL)
     p.add_argument("--point", required=True)
     p.set_defaults(func=cmd_face_dim)
 
     p = sub.add_parser("faces", help="classify faces of a 4-dimensional body")
     common(p, rep=True, seed=False)
-    p.add_argument("--edge", help="s,t arc parameters of a segment query")
-    p.add_argument("--polygon", help="which,t polygon query (which in {p,q})")
-    p.add_argument("--vertex", help="t parameter of a vertex query")
+    query = p.add_mutually_exclusive_group()
+    query.add_argument("--edge", help="s,t arc parameters of a segment query")
+    query.add_argument("--polygon", help="which,t polygon query (which in {p,q})")
+    query.add_argument("--vertex", help="t parameter of a vertex query")
     p.set_defaults(func=cmd_faces)
 
     p = sub.add_parser("boundary", help="algebraic boundary components and "
@@ -345,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="max residual of a polynomial on fresh "
                                       "secant samples")
-    common(p, rep=True, tol=1e-8)
+    common(p, rep=True)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--count", type=_int_in(None, MAX_SAMPLES), default=10000)
     p.add_argument("--poly", required=True, help="polynomial file to verify")

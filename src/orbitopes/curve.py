@@ -203,16 +203,6 @@ def curve_info(rep: Representation) -> CurveInfo:
 # a generic hyperplane, is the degree of the projective curve.
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
 @lru_cache(maxsize=None)
 def _cleared_cos_sin(j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Integer coefficients of cos/sin(j*theta(t)) * (1+t^2)^j.
@@ -243,15 +233,14 @@ def numeric_degree_probe(rep: Representation, seed: int) -> int:
             value = rng.randint(-999, 999)
         return value
 
-    one_plus_t2 = [1, 0, 1]
     acc = [0] * (2 * big_j + 1)
 
     def add_scaled(poly: Sequence[int], factor_pow: int, scalar: int) -> None:
-        term = list(poly)
-        for _ in range(factor_pow):
-            term = _poly_mul(term, one_plus_t2)
-        for i, x in enumerate(term):
-            acc[i] += scalar * x
+        # (1+t^2)^m has coefficient C(m, i) at t^(2i)
+        for i in range(factor_pow + 1):
+            weight = scalar * math.comb(factor_pow, i)
+            for k, x in enumerate(poly):
+                acc[2 * i + k] += weight * x
 
     add_scaled([1], big_j, draw())
     for j in rep.indices:

@@ -13,7 +13,6 @@ basic-closedness verdict with an explicit witness segment.
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, tau
@@ -244,31 +243,3 @@ def _witness_gap(pq: PQData) -> Fraction:
             return g
     raise RuntimeError(f"no witness gap found for ({pq.p}, {pq.q})")
 
-
-def probe_face_family_dimension(pq: PQData, samples: int, seed: int) -> int:
-    """Empirical dimension of the family of edge-spanning parameter pairs.
-
-    Draws random (s, t) pairs; when an edge pair admits a full product
-    neighborhood of edge pairs (checked on a 5x5 grid with radius a quarter
-    of the gap's distance to the interval endpoints), the family is
-    2-dimensional.  Returns the maximal dimension observed.  This checks
-    the claim that the exposed edges form a 2-parameter family.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = random.Random(seed)
-    best = 0
-    endpoints = [float(e) for pair in pq.intervals for e in pair]
-    for _ in range(samples):
-        s, t = sorted((rng.random(), rng.random()))
-        if not is_edge(pq, s, t):
-            continue
-        best = max(best, 1)
-        gap = t - s
-        margin = min(abs(gap - e) for e in endpoints)
-        h = margin / 4
-        offsets = np.linspace(-h, h, 5)
-        if all(is_edge(pq, s + ds, t + dt)
-               for ds in offsets for dt in offsets):
-            return 2
-    return best

@@ -7,8 +7,8 @@ A polynomial is a map from exponent tuples to coefficients:
 Zero coefficients are never stored, so the zero polynomial is the empty map
 and equality testing is exact dict comparison.  Every polynomial carries a
 coefficient mode: RATIONAL (arbitrary-precision ``Fraction``) or FLOAT
-(64-bit floats).  Arithmetic never mixes modes; conversion is explicit via
-:meth:`SparsePoly.to_float` / :meth:`SparsePoly.to_rational`.
+(64-bit floats).  Arithmetic never mixes modes; :meth:`SparsePoly.to_float`
+converts a rational polynomial explicitly.
 
 The text serialization is one term per line, ``numerator/denominator e1 e2
 ... en``, with terms listed in descending graded-lex order so that files are
@@ -241,9 +241,6 @@ class SparsePoly:
                  for expo, c in self.terms.items()]
         return top, denom, terms
 
-    def __call__(self, point: Sequence):
-        return self.evaluate(point)
-
     def partial(self, index: int) -> "SparsePoly":
         """Partial derivative with respect to variable ``index``."""
         if not 0 <= index < self.nvars:
@@ -300,12 +297,6 @@ class SparsePoly:
         return SparsePoly(self.nvars, {e: float(c) for e, c in self.terms.items()},
                           CoeffMode.FLOAT)
 
-    def to_rational(self) -> "SparsePoly":
-        if self.mode is CoeffMode.RATIONAL:
-            return self
-        return SparsePoly(self.nvars, {e: Fraction(c) for e, c in self.terms.items()},
-                          CoeffMode.RATIONAL)
-
     # -- text format ---------------------------------------------------------
 
     def dumps(self) -> str:
@@ -353,10 +344,6 @@ class SparsePoly:
         if nvars is None:
             raise ValueError("cannot infer nvars from empty text; pass nvars=")
         return cls(nvars, terms, mode or CoeffMode.RATIONAL)
-
-    def dump_file(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(self.dumps())
 
     @classmethod
     def load_file(cls, path) -> "SparsePoly":

@@ -165,7 +165,6 @@ def sample_secants(rep: Representation, r: int, count: int, seed: int,
 
 @dataclass(frozen=True)
 class FitResult:
-    basis: MonomialBasis
     polynomials: tuple[SparsePoly, ...]
     report: dict
 
@@ -356,7 +355,7 @@ def _fit_float(rep: Representation, basis: MonomialBasis,
         for row in vh[block_sigma < threshold]:
             coeffs = _expand_block_vector(basis, block, row / scale)
             polys.append(_float_poly(basis, coeffs))
-    return FitResult(basis, tuple(polys), report)
+    return FitResult(tuple(polys), report)
 
 
 def _float_poly(basis: MonomialBasis, coeffs: np.ndarray) -> SparsePoly:
@@ -411,7 +410,7 @@ def _fit_exact(rep: Representation, basis: MonomialBasis,
     for vec in kernel:
         terms = {expo: c for expo, c in zip(basis.exponents, vec) if c != 0}
         polys.append(SparsePoly(basis.nvars, terms, CoeffMode.RATIONAL))
-    return FitResult(basis, tuple(polys), report)
+    return FitResult(tuple(polys), report)
 
 
 def evaluate_on_points(p: SparsePoly, points: np.ndarray) -> np.ndarray:

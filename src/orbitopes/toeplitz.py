@@ -4,9 +4,11 @@ A point (x_1, y_1, ..., x_n, y_n) of R^(2n) embeds into the (n+1) x (n+1)
 Hermitian Toeplitz matrix with unit diagonal and k-th superdiagonal entry
 x_k + i y_k.  The convex hull of the frequency-(1..n) curve is exactly the
 set of points whose matrix is positive semidefinite, so membership, face
-dimension and secant-variety membership all reduce to eigenvalue and rank
-computations on this matrix.  :func:`embed` builds it with one index into
-its list of diagonals, and :func:`eigenvalues` feeds every verdict.
+dimension and secant-variety membership (the k-th secant variety of the
+moment curve is where the rank is at most k + 1) all reduce to eigenvalue
+and rank computations on this matrix.  :func:`embed` builds it with one
+index into its list of diagonals, and :func:`eigenvalues` feeds every
+verdict.
 """
 
 from __future__ import annotations
@@ -67,40 +69,18 @@ def _verdict(eigs: np.ndarray, tol: float) -> Verdict:
     return Verdict.BOUNDARY
 
 
-def is_member(point: Sequence[float], tol: float = DEFAULT_TOL) -> Verdict:
+def is_member(point: Sequence[float]) -> Verdict:
     """Membership of the point in the universal orbitope via the PSD test."""
-    return _verdict(eigenvalues(point), tol)
-
-
-def face_dimension(point: Sequence[float], tol: float = DEFAULT_TOL) -> int | None:
-    """Dimension of the face whose relative interior contains the point.
-
-    Boundary points in the relative interior of a k-face have Toeplitz rank
-    k+1, so this returns rank - 1; interior points have no proper face and
-    give None.  Raises for outside points.
-    """
-    report = membership_report(point, tol)
-    if report["verdict"] == Verdict.OUTSIDE.value:
-        raise ValueError("point is outside the orbitope")
-    return report["face_dimension"]
-
-
-def secant_membership_universal(point: Sequence[float], k: int,
-                                tol: float = DEFAULT_TOL) -> bool:
-    """Whether the point lies on the k-th secant variety of the moment curve.
-
-    Equivalent to all (k+2)-minors of the Toeplitz matrix vanishing, i.e.
-    numerical rank at most k+1.
-    """
-    eigs = eigenvalues(point)
-    n = len(eigs) - 1
-    if not 0 <= k < n:
-        raise ValueError(f"secant order k={k} out of range for n={n}")
-    return numerical_rank(eigs, tol) <= k + 1
+    return _verdict(eigenvalues(point), DEFAULT_TOL)
 
 
 def membership_report(point: Sequence[float], tol: float = DEFAULT_TOL) -> dict:
-    """JSON-ready report: verdict, smallest eigenvalue, rank, face dimension."""
+    """JSON-ready report: verdict, smallest eigenvalue, rank, face dimension.
+
+    A boundary point in the relative interior of a k-face has Toeplitz rank
+    k+1, so its face dimension is rank - 1; interior and outside points give
+    None.
+    """
     eigs = eigenvalues(point)
     verdict = _verdict(eigs, tol)
     rank = numerical_rank(eigs, tol)

@@ -23,7 +23,7 @@ from orbitopes.faces4d import (boundary_components, closure_is_unit_interval,
 from orbitopes.poly import CoeffMode, SparsePoly
 from orbitopes.secantfit import monomial_basis, verify_vanishing
 from orbitopes.toeplitz import (Verdict, det_polynomial, eigenvalues,
-                                face_dimension, is_member, numerical_rank)
+                                is_member, membership_report, numerical_rank)
 
 REP13 = Representation((1, 3))
 
@@ -178,7 +178,7 @@ def test_criterion_08_toeplitz_rank_face_suite():
         point = orbit_point(rep, float(rng.uniform(0, tau)))
         assert is_member(point) is Verdict.BOUNDARY
         assert numerical_rank(eigenvalues(point)) == 1
-        assert face_dimension(point) == 0
+        assert membership_report(point)["face_dimension"] == 0
 
     for _ in range(200):
         n = int(rng.integers(2, 7))
@@ -192,7 +192,7 @@ def test_criterion_08_toeplitz_rank_face_suite():
 
     origin = [0.0] * 8
     assert is_member(origin) is Verdict.INTERIOR
-    assert face_dimension(origin) is None
+    assert membership_report(origin)["face_dimension"] is None
     report(8, "curve points embed to rank-1 PSD Toeplitz matrices; 200 convex "
               "combinations respect the rank bound; origin interior with no "
               "proper face")

@@ -84,7 +84,7 @@ def test_secant_fit_no_vanishing_exit_code(capsys):
 def test_verify_pass_and_fail(tmp_path, capsys):
     from orbitopes import fixtures
     path = tmp_path / "f.poly"
-    fixtures.secant_surface_13().dump_file(path)
+    path.write_text(fixtures.secant_surface_13().dumps())
     code, out = run_cli(capsys, "verify", "--rep", "1,3", "--r", "2",
                         "--count", "500", "--poly", str(path))
     assert code == 0
@@ -98,7 +98,7 @@ def test_verify_pass_and_fail(tmp_path, capsys):
 def test_rationalize_subcommand(tmp_path, capsys):
     from orbitopes import fixtures
     path = tmp_path / "float.poly"
-    fixtures.secant_surface_13().to_float().dump_file(path)
+    path.write_text(fixtures.secant_surface_13().to_float().dumps())
     code, out = run_cli(capsys, "rationalize", "--poly", str(path),
                         "--anchor", "0,0,4,0", "--anchor-value", "1")
     assert code == 0
@@ -126,7 +126,7 @@ def assert_usage_error(tmp_path, capsys, argv, message):
     1 with ``message`` on stderr and nothing on stdout."""
     from orbitopes import fixtures
     path = tmp_path / "float.poly"
-    fixtures.secant_surface_13().to_float().dump_file(path)
+    path.write_text(fixtures.secant_surface_13().to_float().dumps())
     assert main([tok.format(poly=path) for tok in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -149,6 +149,18 @@ def assert_usage_error(tmp_path, capsys, argv, message):
       "--tol", "-1"], "must be at least 0"),
     (["secant-fit", "--rep", "1,2", "--r", "2", "--degree", "3",
       "--count", "-5"], "must be at least 1"),
+    # the Toeplitz matrix has unit diagonal: a PSD tolerance >= 1 makes
+    # every rank 0
+    (["membership", "--point", "0.1,0.2", "--tol", "1"], "must be below 1"),
+    (["membership", "--point", "0.1,0.2", "--tol", "5"], "must be below 1"),
+    (["face-dim", "--point", "0.1,0.2", "--tol", "1"], "must be below 1"),
+    (["face-dim", "--point", "0.1,0.2", "--tol", "5"], "must be below 1"),
+    (["faces", "--rep", "1,3", "--edge", "0,1/5", "--polygon", "3,0"],
+     "not allowed with argument"),
+    (["faces", "--rep", "1,3", "--edge", "0,1/5", "--vertex", "1/4"],
+     "not allowed with argument"),
+    (["faces", "--rep", "1,3", "--polygon", "3,0", "--vertex", "1/4"],
+     "not allowed with argument"),
 ])
 def test_out_of_range_arguments_are_usage_errors(tmp_path, capsys, argv,
                                                  message):
@@ -159,6 +171,12 @@ def test_zero_tolerance_is_valid(capsys):
     code, out = run_cli(capsys, "membership", "--point", "0,0", "--tol", "0")
     assert code == 0
     assert json.loads(out)["tolerances"]["psd_tol"] == 0.0
+
+
+@pytest.mark.parametrize("command", ["membership", "face-dim"])
+def test_psd_tolerance_below_one_is_valid(command, capsys):
+    code, _ = run_cli(capsys, command, "--point", "0.1,0.2", "--tol", "0.999")
+    assert code == 0
 
 
 def test_bn_subcommands(tmp_path, capsys):
@@ -218,7 +236,7 @@ def test_exhausted_exact_sampler_exits_2(tmp_path, capsys):
 
     from orbitopes import fixtures
     path = tmp_path / "f.poly"
-    fixtures.secant_surface_13().dump_file(path)
+    path.write_text(fixtures.secant_surface_13().dumps())
     code = main(["verify", "--rep", "1,3", "--r", "1", "--mode", "exact",
                  "--count", "3000", "--poly", str(path)])
     assert code == 2
@@ -312,7 +330,7 @@ def test_face_dim_malformed_point_is_a_usage_error(tmp_path, capsys):
 def test_every_fit_error_exits_2_with_a_report(tmp_path, capsys):
     from orbitopes import fixtures
     path = tmp_path / "f.poly"
-    fixtures.secant_surface_13().dump_file(path)
+    path.write_text(fixtures.secant_surface_13().dumps())
     for argv, message in [
         (["secant-fit", "--rep", "1,2", "--r", "2", "--degree", "3",
           "--count", "5"], "need at least 35 samples"),
@@ -384,7 +402,7 @@ def test_budgets_admit_their_largest_values(tmp_path, monkeypatch, capsys,
 
     monkeypatch.setattr(target, reached)
     path = tmp_path / "f.poly"
-    fixtures.secant_surface_13().to_float().dump_file(path)
+    path.write_text(fixtures.secant_surface_13().to_float().dumps())
     assert main([tok.format(poly=path) for tok in argv]) == 1
     assert "budget check passed" in capsys.readouterr().err
 

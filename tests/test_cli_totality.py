@@ -14,7 +14,7 @@ import json
 import signal
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from orbitopes import fixtures
@@ -45,21 +45,22 @@ POLY = value("good.poly", "float.poly", bad=[f"{name}.poly" for name in (
     "garbage", "high-degree", "missing")])
 SEED = value("0", "1", "7")
 TOL = value("0", "1e-9", "1e-3")
+PSD_TOL = value("0", "1e-9", "1e-3", bad=["1", "5"])
 MODE = value("float", "exact")
 COUNT = value("1", "50", "200", bad=["10001"])
 FIT_REP = lists("1,2", "1,3", "1,2,3", "2,4", bad=["1,1", "1,65"])
 PAIR = lists("1,2", "1,3", "2,3", "2,5", "3,4", "3,6", bad=["1,2,3"])
+LONG_POINTS = [",".join(["0.001"] * 130), ",".join(["0.001"] * 10_000)]
 POINT = lists("0,0,0,0", "0.1,0.2,0.3,0.4", "1,0,1,0", "2,0,0,0", "0.5,0",
-              bad=["1,2,3", ",".join(["0.001"] * 130),
-                   ",".join(["0.001"] * 10_000)])
+              bad=["1,2,3", *LONG_POINTS])
 N = value("3", "5", "7", bad=["2", "203"])
 OUT = value("out", bad=["good.poly", "good.poly/sub"])
 # subcommand -> (required options, optional options, flags)
 GRAMMAR = {
     "curve-info": ({"--rep": lists("1,3", "2,3", "1,2,4", "2,6", bad=["1,65"])},
                    {"--seed": SEED}, ["--probe"]),
-    "membership": ({"--point": POINT}, {"--tol": TOL}, []),
-    "face-dim": ({"--point": POINT}, {"--tol": TOL}, []),
+    "membership": ({"--point": POINT}, {"--tol": PSD_TOL}, []),
+    "face-dim": ({"--point": POINT}, {"--tol": PSD_TOL}, []),
     "faces": ({"--rep": PAIR},
               {"--edge": lists("0,1/5", "0,2/5", "1/10,1/2", "1/3,2/3", "0,0"),
                "--polygon": lists("3,0", "2,1/7", "1,0", bad=["5,1/2"]),
@@ -82,6 +83,18 @@ GRAMMAR = {
                         {"--grid": value("2048", "512", "16", bad=["3"])}, []),
     "bn witness": ({"--n": N}, {}, []),
     "bn slice": ({}, {}, []),
+}
+
+
+# Over-budget inputs that the derandomized draws do not pick; each runs as
+# an explicit example of its subcommand's property.
+EXAMPLES = {
+    "membership": [["membership", "--point", p] for p in LONG_POINTS],
+    "face-dim": [["face-dim", "--point", p] for p in LONG_POINTS],
+    "verify": [["verify", "--rep", "1,3", "--r", "2", "--poly",
+                "high-degree.poly", "--count", "50"]],
+    "rationalize": [["rationalize", "--poly", "high-degree.poly", "--anchor",
+                     "0,0,4,0", "--anchor-value", "1"]],
 }
 
 
@@ -137,8 +150,8 @@ def certified_false(value) -> bool:
 def poly_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("polys")
     good = fixtures.secant_surface_13()
-    good.dump_file(path / "good.poly")
-    good.to_float().dump_file(path / "float.poly")
+    (path / "good.poly").write_text(good.dumps())
+    (path / "float.poly").write_text(good.to_float().dumps())
     for name, text in {"nan": "nan 0 0 4 0\n",
                        "inf": "1.0 0 0 4 0\ninf 1 0 0 0\n",
                        "overflow": "1e400 0 0 4 0\n",
@@ -173,4 +186,6 @@ def test_cli_is_total(command, poly_dir, monkeypatch):
             report = strict_json(out.getvalue())
             assert code == 2 or not certified_false(report), argv
 
+    for argv in EXAMPLES.get(command, []):
+        check = example(argv)(check)
     check()

@@ -8,8 +8,7 @@ import pytest
 from orbitopes.bnorbit import certify_exposed_face
 from orbitopes.faces4d import (FaceKind, boundary_components,
                                closure_is_unit_interval, is_basic_closed_4d,
-                               is_edge, polygon_faces, pq_data,
-                               probe_face_family_dimension, z_point)
+                               is_edge, polygon_faces, pq_data, z_point)
 
 
 def coprime_pairs(limit):
@@ -164,11 +163,17 @@ def test_witness_gap_avoids_faces():
         assert not ((p == 2 or q == 2) and g == Fraction(1, 2))
 
 
-def test_probe_face_family_dimension():
-    assert probe_face_family_dimension(pq_data(1, 3), 50, 0) == 2
-    assert probe_face_family_dimension(pq_data(1, 2), 50, 0) == 2
-    with pytest.raises(ValueError):
-        probe_face_family_dimension(pq_data(1, 3), 0, 0)
+def test_exposed_edges_form_a_two_parameter_family():
+    # each gap interval is open and non-empty, so the exposed edges z(s)z(t)
+    # fill a neighbourhood of (0, midpoint) in the (s, t) plane
+    for p, q in coprime_pairs(9):
+        d = pq_data(p, q)
+        for a, b in d.intervals:
+            assert a < b
+            h = (b - a) / 8
+            offsets = (-h, Fraction(0), h)
+            assert all(is_edge(d, ds, (a + b) / 2 + dt)
+                       for ds in offsets for dt in offsets)
 
 
 def test_exposed_edges_admit_hyperplane_certificates():

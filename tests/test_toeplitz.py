@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from orbitopes.curve import Representation, orbit_point, orbit_points
 from orbitopes.lp import gauge
 from orbitopes.toeplitz import (Verdict, det_polynomial, eigenvalues, embed,
-                                face_dimension, is_member, membership_report,
-                                numerical_rank, secant_membership_universal)
+                                is_member, membership_report, numerical_rank)
 
 
 def universal(n):
@@ -51,27 +50,27 @@ def test_membership_examples():
 def test_face_dimension_examples():
     n = 3
     rep = universal(n)
-    assert face_dimension(orbit_point(rep, 0.4)) == 0
+    assert membership_report(orbit_point(rep, 0.4))["face_dimension"] == 0
     mid = 0.5 * (orbit_point(rep, 0.2) + orbit_point(rep, 2.5))
-    assert face_dimension(mid) == 1
-    assert face_dimension([0.0] * (2 * n)) is None
-    with pytest.raises(ValueError):
-        face_dimension([2, 0, 0, 0, 0, 0])
+    assert membership_report(mid)["face_dimension"] == 1
+    assert membership_report([0.0] * (2 * n))["face_dimension"] is None
+    outside = membership_report([2, 0, 0, 0, 0, 0])
+    assert outside["verdict"] == "outside" and outside["face_dimension"] is None
 
 
 def test_secant_membership_examples():
+    # the k-th secant variety of the moment curve is where the Toeplitz rank
+    # is at most k + 1
     n = 4
     rep = universal(n)
     p = orbit_point(rep, 0.3)
-    assert secant_membership_universal(p, 1)
+    assert numerical_rank(eigenvalues(p)) <= 2  # k = 1
     rng = np.random.default_rng(0)
     thetas = rng.uniform(0, 2 * math.pi, size=3)
     weights = rng.dirichlet(np.ones(3))
     combo = weights @ np.array([orbit_point(rep, t) for t in thetas])
-    assert secant_membership_universal(combo, 2)
-    assert not secant_membership_universal([0.0] * (2 * n), n - 1)
-    with pytest.raises(ValueError):
-        secant_membership_universal(p, n)
+    assert numerical_rank(eigenvalues(combo)) <= 3  # k = 2
+    assert numerical_rank(eigenvalues([0.0] * (2 * n))) > n  # not on k = n - 1
 
 
 def test_random_convex_combinations_rank_bound():
@@ -152,7 +151,7 @@ def test_psd_verdict_stable_under_tolerance_scaling():
         eigs = eigenvalues(interior)
         assert min(abs(eigs)) > 10 * 1e-9
         for tol in (1e-10, 1e-9, 1e-8):
-            assert is_member(interior, tol) is Verdict.INTERIOR
+            assert membership_report(interior, tol)["verdict"] == "interior"
             assert numerical_rank(eigs, tol) == 4
 
 
