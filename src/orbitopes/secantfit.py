@@ -17,6 +17,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb
 from typing import Sequence
@@ -68,6 +69,11 @@ class MonomialBasis:
     @property
     def size(self) -> int:
         return len(self.exponents)
+
+    @cached_property
+    def index(self) -> dict[Exponent, int]:
+        """Position of each exponent tuple in ``exponents``."""
+        return {e: i for i, e in enumerate(self.exponents)}
 
 
 def monomial_basis(nvars: int, max_degree: int) -> MonomialBasis:
@@ -249,14 +255,27 @@ def weight_blocks(rep: Representation, max_degree: int) -> list[WeightBlock]:
     return [WeightBlock(w, tuple(by_weight[w])) for w in sorted(by_weight)]
 
 
-def _block_matrix(u_pow: np.ndarray, block: WeightBlock) -> np.ndarray:
-    """Evaluate a weight block's columns; ``u_pow[k, e]`` holds u_k^e."""
-    a = np.array([p[0] for p in block.pairs])
-    b = np.array([p[1] for p in block.pairs])
-    values = np.ones((u_pow.shape[2], len(block.pairs)), dtype=complex)
-    for k in range(u_pow.shape[0]):
-        values *= (u_pow[k, a[:, k]] * u_pow[k, b[:, k]].conj()).T
-    return np.hstack([values.real, values.imag[:, block.imaginary]])
+def _block_matrix(u_pow: np.ndarray, conj_pow: np.ndarray,
+                  block: WeightBlock) -> np.ndarray:
+    """Evaluate a weight block, pair-major: a ``(block.size, count)`` array
+    whose row j is column j of the block (the Re rows of every pair, then
+    the Im rows).  ``u_pow[k, e]`` holds u_k^e over the samples and
+    ``conj_pow`` its conjugate.
+
+    Each factor u_k^(a_k) ubar_k^(b_k) is a product of two gathered rows,
+    so every operand is contiguous along the samples, and the Re and Im
+    parts are written straight into the real result.
+    """
+    pairs = np.array(block.pairs)
+    a, b = pairs[:, 0], pairs[:, 1]
+    values = u_pow[0, a[:, 0]] * conj_pow[0, b[:, 0]]
+    for k in range(1, u_pow.shape[0]):
+        values *= u_pow[k, a[:, k]] * conj_pow[k, b[:, k]]
+    n = len(block.pairs)
+    matrix = np.empty((block.size, values.shape[1]))
+    matrix[:n] = values.real
+    matrix[n:] = values.imag[block.imaginary]
+    return matrix
 
 
 def _pair_terms(a: Exponent, b: Exponent):
@@ -287,11 +306,13 @@ def _expand_block_vector(basis: MonomialBasis, block: WeightBlock,
     With alpha on Re(m) and beta on Im(m), the term c * i^q * x^e of m
     contributes c * (alpha, beta, -alpha, -beta)[q] to x^e.
     """
-    index = {e: i for i, e in enumerate(basis.exponents)}
+    index = basis.index
     beta = np.zeros(len(block.pairs))
     beta[block.imaginary] = vec[len(block.pairs):]
     coeffs = np.zeros(basis.size)
     for (a, b), re, im in zip(block.pairs, vec, beta):
+        if not (re or im):
+            continue
         sign = (re, im, -re, -im)
         for expo, c, q in _pair_terms(a, b):
             coeffs[index[expo]] += c * sign[q]
@@ -305,20 +326,23 @@ def _fit_float(rep: Representation, basis: MonomialBasis,
     u_pow = np.ones((rep.r, basis.max_degree + 1, count), dtype=complex)
     for e in range(1, basis.max_degree + 1):
         u_pow[:, e] = u_pow[:, e - 1] * u.T
+    conj_pow = u_pow.conj()
 
     blocks = weight_blocks(rep, basis.max_degree)
     assert sum(block.size for block in blocks) == basis.size
     solved = []
     for block in blocks:
-        matrix = _block_matrix(u_pow, block)
-        norms = np.linalg.norm(matrix, axis=0)
+        matrix = _block_matrix(u_pow, conj_pow, block)
+        norms = np.linalg.norm(matrix, axis=1)
         # A basis function can vanish on the variety (Im(u1^2 ubar2) on
         # {1,2}); scaling its rounding-noise column up to unit norm would
         # hide that null direction.
         scale = np.where(norms > 1e-12 * norms.max(), norms, 1.0)
+        matrix /= scale[:, None]
         # the SVD of the R factor has the block's singular values and right
-        # vectors, without the tall left factor
-        r_factor = np.linalg.qr(matrix / scale, mode="r")
+        # vectors, without the tall left factor; matrix.T is the block's
+        # evaluation matrix in column-major order, as LAPACK takes it
+        r_factor = np.linalg.qr(matrix.T, mode="r")
         _, sigma, vh = np.linalg.svd(r_factor)
         solved.append((block, scale, sigma, vh))
 
@@ -365,7 +389,7 @@ def _float_poly(basis: MonomialBasis, coeffs: np.ndarray) -> SparsePoly:
     lead = max(
         (expo for expo, c in zip(basis.exponents, coeffs) if abs(c) > 1e-12),
         key=lambda e: (sum(e), e))
-    if coeffs[basis.exponents.index(lead)] < 0:
+    if coeffs[basis.index[lead]] < 0:
         coeffs = -coeffs
     terms = {expo: float(c) for expo, c in zip(basis.exponents, coeffs)
              if abs(c) > 0.0}
@@ -414,19 +438,30 @@ def _fit_exact(rep: Representation, basis: MonomialBasis,
 
 
 def evaluate_on_points(p: SparsePoly, points: np.ndarray) -> np.ndarray:
-    """Vectorized float evaluation of a polynomial on rows of points."""
+    """Vectorized float evaluation of a polynomial on rows of points.
+
+    ``values[t]`` holds term t's monomial over the points.  For each
+    variable i, a table ``powers[e] = x_i^e`` is built by repeated
+    multiplication up to the variable's largest exponent, and every term
+    multiplies in the row of its own exponent.  One variable's table at a
+    time keeps the memory at one table of at most degree + 1 rows.
+    """
     pts = np.asarray(points, dtype=float)
     exps = np.array(list(p.terms.keys()), dtype=int)
     coeffs = np.array([float(c) for c in p.terms.values()])
     if exps.size == 0:
         return np.zeros(pts.shape[0])
-    values = np.ones((pts.shape[0], len(coeffs)))
+    values = np.ones((len(coeffs), pts.shape[0]))
     for i in range(p.nvars):
-        e = exps[:, i]
-        mask = e > 0
-        if np.any(mask):
-            values[:, mask] *= pts[:, i][:, None] ** e[mask]
-    return values @ coeffs
+        top = int(exps[:, i].max())
+        if top == 0:
+            continue
+        powers = np.empty((top + 1, pts.shape[0]))
+        powers[0] = 1.0
+        for e in range(1, top + 1):
+            np.multiply(powers[e - 1], pts[:, i], out=powers[e])
+        values *= powers[exps[:, i]]
+    return coeffs @ values
 
 
 def verify_vanishing(p: SparsePoly, rep: Representation, r: int, count: int,

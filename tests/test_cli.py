@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -208,6 +209,22 @@ def test_byte_identical_reports(capsys):
     code1, out1 = run_cli(capsys, *argv)
     code2, out2 = run_cli(capsys, *argv)
     assert out1 == out2 and code1 == code2 == 0
+
+
+def test_float_secant_fit_is_byte_identical_across_runs(tmp_path, monkeypatch,
+                                                       capsys):
+    # the benchmark checks that a report's digest repeats for a seed
+    runs = []
+    for run in ("a", "b"):
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)
+        code, out = run_cli(capsys, "secant-fit", "--rep", "1,3", "--r", "2",
+                            "--degree", "8", "--mode", "float", "--out", "fit")
+        assert code == 0
+        runs.append((out, {f.name: f.read_bytes()
+                           for f in sorted(Path("fit").iterdir())}))
+    assert runs[0] == runs[1]
+    assert list(runs[0][1]) == ["nullspace_0.poly", "report.json"]
 
 
 def test_slice_csv_is_byte_identical_across_runs(capsys, tmp_path):

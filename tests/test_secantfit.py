@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -257,6 +258,73 @@ def test_evaluate_on_points_matches_scalar_eval(f_stored):
     fast = evaluate_on_points(f_stored.to_float(), pts)
     slow = [f_stored.to_float().evaluate(list(p)) for p in pts]
     assert np.allclose(fast, slow, atol=1e-12)
+
+
+def _magnitude(p: SparsePoly, pts: np.ndarray) -> np.ndarray:
+    """sum_t |c_t| |x^e_t| at each point, the scale of the rounding error of
+    any term-by-term evaluation of p."""
+    exps = np.array(list(p.terms), dtype=float).reshape(-1, p.nvars)
+    coeffs = np.abs([float(c) for c in p.terms.values()])
+    return np.prod(np.abs(pts)[:, None, :] ** exps, axis=2) @ coeffs
+
+
+@pytest.mark.parametrize("indices,degree", [((1, 2), 3), ((1, 3), 8),
+                                            ((1, 4), 15)])
+def test_block_columns_match_their_monomial_expansion(indices, degree):
+    # Two independent evaluations of every weight-block column: from complex
+    # powers, and from the column's exact expansion into real monomials.
+    rep = Representation(indices)
+    basis = monomial_basis(rep.ambient_dim, degree)
+    pts = np.array([s.point for s in sample_secants(rep, 2, 4, seed=degree)])
+    u = pts[:, 0::2] + 1j * pts[:, 1::2]
+    u_pow = u.T[:, None, :] ** np.arange(degree + 1)[None, :, None]
+    for block in weight_blocks(rep, degree):
+        matrix = secantfit._block_matrix(u_pow, u_pow.conj(), block)
+        assert matrix.shape == (block.size, len(pts))
+        for col, row in enumerate(matrix):
+            unit = np.zeros(block.size)
+            unit[col] = 1.0
+            coeffs = secantfit._expand_block_vector(basis, block, unit)
+            poly = SparsePoly(rep.ambient_dim,
+                              {basis.exponents[i]: coeffs[i]
+                               for i in np.flatnonzero(coeffs)},
+                              CoeffMode.FLOAT)
+            expected = evaluate_on_points(poly, pts)
+            assert np.all(np.abs(row - expected)
+                          <= 1e-12 * _magnitude(poly, pts))
+
+
+def _random_exponent(rng: random.Random, nvars: int, total: int):
+    cuts = sorted(rng.randint(0, total) for _ in range(nvars - 1))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))
+
+
+def test_evaluate_on_points_matches_exact_evaluation():
+    # The float power table against exact rational evaluation at rational
+    # secant points, up to the degree budget of a .poly file (128).
+    rng = random.Random(27)
+    exact_pts = [s.point for s in sample_secants(REP13, 2, 6, seed=28,
+                                                 mode=CoeffMode.RATIONAL)]
+    cases = []
+    for degree in (1, 8, 15, 40, 128):
+        terms = {_random_exponent(rng, 4, rng.randint(0, degree)):
+                 Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+                 for _ in range(12)}
+        terms[_random_exponent(rng, 4, degree)] = Fraction(1, 3)
+        cases.append((SparsePoly(4, terms), exact_pts))
+    cases.append((SparsePoly.constant(4, Fraction(-7, 3)), exact_pts))
+    cases.append((SparsePoly(4, {(0, 0, e, 0): Fraction(1, e + 1)
+                                 for e in range(0, 129, 16)}), exact_pts))
+    cases.append((SparsePoly(1, {(e,): Fraction(-1) ** e
+                                 for e in range(0, 129, 8)}),
+                  [p[:1] for p in exact_pts]))
+    for p, points in cases:
+        pts = np.array([[float(v) for v in x] for x in points])
+        exact = np.array([float(p.evaluate(x)) for x in points])
+        fast = evaluate_on_points(p.to_float(), pts)
+        assert np.all(np.abs(fast - exact) <= 1e-12 * _magnitude(p, pts))
+    assert np.array_equal(evaluate_on_points(SparsePoly.zero(4),
+                                             np.ones((3, 4))), np.zeros(3))
 
 
 def test_rationalize_exact_input_round_trip(f_stored):
