@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -227,12 +228,20 @@ def test_float_secant_fit_is_byte_identical_across_runs(tmp_path, monkeypatch,
     assert list(runs[0][1]) == ["nullspace_0.poly", "report.json"]
 
 
+# sha256 of the slice_series.csv that `bn slice` writes: every sample's
+# coordinates and black/gray tag.  The golden `bn slice` report only counts
+# the samples, so a changed tag shows here alone.
+SLICE_CSV_SHA256 = ("60f88644243f19091d954cb728940e82"
+                    "e8125b0ff8fcb06e449407fe3c3867e0")
+
+
 def test_slice_csv_is_byte_identical_across_runs(capsys, tmp_path):
     for run in ("a", "b"):
         code, _ = run_cli(capsys, "bn", "slice", "--out", str(tmp_path / run))
         assert code == 0
     first = (tmp_path / "a" / "slice_series.csv").read_bytes()
     assert first == (tmp_path / "b" / "slice_series.csv").read_bytes()
+    assert hashlib.sha256(first).hexdigest() == SLICE_CSV_SHA256
 
 
 def test_usage_error_exit_code(capsys):
