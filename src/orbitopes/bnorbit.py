@@ -29,7 +29,6 @@ from . import fixtures
 from .curve import (Representation, affinely_independent, antipodal_point,
                     orbit_point, orbit_points, rational_point)
 from .faces4d import FaceDescriptor, FaceKind
-from .lp import _gauge_lp
 from .poly import SparsePoly
 
 
@@ -401,9 +400,30 @@ class SliceReport:
         return "\n".join(lines) + "\n"
 
 
-# slice_b4: spacing of the x samples, curve points of the inner hull, and
-# the band around gauge 1 whose samples are tagged black.
-SLICE_STEP, SLICE_HULL_GRID, SLICE_BOUNDARY_BAND = 0.0125, 4096, 2e-4
+# slice_b4: spacing of the x samples, and the band around the slice boundary
+# whose samples are tagged black.
+SLICE_STEP, SLICE_BOUNDARY_BAND = 0.0125, 2e-4
+
+
+def _on_slice_boundary(x: float, z: float) -> bool:
+    """Whether (x, z) lies within ``SLICE_BOUNDARY_BAND`` of the boundary of
+    the slice w = y = 0 of B_4.
+
+    The reflection theta -> pi - theta maps the curve point (cos t, sin t,
+    cos 3t, sin 3t) to (-cos t, sin t, -cos 3t, sin 3t), so the midpoint of
+    a point of B_4 and its mirror image lies in the plane w = y = 0.  The
+    slice is therefore the projection of B_4 to (sin t, sin 3t): the convex
+    hull of the planar cubic (s, 3s - 4s^3), s in [-1, 1].  Its upper
+    boundary is z = 1 for x in [-1, 1/2] (the projection of the face
+    ``top_face(3, pi/6)``), then the cubic; its lower boundary is the cubic
+    for x in [-1, -1/2], then z = -1.  The band on |x| keeps the samples at
+    x = -1 that ``arange`` lands a rounding error beyond it.
+    """
+    cubic = 3 * x - 4 * x ** 3
+    upper = 1.0 if x <= 0.5 else cubic
+    lower = cubic if x <= -0.5 else -1.0
+    return (abs(x) <= 1 + SLICE_BOUNDARY_BAND
+            and min(abs(z - upper), abs(z - lower)) <= SLICE_BOUNDARY_BAND)
 
 
 def slice_b4() -> SliceReport:
@@ -413,8 +433,8 @@ def slice_b4() -> SliceReport:
     (x+z)^3 (4x^3 - 3x + z); both factorizations are verified by exact
     multiplication.  Each restricted curve is sampled over x in [-1.2, 1.2]
     and every sample is tagged black (bounds the slice) or gray (extends
-    beyond it) according to its Minkowski gauge with respect to a dense
-    inner approximation of the body.
+    beyond it) against the slice's closed-form boundary
+    (:func:`_on_slice_boundary`).
     """
     f = fixtures.secant_surface_13()
     restricted = f.restrict({0: 0, 2: 0})
@@ -428,19 +448,11 @@ def slice_b4() -> SliceReport:
     one = SparsePoly.constant(2, 1)
     circle_ok = circle == (z + one) * (z - one)
 
-    hull_points = sm_points(3, np.arange(SLICE_HULL_GRID) * (tau / SLICE_HULL_GRID))
-
     def tagged(name: str, samples) -> PlotSeries:
-        # Neighbouring samples share most of the active set, so each gauge LP
-        # starts from the previous optimal basis of its series.
-        points, basis = [], None
-        for px, pz in samples:
-            result = _gauge_lp(hull_points, np.array([0.0, px, 0.0, pz]),
-                               basis=basis)
-            basis = result.basis
-            black = abs(result.objective - 1.0) <= SLICE_BOUNDARY_BAND
-            points.append((float(px), float(pz), "black" if black else "gray"))
-        return PlotSeries(name, tuple(points))
+        return PlotSeries(name, tuple(
+            (float(px), float(pz),
+             "black" if _on_slice_boundary(px, pz) else "gray")
+            for px, pz in samples))
 
     xs = np.arange(-1.2, 1.2 + SLICE_STEP / 2, SLICE_STEP)
     series = [

@@ -1,15 +1,17 @@
 """Dense two-phase revised simplex for small-basis linear programs.
 
-Everything this package asks of linear programming has a handful of rows and
-up to a few tens of thousands of columns (one per curve sample).  The method
-keeps the inverse of the m x m basis, updates it by a rank-one (eta) pivot
-after each basis change and factorizes it afresh every ``_REFACTOR_EVERY``
-pivots and before any final verdict; the optimal basic solution is solved
-once more from the final basis.  Dantzig pricing with an automatic switch to
-Bland's rule after a run of degenerate pivots keeps the method finite on the
-very degenerate, symmetric grids that show up here.  A caller solving a
-sequence of neighbouring problems can pass the previous optimal basis; when
-it is feasible for the new right-hand side, phase 1 is skipped.
+No command of the package solves a linear program.  The module is the
+Minkowski-gauge oracle (:func:`gauge`) of the benchmark's membership checks
+and of the tests, and the benchmark's trace targets name its three public
+functions.  Its problems have a handful of rows and up to a few thousand
+columns (one per curve sample).
+
+The method keeps the inverse of the m x m basis, updates it by a rank-one
+(eta) pivot after each basis change and factorizes it afresh every
+``_REFACTOR_EVERY`` pivots and before any final verdict; the optimal basic
+solution is solved once more from the final basis.  Dantzig pricing with an
+automatic switch to Bland's rule after a run of degenerate pivots keeps the
+method finite on the very degenerate, symmetric grids that show up here.
 """
 
 from __future__ import annotations
@@ -22,9 +24,6 @@ _TOL = 1e-9           # pricing, ratio-test and feasibility tolerance
 _MAX_ITER = 20000     # pivots per phase
 _STALL_LIMIT = 30
 _REFACTOR_EVERY = 32  # eta updates between fresh factorizations of the basis
-# A warm-start basis above this (1-norm) condition number starts cold
-# instead; the optimal bases along the B_4 slice reach about 1e8.
-_WARM_COND_LIMIT = 1e12
 
 
 @dataclass
@@ -33,22 +32,14 @@ class SimplexResult:
     x: np.ndarray | None
     objective: float
     basis: list[int]
-    iterations: int             # pivots, phase 1 and phase 2 together
 
     @property
     def ok(self) -> bool:
         return self.status == "optimal"
 
 
-def simplex_minimize(A: np.ndarray, b: np.ndarray, c: np.ndarray,
-                     basis: list[int] | None = None) -> SimplexResult:
-    """Solve min c.x subject to A x = b, x >= 0.
-
-    ``basis`` optionally names m columns to start from, such as the optimal
-    basis of a neighbouring problem.  When that basis is nonsingular and
-    primal feasible (``B^-1 b >= -_TOL``) phase 1 is skipped; otherwise the
-    solve starts cold from the artificial basis.
-    """
+def simplex_minimize(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> SimplexResult:
+    """Solve min c.x subject to A x = b, x >= 0."""
     A = np.array(A, dtype=float)
     b = np.array(b, dtype=float)
     c = np.array(c, dtype=float)
@@ -57,60 +48,36 @@ def simplex_minimize(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     A[flip] *= -1.0
     b[flip] *= -1.0
 
-    B_inv = None if basis is None else _feasible_inverse(A, b, basis)
-    pivots = 0
-    if B_inv is None:
-        start = _phase_one(A, b)
-        if isinstance(start, SimplexResult):
-            return start
-        A, b, basis, B_inv, pivots = start
+    start = _phase_one(A, b)
+    if isinstance(start, SimplexResult):
+        return start
+    A, b, basis, B_inv = start
 
-    basis, x_b, status, more, _ = _iterate(A, b, c, basis, B_inv)
+    basis, x_b, status, _ = _iterate(A, b, c, basis, B_inv)
     x = None
     objective = np.inf
     if status == "optimal":
         x = np.zeros(n)
         x[basis] = x_b
         objective = float(c @ x)
-    return SimplexResult(status, x, objective, basis, pivots + more)
-
-
-def _feasible_inverse(A: np.ndarray, b: np.ndarray,
-                      basis: list[int]) -> np.ndarray | None:
-    """Inverse of the basis matrix when ``basis`` is a usable primal-feasible
-    start, else None.  A numerically singular basis is not usable: its
-    computed inverse need not raise, but its "feasible" point is garbage."""
-    m, n = A.shape
-    if len(basis) != m or not all(0 <= j < n for j in basis):
-        return None
-    B = A[:, basis]
-    try:
-        B_inv = np.linalg.inv(B)
-    except np.linalg.LinAlgError:
-        return None
-    # the 1-norm condition number, as np.linalg.cond(B, 1) computes it
-    if not np.linalg.norm(B, 1) * np.linalg.norm(B_inv, 1) <= _WARM_COND_LIMIT:
-        return None
-    if np.min(B_inv @ b) < -_TOL:
-        return None
-    return B_inv
+    return SimplexResult(status, x, objective, basis)
 
 
 def _phase_one(A: np.ndarray, b: np.ndarray):
     """Find a feasible basis from the artificial identity basis.
 
-    Returns ``(A, b, basis, B_inv, pivots)`` with redundant rows removed, or
-    the failed ``SimplexResult``.
+    Returns ``(A, b, basis, B_inv)`` with redundant rows removed, or the
+    failed ``SimplexResult``.
     """
     m, n = A.shape
     A1 = np.hstack([A, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    basis, x_b, status, pivots, B_inv = _iterate(
+    basis, x_b, status, B_inv = _iterate(
         A1, b, c1, list(range(n, n + m)), np.eye(m))
     if status != "optimal":
-        return SimplexResult(status, None, np.inf, basis, pivots)
+        return SimplexResult(status, None, np.inf, basis)
     if float(x_b @ c1[basis]) > 1e-7:
-        return SimplexResult("infeasible", None, np.inf, basis, pivots)
+        return SimplexResult("infeasible", None, np.inf, basis)
 
     # Drive leftover zero-level artificials out of the basis.  Row ``pos`` of
     # the basis inverse, applied to A, is the tableau row of that artificial;
@@ -125,13 +92,12 @@ def _phase_one(A: np.ndarray, b: np.ndarray):
             entering = int(pivot[0])
             _pivot(B_inv, B_inv @ A[:, entering], pos)
             basis[pos] = entering
-            pivots += 1
         else:
             keep_rows[col - n] = False
     if all(keep_rows):
-        return A, b, basis, B_inv, pivots
+        return A, b, basis, B_inv
     basis = [col for col in basis if col < n]
-    return A[keep_rows], b[keep_rows], basis, None, pivots
+    return A[keep_rows], b[keep_rows], basis, None
 
 
 def _pivot(B_inv: np.ndarray, direction: np.ndarray, leaving: int) -> None:
@@ -145,7 +111,7 @@ def _pivot(B_inv: np.ndarray, direction: np.ndarray, leaving: int) -> None:
 def _iterate(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
              B_inv: np.ndarray | None):
     """Primal simplex from a feasible ``basis`` (``B_inv`` its inverse, or
-    None to factorize).  Returns ``(basis, x_b, status, pivots, B_inv)``.
+    None to factorize).  Returns ``(basis, x_b, status, B_inv)``.
 
     Pricing and the ratio test use the eta-updated inverse.  A verdict
     (optimal or unbounded) is only taken on a freshly factorized basis, and
@@ -205,7 +171,7 @@ def _iterate(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int],
         age += 1
         basis[leaving] = entering
         pivots += 1
-    return basis, x_b, status, pivots, B_inv
+    return basis, x_b, status, B_inv
 
 
 def max_min_slack(equalities: np.ndarray,
@@ -259,18 +225,8 @@ def gauge(points: np.ndarray, target: np.ndarray) -> float:
     whenever the origin is interior to the hull).  Returns ``inf`` when the
     target is outside the conic span.
     """
-    return _gauge_lp(points, target).objective
-
-
-def _gauge_lp(points: np.ndarray, target: np.ndarray,
-              basis: list[int] | None = None) -> SimplexResult:
-    """The gauge LP of :func:`gauge`, optionally warm-started from ``basis``.
-
-    Its ``objective`` is the gauge (``inf`` unless optimal); its ``basis``
-    can warm-start the next target of a sequence.
-    """
     P = np.asarray(points, dtype=float)
     t = np.asarray(target, dtype=float)
     if np.allclose(t, 0.0):
-        return SimplexResult("optimal", np.zeros(P.shape[0]), 0.0, [], 0)
-    return simplex_minimize(P.T, t, np.ones(P.shape[0]), basis=basis)
+        return 0.0
+    return simplex_minimize(P.T, t, np.ones(P.shape[0])).objective

@@ -14,7 +14,7 @@ from orbitopes.bnorbit import (_slack_margin, affinely_independent,
                                sm_rep, top_face)
 from orbitopes.curve import Representation
 from orbitopes.faces4d import FaceKind
-from orbitopes.lp import _gauge_lp
+from orbitopes.lp import gauge
 
 
 def dense_slack(rep, normal, thetas):
@@ -310,31 +310,30 @@ def test_slice_series_tags():
     assert csv.startswith("series,x,z,tag")
 
 
-def test_slice_warm_started_gauges_match_cold_ones(monkeypatch):
-    # Record the gauge LPs slice_b4 solves; a cold _gauge_lp is the LP whose
-    # objective lp.gauge returns.  The boundary band is SLICE_BOUNDARY_BAND.
-    solved = []
-
-    def recording(points, target, basis=None):
-        result = _gauge_lp(points, target, basis)
-        solved.append((points, target, basis is not None, result))
-        return result
-
-    monkeypatch.setattr(bnorbit, "_gauge_lp", recording)
+def test_slice_tags_match_cold_gauges_and_face_certificates():
     report = slice_b4()
-    assert len(solved) == sum(len(s.points) for s in report.series)
-    start = 0
+    # oracle 1: the Minkowski gauge over a dense inner hull of B_4
+    hull = sm_points(3, np.arange(4096) * (tau / 4096))
     for s in report.series:
-        lps = solved[start:start + len(s.points)]
-        start += len(s.points)
-        # every sample but the first of a series starts from the previous basis
-        assert [warm_started for _, _, warm_started, _ in lps] == (
-            [False] + [True] * (len(lps) - 1))
-        warm_pivots = cold_pivots = 0
-        for (points, target, _, warm), (_, _, tag) in zip(lps, s.points):
-            cold = _gauge_lp(points, target)
-            assert abs(warm.objective - cold.objective) <= 1e-9
-            assert tag == ("black" if abs(cold.objective - 1.0) <= 2e-4 else "gray")
-            warm_pivots += warm.iterations
-            cold_pivots += cold.iterations
-        assert warm_pivots < cold_pivots
+        for x, z, tag in s.points:
+            g = gauge(hull, np.array([0.0, x, 0.0, z]))
+            black = abs(g - 1.0) <= bnorbit.SLICE_BOUNDARY_BAND
+            assert tag == ("black" if black else "gray"), (s.name, x, z, g)
+
+    # oracle 2: the faces of B_4 that the slice boundary is the projection
+    # of.  A cubic point (x, 3x - 4x^3) with sin t = x is the midpoint of the
+    # chord {t, pi - t}, an exposed edge exactly when 1/2 < |x| < 1.
+    rep = sm_rep(3)
+    for x in (0.55, -0.55, 0.75, -0.75, 0.99, -0.99):
+        t = math.asin(x)
+        assert certify_exposed_face(rep, [t, math.pi - t]) is not None, x
+    for x in (0.0, 0.3, 0.45, -0.45):
+        t = math.asin(x)
+        assert certify_exposed_face(rep, [t, math.pi - t]) is None, x
+    # the segment z = 1 is the projection of the triangle at pi/6
+    vertices = {(round(math.sin(t), 12), round(math.sin(3 * t), 12))
+                for t in top_face(3, math.pi / 6).descriptor.parameters}
+    assert vertices == {(0.5, 1.0), (-1.0, 1.0)}
+    segment = [x for x, _, tag in report.series[0].points if tag == "black"]
+    assert report.series[0].name == "segment z=1"
+    assert (round(min(segment), 12), round(max(segment), 12)) == (-1.0, 0.5)

@@ -169,9 +169,7 @@ def poly_dir(tmp_path_factory):
 def test_cli_is_total(command, poly_dir, monkeypatch):
     monkeypatch.chdir(poly_dir)  # relative --poly and --out paths land here
 
-    # bn slice has only --out to vary, and each run takes about 0.4 s
-    @settings(max_examples=3 if command == "bn slice" else 12, deadline=None,
-              derandomize=True, database=None,
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(command_lines(command))
     def check(argv):

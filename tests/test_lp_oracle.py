@@ -110,29 +110,3 @@ def test_degenerate_default_stall_limit_matches_highs():
         c = rng.integers(0, 4, size=14).astype(float) - 1.0
         b = np.zeros(6)
         assert_matches_oracle(simplex_minimize(A, b, c), A, b, c)
-
-
-@settings(max_examples=200, deadline=None)
-@given(lps(), st.data())
-def test_warm_start_from_any_basis_matches_highs(data, chooser):
-    # Drawn bases may be singular or infeasible; those fall back to phase 1.
-    A, b, c = data
-    m, n = A.shape
-    basis = chooser.draw(st.permutations(range(n)))[:m]
-    assert_matches_oracle(simplex_minimize(A, b, c, basis=list(basis)), A, b, c)
-
-
-@settings(max_examples=200, deadline=None)
-@given(lps(), st.lists(small, min_size=8, max_size=8))
-def test_warm_start_from_a_feasible_basis(data, new_costs):
-    A, b, c = data
-    cold = simplex_minimize(A, b, c)
-    if not cold.ok or len(cold.basis) != A.shape[0]:
-        return
-    # restarting at the optimum pivots no more and reproduces the objective
-    again = simplex_minimize(A, b, c, basis=cold.basis)
-    assert again.iterations == 0 and again.basis == cold.basis
-    assert again.objective == cold.objective
-    # an optimal basis stays feasible for new costs: phase 2 only
-    c2 = np.array(new_costs[:A.shape[1]], dtype=float)
-    assert_matches_oracle(simplex_minimize(A, b, c2, basis=cold.basis), A, b, c2)
