@@ -34,6 +34,8 @@ COMMANDS = [
     ["faces", "--rep", "1,3", "--polygon", "3,0"],
     ["faces", "--rep", "2,5", "--polygon", "2,1/7"],
     ["faces", "--rep", "1,3", "--vertex", "1/4"],
+    ["faces", "--rep", "2,5", "--vertex", "3/7"],
+    ["faces", "--rep", "3,4", "--vertex", "0"],
     ["boundary", "--rep", "1,2"],
     ["boundary", "--rep", "2,5"],
     ["boundary", "--rep", "3,4", "--out", "out"],
