@@ -27,7 +27,7 @@ import numpy as np
 
 from . import fixtures
 from .curve import (Representation, affinely_independent, antipodal_point,
-                    orbit_point, orbit_points, rational_point)
+                    orbit_points, rational_point)
 from .faces4d import FaceDescriptor, FaceKind
 from .poly import SparsePoly
 
@@ -39,13 +39,9 @@ def sm_rep(n: int) -> Representation:
     return Representation(tuple(range(1, n + 1, 2)))
 
 
-def sm_map(n: int, theta: float) -> np.ndarray:
-    """The odd-frequency curve point at angle theta, in R^(n+1)."""
-    return orbit_point(sm_rep(n), theta)
-
-
 def sm_points(n: int, thetas) -> np.ndarray:
-    return orbit_points(sm_rep(n), np.asarray(thetas, dtype=float))
+    """Odd-frequency curve points in R^(n+1); a single angle gives one point."""
+    return orbit_points(sm_rep(n), thetas)
 
 
 # The certificate check of certify_exposed_face: |level - 1| at the active
@@ -112,18 +108,9 @@ def _slack_margin(rep: Representation, w: np.ndarray, active: Sequence[float],
     return float(np.min(slack[:critical.size])), float(np.min(slack[critical.size:]))
 
 
-@dataclass(frozen=True)
-class TopFace:
-    descriptor: FaceDescriptor
-    certificate: HyperplaneCertificate
-
-    def to_json(self) -> dict:
-        return {"face": self.descriptor.to_json(),
-                "certificate": self.certificate.to_json()}
-
-
-def top_face(n: int, theta: float) -> TopFace:
-    """The explicit (n-1)-dimensional simplicial exposed face at theta.
+def top_face(n: int, theta: float) -> dict:
+    """The explicit (n-1)-dimensional simplicial exposed face at theta, as
+    the report ``{"face": ..., "certificate": ...}``.
 
     Vertices are the curve points at theta + 2*pi*j/n and the exposing
     hyperplane has normal (0, ..., 0, cos n*theta, sin n*theta): on the
@@ -135,16 +122,14 @@ def top_face(n: int, theta: float) -> TopFace:
     normal = np.zeros(n + 1)
     normal[n - 1] = math.cos(n * theta)
     normal[n] = math.sin(n * theta)
-    for phi in params:
-        level = float(normal @ sm_map(n, phi))
-        assert abs(level - 1.0) < 1e-12
+    assert np.all(np.abs(orbit_points(rep, params) @ normal - 1.0) < 1e-12)
     _, margin = _slack_margin(rep, normal, params, TOP_FACE_EXCLUSION)
     cert = HyperplaneCertificate(
         normal=tuple(normal), level=1.0, active_params=params,
         margin=margin, exclusion=TOP_FACE_EXCLUSION)
     descriptor = FaceDescriptor(kind=FaceKind.SIMPLEX, parameters=params,
                                 exposed=True, dimension=n - 1)
-    return TopFace(descriptor, cert)
+    return {"face": descriptor.to_json(), "certificate": cert.to_json()}
 
 
 def _tangent_normal(rep: Representation, angles: Sequence[float]) -> np.ndarray:
@@ -155,19 +140,13 @@ def _tangent_normal(rep: Representation, angles: Sequence[float]) -> np.ndarray:
     by the true supporting hyperplane; for a single point it reproduces the
     sphere normal point/||point||^2.
     """
-    rows = []
-    rhs = []
-    for a in angles:
-        point = orbit_point(rep, a)
-        velocity = np.empty_like(point)
-        for i, j in enumerate(rep.indices):
-            velocity[2 * i] = -j * math.sin(j * a)
-            velocity[2 * i + 1] = j * math.cos(j * a)
-        rows.append(point)
-        rhs.append(1.0)
-        rows.append(velocity)
-        rhs.append(0.0)
-    w, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
+    # for each angle, the point and then its velocity, which turns the
+    # coordinate pair (x, y) of frequency j into j * (-y, x)
+    m = len(angles)
+    points = orbit_points(rep, angles).reshape(m, rep.r, 2)
+    velocity = points[..., ::-1] * [(-j, j) for j in rep.indices]
+    rows = np.concatenate((points, velocity), axis=1).reshape(2 * m, -1)
+    w, *_ = np.linalg.lstsq(rows, [1.0, 0.0] * m, rcond=None)
     return w
 
 
@@ -217,43 +196,22 @@ def certify_face(n: int, params: Sequence[float],
 # -- interior certificate ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InteriorCertificate:
-    """Barycentric proof that the target is interior: n+2 affinely
-    independent curve points with strictly positive weights averaging to it."""
-
-    n: int
-    turns: tuple[Fraction, ...]
-    weights: tuple[Fraction, ...]
-    target: tuple[float, ...]
-    barycenter_residual: float
-    exact_zero_sum: bool
-    affinely_independent: bool
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "vertex_turns": [f"{t.numerator}/{t.denominator}" for t in self.turns],
-            "weights": [f"{w.numerator}/{w.denominator}" for w in self.weights],
-            "target": list(self.target),
-            "barycenter_residual": self.barycenter_residual,
-            "exact_zero_sum": self.exact_zero_sum,
-            "affinely_independent": self.affinely_independent,
-        }
+def _fractions(values) -> list[str]:
+    return [f"{v.numerator}/{v.denominator}" for v in values]
 
 
-def interior_certificate(n: int) -> InteriorCertificate:
+def interior_certificate(n: int) -> dict:
     """Certify the origin as an interior point of B_{n+1}.
 
     Uses the m = n+2 curve points at m-th roots of unity with equal weights
     1/m: since m divides no frequency, every coordinate sums to zero exactly.
     The m points are affinely independent, so the origin is a strictly
-    positive barycentric combination of a full-dimensional simplex.
+    positive barycentric combination of a full-dimensional simplex.  The
+    report lists the vertex turns k/m and the weights as ``"n/d"`` strings.
     """
     rep = sm_rep(n)
     m = n + 2
-    turns = tuple(Fraction(k, m) for k in range(m))
-    weights = tuple(Fraction(1, m) for _ in range(m))
+    turns = [Fraction(k, m) for k in range(m)]
     # sum_k zeta^(j k) over the m-th roots of unity zeta^k is a geometric
     # series: it equals m when m | j and 0 otherwise.
     exact = all(j % m for j in rep.indices)
@@ -263,52 +221,24 @@ def interior_certificate(n: int) -> InteriorCertificate:
     if not independent:
         raise RuntimeError("root-of-unity points reported affinely dependent; "
                            "this indicates a rank-test bug")
-    return InteriorCertificate(
-        n=n, turns=turns, weights=weights, target=(0.0,) * (n + 1),
-        barycenter_residual=residual, exact_zero_sum=exact,
-        affinely_independent=independent)
+    return {
+        "n": n,
+        "vertex_turns": _fractions(turns),
+        "weights": _fractions([Fraction(1, m)] * m),
+        "target": [0.0] * (n + 1),
+        "barycenter_residual": residual,
+        "exact_zero_sum": exact,
+        "affinely_independent": independent,
+    }
 
 
 # -- the not-basic-closed witness ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    """Everything needed to conclude B_{n+1} is not basic closed: the origin
-    is a secant-surface point (midpoint of two antipodal curve points) that
-    is simultaneously interior."""
-
-    n: int
-    secant_order: int
-    chord_params: tuple[float, float]
-    chord_weights: tuple[Fraction, Fraction]
-    chord_midpoint_exact_zero: bool
-    interior: InteriorCertificate
-    slice_value_at_origin: Fraction | None
-    slice_gradient_at_origin: tuple[Fraction, Fraction] | None
-    accepted: bool
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "secant_order": self.secant_order,
-            "chord_params": list(self.chord_params),
-            "chord_weights": [f"{w.numerator}/{w.denominator}"
-                              for w in self.chord_weights],
-            "chord_midpoint_exact_zero": self.chord_midpoint_exact_zero,
-            "interior": self.interior.to_json(),
-            "slice_value_at_origin": (
-                None if self.slice_value_at_origin is None
-                else str(self.slice_value_at_origin)),
-            "slice_gradient_at_origin": (
-                None if self.slice_gradient_at_origin is None
-                else [str(g) for g in self.slice_gradient_at_origin]),
-            "accepted": self.accepted,
-        }
-
-
-def not_basic_witness(n: int) -> WitnessReport:
-    """Assemble the full witness that B_{n+1} is not basic closed.
+def not_basic_witness(n: int) -> dict:
+    """Assemble the full witness that B_{n+1} is not basic closed: the
+    origin is a secant-surface point (midpoint of two antipodal curve
+    points) that is simultaneously interior.
 
     The chord from SM(0) to SM(pi) has the origin as its exact midpoint
     (central symmetry), placing the origin on the ((n-1)/2)-th secant
@@ -316,33 +246,38 @@ def not_basic_witness(n: int) -> WitnessReport:
     the report additionally evaluates the planar slice: the restricted
     secant equation vanishes at the origin while its cubic factor has
     nonvanishing gradient there, so the origin is a regular point of that
-    hypersurface.
+    hypersurface.  ``accepted`` is the verdict.
     """
     rep = sm_rep(n)
     half = Fraction(1, 2)
     a = rational_point(rep, 0)
     b = antipodal_point(rep)
-    midpoint = tuple(half * (x + y) for x, y in zip(a, b))
-    midpoint_zero = all(v == 0 for v in midpoint)
+    midpoint_zero = all(half * (x + y) == 0 for x, y in zip(a, b))
     interior = interior_certificate(n)
     slice_value = None
     slice_gradient = None
     if n == 3:
-        f = fixtures.secant_surface_13()
-        slice_value = f.evaluate([0, 0, 0, 0])
-        cubic = slice_cubic()
-        slice_gradient = cubic.gradient([0, 0])
+        slice_value = fixtures.secant_surface_13().evaluate([0, 0, 0, 0])
+        slice_gradient = slice_cubic().gradient([0, 0])
     accepted = (midpoint_zero
-                and interior.exact_zero_sum
-                and interior.affinely_independent
-                and interior.barycenter_residual <= 1e-12
+                and interior["exact_zero_sum"]
+                and interior["affinely_independent"]
+                and interior["barycenter_residual"] <= 1e-12
                 and (n != 3 or (slice_value == 0
                                 and any(g != 0 for g in slice_gradient))))
-    return WitnessReport(
-        n=n, secant_order=(n - 1) // 2, chord_params=(0.0, math.pi),
-        chord_weights=(half, half), chord_midpoint_exact_zero=midpoint_zero,
-        interior=interior, slice_value_at_origin=slice_value,
-        slice_gradient_at_origin=slice_gradient, accepted=accepted)
+    return {
+        "n": n,
+        "secant_order": (n - 1) // 2,
+        "chord_params": [0.0, math.pi],
+        "chord_weights": _fractions([half, half]),
+        "chord_midpoint_exact_zero": midpoint_zero,
+        "interior": interior,
+        "slice_value_at_origin": (None if slice_value is None
+                                  else str(slice_value)),
+        "slice_gradient_at_origin": (None if slice_gradient is None
+                                     else [str(g) for g in slice_gradient]),
+        "accepted": accepted,
+    }
 
 
 # -- the planar slice of B_4 ---------------------------------------------------

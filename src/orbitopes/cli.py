@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, bnorbit, faces4d, secantfit, toeplitz
 from .curve import (DegenerateHyperplaneError, Representation, curve_info,
                     numeric_degree_probe)
@@ -211,11 +213,10 @@ def cmd_faces(args) -> Outcome:
 
 def cmd_boundary(args) -> Outcome:
     pq = _pq_from_rep(args)
-    verdict = faces4d.is_basic_closed_4d(pq.p, pq.q)
     return Outcome({
         "boundary_components": faces4d.boundary_components(pq.p, pq.q),
         "closure_of_gaps_is_unit_interval": faces4d.closure_is_unit_interval(pq),
-        **verdict.to_json(),
+        **faces4d.is_basic_closed_4d(pq.p, pq.q),
     })
 
 
@@ -228,13 +229,15 @@ def cmd_secant_fit(args) -> Outcome:
     mode = CoeffMode.RATIONAL if args.mode == "exact" else CoeffMode.FLOAT
     fit = secantfit.fit_hypersurface(rep, r=args.r, degree=args.degree,
                                      count=args.count, seed=args.seed, mode=mode)
+    # one held-out draw serves every polynomial of the fit
+    held_out = secantfit.sample_secants(rep, args.r, 2000, args.seed + 1)
+    points = np.array([s.point for s in held_out])
     residuals = []
     for p in fit.polynomials:
         scaled = p.to_float()
         top = max(abs(c) for c in scaled.terms.values())
-        scaled = scaled.scale(1.0 / top)
-        residuals.append(secantfit.verify_vanishing(
-            scaled, rep, r=args.r, count=2000, seed=args.seed + 1))
+        values = secantfit.evaluate_on_points(scaled.scale(1.0 / top), points)
+        residuals.append(float(np.max(np.abs(values))))
     payload = {"fit": fit.report,
                "held_out_residuals": residuals,
                "polynomials": [p.dumps().splitlines() for p in fit.polynomials]}
@@ -268,8 +271,8 @@ def cmd_rationalize(args) -> Outcome:
 
 
 def cmd_bn_top_face(args) -> Outcome:
-    face = bnorbit.top_face(args.n, args.theta)
-    return Outcome(face.to_json(), {"exclusion": bnorbit.TOP_FACE_EXCLUSION})
+    return Outcome(bnorbit.top_face(args.n, args.theta),
+                   {"exclusion": bnorbit.TOP_FACE_EXCLUSION})
 
 
 def cmd_bn_certify_face(args) -> Outcome:
@@ -286,7 +289,7 @@ def cmd_bn_certify_face(args) -> Outcome:
 
 def cmd_bn_witness(args) -> Outcome:
     report = bnorbit.not_basic_witness(args.n)
-    return Outcome(report.to_json(), passed=report.accepted)
+    return Outcome(report, passed=report["accepted"])
 
 
 def cmd_bn_slice(args) -> Outcome:

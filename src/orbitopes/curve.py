@@ -6,12 +6,13 @@ curve
     theta -> (cos(j1*theta), sin(j1*theta), ..., cos(jr*theta), sin(jr*theta))
 
 whose convex hull is the object of study everywhere else in this package.
-This module provides the trigonometric and the exact rational (tan-half-angle)
-parametrizations of the curve, both built on one table of integer
-angle-multiplication coefficients (those of ``(1+it)^(2j)``), the float
-affine-independence test for tuples of points, the projective degree and
-smoothness data, and an independent numeric probe that re-derives the degree
-by intersecting the rational parametrization with a random affine hyperplane.
+This module provides the package's one float evaluator of the curve,
+:func:`orbit_points`, and the exact rational (tan-half-angle)
+parametrization, built on one table of integer angle-multiplication
+coefficients (those of ``(1+it)^(2j)``); the float affine-independence test
+for tuples of points, the projective degree and smoothness data, and an
+independent numeric probe that re-derives the degree by intersecting the
+rational parametrization with a random affine hyperplane.
 """
 
 from __future__ import annotations
@@ -100,22 +101,16 @@ class CurveInfo:
     singular_points: tuple[tuple[complex, ...], tuple[complex, ...]] | None
 
 
-def orbit_point(rep: Representation, theta: float) -> np.ndarray:
-    """The curve point at angle ``theta``; lies on the sphere of radius sqrt(r)."""
-    out = np.empty(rep.ambient_dim)
-    for i, j in enumerate(rep.indices):
-        out[2 * i] = math.cos(j * theta)
-        out[2 * i + 1] = math.sin(j * theta)
-    return out
+def orbit_points(rep: Representation, thetas) -> np.ndarray:
+    """Curve points, one row per angle; a single angle gives one point.
 
-
-def orbit_points(rep: Representation, thetas: np.ndarray) -> np.ndarray:
-    """Matrix of curve points, one row per angle."""
-    thetas = np.asarray(thetas, dtype=float)
-    out = np.empty((thetas.size, rep.ambient_dim))
-    for i, j in enumerate(rep.indices):
-        out[:, 2 * i] = np.cos(j * thetas)
-        out[:, 2 * i + 1] = np.sin(j * thetas)
+    The point at theta lies on the sphere of radius sqrt(r).  Column 2i
+    holds cos(j_i theta) and column 2i+1 sin(j_i theta).
+    """
+    angles = np.multiply.outer(np.asarray(thetas, dtype=float), rep.indices)
+    out = np.empty(angles.shape[:-1] + (rep.ambient_dim,))
+    out[..., 0::2] = np.cos(angles)
+    out[..., 1::2] = np.sin(angles)
     return out
 
 

@@ -19,7 +19,7 @@ from math import gcd, tau
 
 import numpy as np
 
-from .curve import Representation, orbit_point
+from .curve import Representation, orbit_points
 
 FLOAT_ENDPOINT_TOL = 1e-12
 
@@ -126,7 +126,7 @@ def is_edge(pq: PQData, s, t) -> bool:
 
 def z_point(pq: PQData, t) -> np.ndarray:
     """Curve point at fractional turn t."""
-    return orbit_point(pq.rep, tau * float(t))
+    return orbit_points(pq.rep, tau * float(t))
 
 
 def polygon_vertices(pq: PQData, which: int, t) -> list:
@@ -190,42 +190,31 @@ def closure_is_unit_interval(pq: PQData) -> bool:
     return a1 == 0 and b2 == 1 and a2 <= b1
 
 
-@dataclass(frozen=True)
-class BasicClosedVerdict:
-    basic_closed: bool
-    witness_edge: tuple[Fraction, Fraction] | None
-    explanation: str
-
-    def to_json(self) -> dict:
-        witness = None
-        if self.witness_edge is not None:
-            witness = [_param_json(t) for t in self.witness_edge]
-        return {"basic_closed": self.basic_closed, "witness_segment": witness,
-                "explanation": self.explanation}
-
-
 def _in_closure(pq: PQData, g: Fraction) -> bool:
     return any(a <= g <= b for a, b in pq.intervals)
 
 
-def is_basic_closed_4d(p: int, q: int) -> BasicClosedVerdict:
+def is_basic_closed_4d(p: int, q: int) -> dict:
     """Basic-closedness of C_pq, with a witness segment when it fails.
 
     Only the pair (1, 2) is basic closed.  Otherwise the witness is a
     secant segment z(0)z(g) whose gap avoids the closed gap intervals, the
     antipodal digons, and all polygon vertex spacings, so by completeness
-    of the face list it passes through the interior.
+    of the face list it passes through the interior.  The report holds
+    ``basic_closed``, the ``witness_segment`` parameters (``None`` when
+    basic closed) and an ``explanation``.
     """
     pq = pq_data(p, q)
     if (p, q) == (1, 2):
-        return BasicClosedVerdict(True, None,
-                                  "gap intervals exhaust (0,1); every curve "
-                                  "secant is a face")
+        return {"basic_closed": True, "witness_segment": None,
+                "explanation": "gap intervals exhaust (0,1); every curve "
+                               "secant is a face"}
     witness = _witness_gap(pq)
-    return BasicClosedVerdict(
-        False, (Fraction(0), witness),
-        f"segment with gap {witness} spans no face, so its midpoint is an "
-        f"interior point of the body lying on the secant surface")
+    return {"basic_closed": False,
+            "witness_segment": [_param_json(Fraction(0)), _param_json(witness)],
+            "explanation": f"segment with gap {witness} spans no face, so its "
+                           f"midpoint is an interior point of the body lying "
+                           f"on the secant surface"}
 
 
 def _witness_gap(pq: PQData) -> Fraction:

@@ -223,7 +223,6 @@ class WeightBlock:
     pairs with a != b (the others are real).
     """
 
-    weight: int
     pairs: tuple[tuple[Exponent, Exponent], ...]
 
     @property
@@ -252,7 +251,7 @@ def weight_blocks(rep: Representation, max_degree: int) -> list[WeightBlock]:
         w = sum(j * (x - y) for j, x, y in zip(rep.indices, a, b))
         if w > 0 or (w == 0 and a >= b):
             by_weight.setdefault(w, []).append((a, b))
-    return [WeightBlock(w, tuple(by_weight[w])) for w in sorted(by_weight)]
+    return [WeightBlock(tuple(by_weight[w])) for w in sorted(by_weight)]
 
 
 def _block_matrix(u_pow: np.ndarray, conj_pow: np.ndarray,

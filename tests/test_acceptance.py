@@ -14,10 +14,10 @@ import numpy as np
 
 from orbitopes.bnorbit import (affinely_independent, certify_face,
                                interior_certificate, not_basic_witness,
-                               slice_cubic, slice_line_cubed, sm_map,
-                               sm_points, top_face)
+                               slice_cubic, slice_line_cubed, sm_points,
+                               top_face)
 from orbitopes.curve import (DegenerateHyperplaneError, Representation,
-                             curve_info, numeric_degree_probe, orbit_point)
+                             curve_info, numeric_degree_probe, orbit_points)
 from orbitopes.faces4d import (boundary_components, closure_is_unit_interval,
                                is_basic_closed_4d, is_edge, pq_data)
 from orbitopes.poly import CoeffMode, SparsePoly
@@ -102,7 +102,8 @@ def test_criterion_05_universal_secant_determinant():
     for _ in range(1000):
         t = rng.uniform(0, tau, size=2)
         lam = rng.uniform()
-        point = lam * orbit_point(rep, t[0]) + (1 - lam) * orbit_point(rep, t[1])
+        a, b = orbit_points(rep, t)
+        point = lam * a + (1 - lam) * b
         worst = max(worst, abs(det_float.evaluate(point)))
     assert worst <= 1e-10
 
@@ -159,7 +160,7 @@ def test_criterion_07_four_dimensional_face_suite():
             if gcd(p, q) != 1:
                 continue
             assert closure_is_unit_interval(pq_data(p, q)) == ((p, q) == (1, 2))
-            assert is_basic_closed_4d(p, q).basic_closed == ((p, q) == (1, 2))
+            assert is_basic_closed_4d(p, q)["basic_closed"] == ((p, q) == (1, 2))
 
     assert boundary_components(1, 2) == ["S1(X)"]
     assert boundary_components(1, 3) == ["S1(X)", "y^2+z^2-1"]
@@ -175,7 +176,7 @@ def test_criterion_08_toeplitz_rank_face_suite():
     rng = np.random.default_rng(808)
     for n in range(1, 7):
         rep = Representation(tuple(range(1, n + 1)))
-        point = orbit_point(rep, float(rng.uniform(0, tau)))
+        point = orbit_points(rep, float(rng.uniform(0, tau)))
         assert is_member(point) is Verdict.BOUNDARY
         assert numerical_rank(eigenvalues(point)) == 1
         assert membership_report(point)["face_dimension"] == 0
@@ -186,7 +187,7 @@ def test_criterion_08_toeplitz_rank_face_suite():
         rep = Representation(tuple(range(1, n + 1)))
         thetas = rng.uniform(0, tau, size=m)
         weights = rng.dirichlet(np.ones(m))
-        combo = weights @ np.array([orbit_point(rep, t) for t in thetas])
+        combo = weights @ orbit_points(rep, thetas)
         assert is_member(combo) is not Verdict.OUTSIDE
         assert numerical_rank(eigenvalues(combo)) <= m
 
@@ -214,10 +215,10 @@ def test_criterion_09_odd_frequency_face_suite():
         normal = np.zeros(n + 1)
         normal[n - 1] = math.cos(n * theta)
         normal[n] = math.sin(n * theta)
-        assert abs(normal @ sm_map(n, phi) - math.cos(n * (phi - theta))) < 1e-12
+        assert abs(normal @ sm_points(n, phi) - math.cos(n * (phi - theta))) < 1e-12
     for n in (3, 5, 7):
         face = top_face(n, 0.37)
-        assert face.certificate.margin > 0
+        assert face["certificate"]["margin"] > 0
 
     pq = pq_data(1, 3)
     rng = random.Random(902)
@@ -238,15 +239,15 @@ def test_criterion_10_not_basic_closed_witnesses():
     start = time.time()
     for n in (3, 5):
         witness = not_basic_witness(n)
-        assert witness.accepted
-        assert witness.chord_midpoint_exact_zero
-        cert = witness.interior
-        assert cert.exact_zero_sum and cert.affinely_independent
-        assert cert.weights == (Fraction(1, n + 2),) * (n + 2)
-        assert interior_certificate(n).barycenter_residual <= 1e-12
+        assert witness["accepted"]
+        assert witness["chord_midpoint_exact_zero"]
+        cert = witness["interior"]
+        assert cert["exact_zero_sum"] and cert["affinely_independent"]
+        assert [Fraction(w) for w in cert["weights"]] == [Fraction(1, n + 2)] * (n + 2)
+        assert interior_certificate(n)["barycenter_residual"] <= 1e-12
     w3 = not_basic_witness(3)
-    assert w3.slice_value_at_origin == 0
-    assert w3.slice_gradient_at_origin == (Fraction(-3), Fraction(1))
+    assert Fraction(w3["slice_value_at_origin"]) == 0
+    assert [Fraction(g) for g in w3["slice_gradient_at_origin"]] == [-3, 1]
     elapsed = time.time() - start
     assert elapsed < 5.0
     report(10, f"origin certified interior (roots-of-unity barycenter, exact) "

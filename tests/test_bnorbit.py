@@ -10,9 +10,9 @@ from orbitopes import bnorbit
 from orbitopes.bnorbit import (_slack_margin, affinely_independent,
                                certify_exposed_face, certify_face,
                                interior_certificate, not_basic_witness,
-                               slice_b4, slice_cubic, sm_map, sm_points,
-                               sm_rep, top_face)
-from orbitopes.curve import Representation
+                               slice_b4, slice_cubic, sm_points, sm_rep,
+                               top_face)
+from orbitopes.curve import Representation, orbit_points
 from orbitopes.faces4d import FaceKind
 from orbitopes.lp import gauge
 
@@ -33,15 +33,15 @@ def off_arcs(thetas, active, exclusion):
     return keep
 
 
-def test_sm_map_examples():
-    assert np.allclose(sm_map(3, 0.0), [1, 0, 1, 0])
-    assert np.allclose(sm_map(3, math.pi), [-1, 0, -1, 0], atol=1e-12)
-    assert np.allclose(sm_map(5, math.pi / 2), [0, 1, 0, -1, 0, 1], atol=1e-12)
+def test_sm_points_examples():
+    assert np.allclose(sm_points(3, 0.0), [1, 0, 1, 0])
+    assert np.allclose(sm_points(3, math.pi), [-1, 0, -1, 0], atol=1e-12)
+    assert np.allclose(sm_points(5, math.pi / 2), [0, 1, 0, -1, 0, 1], atol=1e-12)
 
 
-def test_sm_map_rejects_even_n():
+def test_sm_points_rejects_even_n():
     with pytest.raises(ValueError):
-        sm_map(4, 0.0)
+        sm_points(4, 0.0)
     with pytest.raises(ValueError):
         sm_rep(1)
 
@@ -51,15 +51,15 @@ def test_central_symmetry():
     for n in (3, 5, 7):
         for _ in range(100):
             theta = rng.uniform(0, tau)
-            assert np.allclose(sm_map(n, theta + math.pi), -sm_map(n, theta),
+            assert np.allclose(sm_points(n, theta + math.pi), -sm_points(n, theta),
                                atol=1e-12)
 
 
 def test_affine_independence_examples():
-    pts = [sm_map(3, t) for t in (0.2, 1.1, 2.7, 4.0)]
+    pts = [sm_points(3, t) for t in (0.2, 1.1, 2.7, 4.0)]
     assert affinely_independent(pts)
     assert not affinely_independent([pts[0], pts[0], pts[1]])
-    assert not affinely_independent([sm_map(3, 0.5 * k) for k in range(6)])
+    assert not affinely_independent([sm_points(3, 0.5 * k) for k in range(6)])
     with pytest.raises(ValueError):
         affinely_independent([])
 
@@ -76,13 +76,13 @@ def test_affine_independence_random_draws():
 
 def test_top_face_explicit_normals():
     face = top_face(3, 0.0)
-    assert face.descriptor.kind is FaceKind.SIMPLEX
-    assert face.descriptor.dimension == 2
-    assert np.allclose(face.certificate.normal, [0, 0, 1, 0])
-    assert face.certificate.margin > 0
+    assert face["face"]["kind"] == FaceKind.SIMPLEX.value
+    assert face["face"]["dimension"] == 2
+    assert np.allclose(face["certificate"]["normal"], [0, 0, 1, 0])
+    assert face["certificate"]["margin"] > 0
 
     face = top_face(3, math.pi / 6)
-    assert np.allclose(face.certificate.normal, [0, 0, 0, 1], atol=1e-12)
+    assert np.allclose(face["certificate"]["normal"], [0, 0, 0, 1], atol=1e-12)
 
 
 def test_top_face_functional_identity():
@@ -94,7 +94,7 @@ def test_top_face_functional_identity():
         normal = np.zeros(n + 1)
         normal[n - 1] = math.cos(n * theta)
         normal[n] = math.sin(n * theta)
-        assert abs(normal @ sm_map(n, phi) - math.cos(n * (phi - theta))) < 1e-12
+        assert abs(normal @ sm_points(n, phi) - math.cos(n * (phi - theta))) < 1e-12
 
 
 def test_top_face_margin_lower_bound():
@@ -102,7 +102,33 @@ def test_top_face_margin_lower_bound():
     # d >= 1e-3 from the vertices is at least (1 - cos(3e-3)) / 2
     assert bnorbit.TOP_FACE_EXCLUSION == 1e-3
     face = top_face(3, 0.3)
-    assert face.certificate.margin >= (1 - math.cos(3e-3)) / 2
+    assert face["certificate"]["margin"] >= (1 - math.cos(3e-3)) / 2
+
+
+@pytest.mark.parametrize("indices,angles", [
+    ((1, 3), [0.7]), ((1, 3), [0.2, 2.9]), ((2, 5), [0.1, 1.3]),
+    ((1, 3, 5, 7), [0.4, 2.0, 4.4]), ((3, 64), [5.9, 1.0])])
+def test_tangent_rows_are_points_and_velocities(monkeypatch, indices, angles):
+    # _tangent_normal solves rows @ w = rhs with, for each angle in order,
+    # the curve point (rhs 1) and the curve's velocity (rhs 0)
+    seen = []
+    lstsq = np.linalg.lstsq
+
+    def spy(rows, rhs, rcond):
+        seen.append((rows, rhs))
+        return lstsq(rows, rhs, rcond=rcond)
+
+    monkeypatch.setattr(bnorbit.np.linalg, "lstsq", spy)
+    rep = Representation(indices)
+    bnorbit._tangent_normal(rep, angles)
+    monkeypatch.undo()
+    (rows, rhs), = seen
+    assert np.array_equal(rhs, [1.0, 0.0] * len(angles))
+    assert np.array_equal(rows[0::2], orbit_points(rep, angles))
+    h = 1e-6
+    central = (orbit_points(rep, np.add(angles, h))
+               - orbit_points(rep, np.subtract(angles, h))) / (2 * h)
+    assert np.allclose(rows[1::2], central, rtol=0, atol=1e-6)
 
 
 def test_certify_face_examples():
@@ -110,7 +136,7 @@ def test_certify_face_examples():
     assert certify_face(3, [0.0, math.pi]) is None
     cert = certify_face(3, [0.7])
     assert cert is not None
-    assert np.allclose(cert.normal, sm_map(3, 0.7) / 2, atol=1e-7)
+    assert np.allclose(cert.normal, sm_points(3, 0.7) / 2, atol=1e-7)
 
 
 def test_certify_face_validation():
@@ -187,9 +213,9 @@ def test_slack_margin_matches_dense_grid(indices):
         active = [thetas[np.argmin(slack)], rng.uniform(0.0, tau)]
         cases.append((normal, active, 0.05, slack))
     if indices == (1, 3, 5, 7):
-        cert = top_face(7, 0.3).certificate  # only the frequency-7 block is nonzero
-        cases.append((np.array(cert.normal), cert.active_params, 0.01,
-                      dense_slack(rep, cert.normal, thetas)))
+        cert = top_face(7, 0.3)["certificate"]  # only the frequency-7 block is nonzero
+        cases.append((np.array(cert["normal"]), cert["active_params"], 0.01,
+                      dense_slack(rep, cert["normal"], thetas)))
     for normal, active, exclusion, slack in cases:
         least, margin = _slack_margin(rep, normal, active, exclusion)
         ends = np.concatenate([np.subtract(active, exclusion),
@@ -202,55 +228,56 @@ def test_slack_margin_matches_dense_grid(indices):
 
 def test_interior_certificate_n3():
     cert = interior_certificate(3)
-    assert cert.weights == (Fraction(1, 5),) * 5
-    assert cert.turns == tuple(Fraction(k, 5) for k in range(5))
-    assert cert.exact_zero_sum
-    assert cert.affinely_independent
-    assert cert.barycenter_residual <= 1e-12
-    assert all(w > 0 for w in cert.weights)
-    assert sum(cert.weights) == 1
+    weights = [Fraction(w) for w in cert["weights"]]
+    assert weights == [Fraction(1, 5)] * 5
+    assert cert["vertex_turns"] == ["0/1", "1/5", "2/5", "3/5", "4/5"]
+    assert cert["exact_zero_sum"]
+    assert cert["affinely_independent"]
+    assert cert["barycenter_residual"] <= 1e-12
+    assert all(w > 0 for w in weights)
+    assert sum(weights) == 1
 
 
 def test_interior_certificate_n5_and_n7():
     for n in (5, 7):
         cert = interior_certificate(n)
-        assert cert.weights == (Fraction(1, n + 2),) * (n + 2)
-        assert cert.exact_zero_sum and cert.affinely_independent
-        assert cert.barycenter_residual <= 1e-12
+        assert cert["weights"] == [f"1/{n + 2}"] * (n + 2)
+        assert cert["exact_zero_sum"] and cert["affinely_independent"]
+        assert cert["barycenter_residual"] <= 1e-12
 
 
 def test_interior_certificate_zero_sum_up_to_the_n_budget():
     for n in range(3, 202, 2):
-        assert interior_certificate(n).exact_zero_sum
+        assert interior_certificate(n)["exact_zero_sum"]
 
 
 def test_interior_certificate_rejects_other_targets():
     # the origin is the only target; there is no parameter to ask for another
-    assert interior_certificate(3).target == (0.0,) * 4
+    assert interior_certificate(3)["target"] == [0.0] * 4
     with pytest.raises(TypeError):
         interior_certificate(3, target=[0.1, 0, 0, 0])
 
 
 def test_witness_n3():
     report = not_basic_witness(3)
-    assert report.accepted
-    assert report.secant_order == 1
-    assert report.chord_midpoint_exact_zero
-    assert report.slice_value_at_origin == 0
-    assert report.slice_gradient_at_origin == (Fraction(-3), Fraction(1))
+    assert report["accepted"]
+    assert report["secant_order"] == 1
+    assert report["chord_midpoint_exact_zero"]
+    assert report["slice_value_at_origin"] == "0"
+    assert report["slice_gradient_at_origin"] == ["-3", "1"]
 
 
 def test_witness_n5():
     report = not_basic_witness(5)
-    assert report.accepted and report.secant_order == 2
-    assert report.slice_value_at_origin is None
+    assert report["accepted"] and report["secant_order"] == 2
+    assert report["slice_value_at_origin"] is None
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_witness_report_fields(n):
     # the chord endpoints come from rational_point(rep, 0) and
     # antipodal_point(rep)
-    report = not_basic_witness(n).to_json()
+    report = not_basic_witness(n)
     interior = report.pop("interior")
     assert interior.pop("barycenter_residual") <= 1e-12
     m = n + 2
@@ -332,7 +359,7 @@ def test_slice_tags_match_cold_gauges_and_face_certificates():
         assert certify_exposed_face(rep, [t, math.pi - t]) is None, x
     # the segment z = 1 is the projection of the triangle at pi/6
     vertices = {(round(math.sin(t), 12), round(math.sin(3 * t), 12))
-                for t in top_face(3, math.pi / 6).descriptor.parameters}
+                for t in top_face(3, math.pi / 6)["face"]["parameters"]}
     assert vertices == {(0.5, 1.0), (-1.0, 1.0)}
     segment = [x for x, _, tag in report.series[0].points if tag == "black"]
     assert report.series[0].name == "segment z=1"

@@ -7,6 +7,7 @@ import pytest
 
 from orbitopes import exactla, secantfit
 from orbitopes.cli import main
+from orbitopes.curve import Representation
 
 
 def run_cli(capsys, *argv):
@@ -226,6 +227,33 @@ def test_float_secant_fit_is_byte_identical_across_runs(tmp_path, monkeypatch,
                            for f in sorted(Path("fit").iterdir())}))
     assert runs[0] == runs[1]
     assert list(runs[0][1]) == ["nullspace_0.poly", "report.json"]
+
+
+def test_secant_fit_draws_its_held_out_samples_once(monkeypatch, capsys):
+    calls = []
+    sample_secants = secantfit.sample_secants
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sample_secants(*args, **kwargs)
+
+    monkeypatch.setattr(secantfit, "sample_secants", counting)
+    code, out = run_cli(capsys, "secant-fit", "--rep", "1,2", "--r", "1",
+                        "--degree", "2", "--seed", "5")
+    monkeypatch.undo()
+    assert code == 0
+    report = json.loads(out)
+    # the fit's own samples, then one held-out draw for all its polynomials
+    assert report["fit"]["nullity"] > 1 and len(calls) == 2
+    rep = Representation((1, 2))
+    fit = secantfit.fit_hypersurface(rep, r=1, degree=2, seed=5)
+    expected = []
+    for p in fit.polynomials:
+        scaled = p.to_float()
+        scaled = scaled.scale(1.0 / max(abs(c) for c in scaled.terms.values()))
+        expected.append(secantfit.verify_vanishing(scaled, rep, r=1,
+                                                   count=2000, seed=6))
+    assert report["held_out_residuals"] == expected
 
 
 # sha256 of the slice_series.csv that `bn slice` writes: every sample's

@@ -7,7 +7,7 @@ import pytest
 
 from orbitopes.curve import (DegenerateHyperplaneError, Representation,
                              antipodal_point, curve_info, numeric_degree_probe,
-                             orbit_point, rational_point)
+                             orbit_points, rational_point)
 
 
 def test_representation_validation():
@@ -43,9 +43,26 @@ def test_reduce_is_idempotent():
 
 def test_orbit_point_examples():
     rep = Representation((1, 3))
-    assert np.allclose(orbit_point(rep, 0.0), [1, 0, 1, 0])
-    assert np.allclose(orbit_point(rep, math.pi), [-1, 0, -1, 0], atol=1e-12)
-    assert np.allclose(orbit_point(rep, math.pi / 2), [0, 1, 0, -1], atol=1e-12)
+    assert np.allclose(orbit_points(rep, 0.0), [1, 0, 1, 0])
+    assert np.allclose(orbit_points(rep, math.pi), [-1, 0, -1, 0], atol=1e-12)
+    assert np.allclose(orbit_points(rep, math.pi / 2), [0, 1, 0, -1], atol=1e-12)
+
+
+@pytest.mark.parametrize("indices", [(1,), (1, 3), (1, 4), (2, 5), (1, 2, 3),
+                                     (1, 3, 5, 7), (5, 64)])
+def test_orbit_points_match_the_scalar_definition(indices):
+    # column 2i is cos(j_i t), column 2i+1 sin(j_i t), bit for bit
+    rep = Representation(indices)
+    thetas = np.random.default_rng(sum(indices)).uniform(-20.0, 20.0, 37)
+    expected = [[f(j * t) for j in indices for f in (math.cos, math.sin)]
+                for t in thetas]
+    assert np.array_equal(orbit_points(rep, thetas), expected)
+    for t, row in zip(thetas[:3], expected):
+        # a 0-d angle gives one point
+        point = orbit_points(rep, t)
+        assert point.shape == (rep.ambient_dim,)
+        assert np.array_equal(point, row)
+    assert orbit_points(rep, []).shape == (0, rep.ambient_dim)
 
 
 def test_rational_point_examples():
@@ -63,7 +80,7 @@ def test_rational_point_matches_orbit_point():
         for _ in range(50):
             t = Fraction(rng.randint(-40, 40), rng.randint(1, 17))
             exact = rational_point(rep, t)
-            approx = orbit_point(rep, 2 * math.atan(t))
+            approx = orbit_points(rep, 2 * math.atan(t))
             assert np.allclose([float(v) for v in exact], approx, atol=1e-12)
 
 
@@ -142,8 +159,8 @@ def test_reduce_preserves_orbit_point_set():
     rng = random.Random(12)
     for _ in range(100):
         theta = rng.uniform(0, 2 * math.pi)
-        assert np.allclose(orbit_point(rep, theta),
-                           orbit_point(reduced, d * theta), atol=1e-12)
+        assert np.allclose(orbit_points(rep, theta),
+                           orbit_points(reduced, d * theta), atol=1e-12)
         phi = rng.uniform(0, 2 * math.pi)
-        assert np.allclose(orbit_point(reduced, phi),
-                           orbit_point(rep, phi / d), atol=1e-12)
+        assert np.allclose(orbit_points(reduced, phi),
+                           orbit_points(rep, phi / d), atol=1e-12)

@@ -143,11 +143,12 @@ def test_boundary_components_cases():
 
 
 def test_basic_closed_verdicts():
-    assert is_basic_closed_4d(1, 2).basic_closed
+    assert is_basic_closed_4d(1, 2)["basic_closed"]
+    assert is_basic_closed_4d(1, 2)["witness_segment"] is None
     v13 = is_basic_closed_4d(1, 3)
-    assert not v13.basic_closed
-    assert v13.witness_edge == (Fraction(0), Fraction(1, 2))
-    assert not is_basic_closed_4d(2, 5).basic_closed
+    assert not v13["basic_closed"]
+    assert v13["witness_segment"] == ["0/1", "1/2"]
+    assert not is_basic_closed_4d(2, 5)["basic_closed"]
 
 
 def test_witness_gap_avoids_faces():
@@ -155,7 +156,7 @@ def test_witness_gap_avoids_faces():
         if (p, q) == (1, 2):
             continue
         verdict = is_basic_closed_4d(p, q)
-        s, t = verdict.witness_edge
+        s, t = (Fraction(v) for v in verdict["witness_segment"])
         g = t - s
         d = pq_data(p, q)
         assert not any(a <= g <= b for a, b in d.intervals)

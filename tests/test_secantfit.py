@@ -98,11 +98,16 @@ def test_weight_blocks_partition_the_monomial_basis(indices, degree):
     pairs = [pair for b in blocks for pair in b.pairs]
     assert len(set(pairs)) == len(pairs)
     assert not {(b, a) for a, b in pairs if a != b} & set(pairs)
+    weights = []
     for block in blocks:
-        assert block.weight >= 0
+        # every pair of a block has the block's weight
+        (weight,) = {sum(j * (x - y) for j, x, y in zip(indices, a, b))
+                     for a, b in block.pairs}
+        assert weight >= 0
+        weights.append(weight)
         for a, b in block.pairs:
-            assert sum(j * (x - y) for j, x, y in zip(indices, a, b)) == block.weight
             assert sum(a) + sum(b) <= degree
+    assert weights == sorted(set(weights))  # one block per weight
 
 
 def test_weight_block_expansion_matches_complex_monomials():

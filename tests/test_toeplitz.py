@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitopes.curve import Representation, orbit_point, orbit_points
+from orbitopes.curve import Representation, orbit_points
 from orbitopes.lp import gauge
 from orbitopes.toeplitz import (Verdict, det_polynomial, eigenvalues, embed,
                                 is_member, membership_report, numerical_rank)
@@ -30,7 +30,7 @@ def test_embed_base_point_is_all_ones():
 @pytest.mark.parametrize("n", [1, 4, 64])
 def test_embed_orbit_point_is_rank_one_outer_product(n):
     theta = 0.9
-    m = embed(orbit_point(universal(n), theta))
+    m = embed(orbit_points(universal(n), theta))
     v = np.exp(-1j * theta * np.arange(n + 1))
     assert np.allclose(m, np.outer(v, v.conj()), atol=1e-12)
 
@@ -43,15 +43,15 @@ def test_embed_rejects_odd_length():
 def test_membership_examples():
     n = 3
     assert is_member([0.0] * (2 * n)) is Verdict.INTERIOR
-    assert is_member(orbit_point(universal(n), 1.1)) is Verdict.BOUNDARY
+    assert is_member(orbit_points(universal(n), 1.1)) is Verdict.BOUNDARY
     assert is_member([2, 0, 0, 0, 0, 0]) is Verdict.OUTSIDE
 
 
 def test_face_dimension_examples():
     n = 3
     rep = universal(n)
-    assert membership_report(orbit_point(rep, 0.4))["face_dimension"] == 0
-    mid = 0.5 * (orbit_point(rep, 0.2) + orbit_point(rep, 2.5))
+    assert membership_report(orbit_points(rep, 0.4))["face_dimension"] == 0
+    mid = 0.5 * (orbit_points(rep, 0.2) + orbit_points(rep, 2.5))
     assert membership_report(mid)["face_dimension"] == 1
     assert membership_report([0.0] * (2 * n))["face_dimension"] is None
     outside = membership_report([2, 0, 0, 0, 0, 0])
@@ -63,12 +63,12 @@ def test_secant_membership_examples():
     # is at most k + 1
     n = 4
     rep = universal(n)
-    p = orbit_point(rep, 0.3)
+    p = orbit_points(rep, 0.3)
     assert numerical_rank(eigenvalues(p)) <= 2  # k = 1
     rng = np.random.default_rng(0)
     thetas = rng.uniform(0, 2 * math.pi, size=3)
     weights = rng.dirichlet(np.ones(3))
-    combo = weights @ np.array([orbit_point(rep, t) for t in thetas])
+    combo = weights @ orbit_points(rep, thetas)
     assert numerical_rank(eigenvalues(combo)) <= 3  # k = 2
     assert numerical_rank(eigenvalues([0.0] * (2 * n))) > n  # not on k = n - 1
 
@@ -81,7 +81,7 @@ def test_random_convex_combinations_rank_bound():
         rep = universal(n)
         thetas = rng.uniform(0, 2 * math.pi, size=m)
         weights = rng.dirichlet(np.ones(m))
-        combo = weights @ np.array([orbit_point(rep, t) for t in thetas])
+        combo = weights @ orbit_points(rep, thetas)
         assert is_member(combo) is not Verdict.OUTSIDE
         assert numerical_rank(eigenvalues(combo)) <= m
 
@@ -94,13 +94,13 @@ def test_generic_combinations_achieve_rank():
         rep = universal(n)
         thetas = rng.uniform(0, 2 * math.pi, size=m)
         weights = rng.dirichlet(np.ones(m))
-        combo = weights @ np.array([orbit_point(rep, t) for t in thetas])
+        combo = weights @ orbit_points(rep, thetas)
         assert numerical_rank(eigenvalues(combo)) == m
 
 
 def test_membership_report_shape():
     rep = universal(3)
-    report = membership_report(orbit_point(rep, 0.8))
+    report = membership_report(orbit_points(rep, 0.8))
     assert report["verdict"] == "boundary"
     assert report["rank"] == 1
     assert report["face_dimension"] == 0
@@ -136,7 +136,8 @@ def test_det_vanishes_on_secants_of_rational_normal_quartic():
     for _ in range(1000):
         t = rng.uniform(0, 2 * math.pi, size=2)
         lam = rng.uniform()
-        combo = lam * orbit_point(rep, t[0]) + (1 - lam) * orbit_point(rep, t[1])
+        a, b = orbit_points(rep, t)
+        combo = lam * a + (1 - lam) * b
         worst = max(worst, abs(det.evaluate(combo)))
     assert worst <= 1e-10
 
@@ -147,7 +148,7 @@ def test_psd_verdict_stable_under_tolerance_scaling():
     rep = universal(3)
     for _ in range(50):
         theta = rng.uniform(0, 2 * math.pi)
-        interior = 0.5 * orbit_point(rep, theta)  # strictly inside
+        interior = 0.5 * orbit_points(rep, theta)  # strictly inside
         eigs = eigenvalues(interior)
         assert min(abs(eigs)) > 10 * 1e-9
         for tol in (1e-10, 1e-9, 1e-8):
