@@ -132,9 +132,11 @@ def top_face(n: int, theta: float) -> dict:
     return {"face": descriptor.to_json(), "certificate": cert.to_json()}
 
 
-def _tangent_normal(rep: Representation, angles: Sequence[float]) -> np.ndarray:
+def _tangent_normal(rep: Representation, angles: Sequence[float]
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Hyperplane through the curve points at ``angles``, tangent to the
-    curve at each of them (minimum-norm solution when underdetermined).
+    curve at each of them (minimum-norm solution when underdetermined);
+    returns its normal and the points, one row per angle.
 
     For an exposed face this interpolation-plus-tangency system is satisfied
     by the true supporting hyperplane; for a single point it reproduces the
@@ -147,7 +149,7 @@ def _tangent_normal(rep: Representation, angles: Sequence[float]) -> np.ndarray:
     velocity = points[..., ::-1] * [(-j, j) for j in rep.indices]
     rows = np.concatenate((points, velocity), axis=1).reshape(2 * m, -1)
     w, *_ = np.linalg.lstsq(rows, [1.0, 0.0] * m, rcond=None)
-    return w
+    return w, points.reshape(m, -1)
 
 
 def certify_exposed_face(rep: Representation, angles: Sequence[float],
@@ -167,10 +169,10 @@ def certify_exposed_face(rep: Representation, angles: Sequence[float],
     if len({round(a, 12) for a in angles}) != len(angles):
         raise ValueError(f"duplicate parameters in {angles}")
     exclusion = 4 * tau / grid
-    w = _tangent_normal(rep, angles)
+    w, points = _tangent_normal(rep, angles)
     # before any verdict, so arcs covering the circle are always a ValueError
     least, margin = _slack_margin(rep, w, angles, exclusion)
-    level = orbit_points(rep, np.array(angles)) @ w
+    level = points @ w
     if (float(np.max(np.abs(level - 1.0))) > INTERPOLATION_TOL
             or least < -SLACK_TOL or margin <= MARGIN_FLOOR):
         return None

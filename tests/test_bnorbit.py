@@ -120,11 +120,12 @@ def test_tangent_rows_are_points_and_velocities(monkeypatch, indices, angles):
 
     monkeypatch.setattr(bnorbit.np.linalg, "lstsq", spy)
     rep = Representation(indices)
-    bnorbit._tangent_normal(rep, angles)
+    _, points = bnorbit._tangent_normal(rep, angles)
     monkeypatch.undo()
     (rows, rhs), = seen
     assert np.array_equal(rhs, [1.0, 0.0] * len(angles))
     assert np.array_equal(rows[0::2], orbit_points(rep, angles))
+    assert np.array_equal(points, rows[0::2])
     h = 1e-6
     central = (orbit_points(rep, np.add(angles, h))
                - orbit_points(rep, np.subtract(angles, h))) / (2 * h)
@@ -194,7 +195,8 @@ def test_hyperplane_crossed_inside_an_arc_is_refused(monkeypatch):
     angles = [5.416335802913373, 5.916667398045628]
     least, margin = _slack_margin(sm_rep(3), crossed, angles, 4 * tau / 2048)
     assert least < -6e-9 and margin > 0
-    monkeypatch.setattr(bnorbit, "_tangent_normal", lambda rep, angles: crossed)
+    monkeypatch.setattr(bnorbit, "_tangent_normal",
+                        lambda rep, angles: (crossed, orbit_points(rep, angles)))
     assert certify_exposed_face(sm_rep(3), angles) is None
 
 
