@@ -28,7 +28,7 @@ import numpy as np
 from . import fixtures
 from .curve import (Representation, affinely_independent, antipodal_point,
                     orbit_points, rational_point)
-from .faces4d import FaceDescriptor, FaceKind
+from .faces4d import FaceDescriptor, FaceKind, _param_json
 from .poly import SparsePoly
 
 
@@ -198,10 +198,6 @@ def certify_face(n: int, params: Sequence[float],
 # -- interior certificate ------------------------------------------------------
 
 
-def _fractions(values) -> list[str]:
-    return [f"{v.numerator}/{v.denominator}" for v in values]
-
-
 def interior_certificate(n: int) -> dict:
     """Certify the origin as an interior point of B_{n+1}.
 
@@ -225,8 +221,8 @@ def interior_certificate(n: int) -> dict:
                            "this indicates a rank-test bug")
     return {
         "n": n,
-        "vertex_turns": _fractions(turns),
-        "weights": _fractions([Fraction(1, m)] * m),
+        "vertex_turns": [_param_json(t) for t in turns],
+        "weights": [_param_json(Fraction(1, m))] * m,
         "target": [0.0] * (n + 1),
         "barycenter_residual": residual,
         "exact_zero_sum": exact,
@@ -271,7 +267,7 @@ def not_basic_witness(n: int) -> dict:
         "n": n,
         "secant_order": (n - 1) // 2,
         "chord_params": [0.0, math.pi],
-        "chord_weights": _fractions([half, half]),
+        "chord_weights": [_param_json(half)] * 2,
         "chord_midpoint_exact_zero": midpoint_zero,
         "interior": interior,
         "slice_value_at_origin": (None if slice_value is None
