@@ -33,6 +33,9 @@ COMMANDS = [
     ["faces", "--rep", "2,5", "--edge", "1/10,1/2"],
     ["faces", "--rep", "1,3", "--polygon", "3,0"],
     ["faces", "--rep", "2,5", "--polygon", "2,1/7"],
+    ["faces", "--rep", "1,3", "--polygon", "1,1/2"],
+    ["faces", "--rep", "3,5", "--polygon", "3,1/7"],
+    ["faces", "--rep", "3,5", "--polygon", "5,1/20"],
     ["faces", "--rep", "1,3", "--vertex", "1/4"],
     ["faces", "--rep", "2,5", "--vertex", "3/7"],
     ["faces", "--rep", "3,4", "--vertex", "0"],
@@ -48,6 +51,7 @@ COMMANDS = [
     ["bn", "witness", "--n", "199"],
     ["bn", "witness", "--n", "201"],
     ["bn", "slice"],
+    ["bn", "slice", "--out", "out"],
     ["verify", "--rep", "1,3", "--r", "2", "--poly", POLY, "--mode", "exact",
      "--count", "200", "--seed", "3", "--tol", "0"],
     ["verify", "--rep", "1,2", "--r", "2", "--poly", POLY, "--mode", "exact",
