@@ -28,7 +28,6 @@ import numpy as np
 from . import fixtures
 from .curve import (Representation, affinely_independent, antipodal_point,
                     orbit_points, rational_point)
-from .faces4d import FaceDescriptor, FaceKind, _param_json
 from .poly import SparsePoly
 
 
@@ -127,9 +126,9 @@ def top_face(n: int, theta: float) -> dict:
     cert = HyperplaneCertificate(
         normal=tuple(normal), level=1.0, active_params=params,
         margin=margin, exclusion=TOP_FACE_EXCLUSION)
-    descriptor = FaceDescriptor(kind=FaceKind.SIMPLEX, parameters=params,
-                                exposed=True, dimension=n - 1)
-    return {"face": descriptor.to_json(), "certificate": cert.to_json()}
+    face = {"kind": "simplex", "parameters": list(params), "exposed": True,
+            "dimension": n - 1, "edges": []}
+    return {"face": face, "certificate": cert.to_json()}
 
 
 def _tangent_normal(rep: Representation, angles: Sequence[float]
@@ -205,7 +204,7 @@ def interior_certificate(n: int) -> dict:
     1/m: since m divides no frequency, every coordinate sums to zero exactly.
     The m points are affinely independent, so the origin is a strictly
     positive barycentric combination of a full-dimensional simplex.  The
-    report lists the vertex turns k/m and the weights as ``"n/d"`` strings.
+    report lists the vertex turns k/m and the weights as Fractions.
     """
     rep = sm_rep(n)
     m = n + 2
@@ -221,8 +220,8 @@ def interior_certificate(n: int) -> dict:
                            "this indicates a rank-test bug")
     return {
         "n": n,
-        "vertex_turns": [_param_json(t) for t in turns],
-        "weights": [_param_json(Fraction(1, m))] * m,
+        "vertex_turns": turns,
+        "weights": [Fraction(1, m)] * m,
         "target": [0.0] * (n + 1),
         "barycenter_residual": residual,
         "exact_zero_sum": exact,
@@ -267,7 +266,7 @@ def not_basic_witness(n: int) -> dict:
         "n": n,
         "secant_order": (n - 1) // 2,
         "chord_params": [0.0, math.pi],
-        "chord_weights": [_param_json(half)] * 2,
+        "chord_weights": [half] * 2,
         "chord_midpoint_exact_zero": midpoint_zero,
         "interior": interior,
         "slice_value_at_origin": (None if slice_value is None
@@ -293,44 +292,6 @@ def slice_line_cubed() -> SparsePoly:
     x = SparsePoly.variable(2, 0)
     z = SparsePoly.variable(2, 1)
     return (x + z) ** 3
-
-
-@dataclass(frozen=True)
-class PlotSeries:
-    name: str
-    points: tuple[tuple[float, float, str], ...]  # (x, z, "black" | "gray")
-
-
-@dataclass(frozen=True)
-class SliceReport:
-    """The planar slice w = y = 0 of B_4: restricted boundary polynomials,
-    exact factorization checks, and tagged plot data for its boundary."""
-
-    restricted_secant: SparsePoly
-    cube_factor: SparsePoly
-    cubic_factor: SparsePoly
-    circle_restriction: SparsePoly
-    secant_factorization_exact: bool
-    circle_factorization_exact: bool
-    series: tuple[PlotSeries, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "restricted_secant": self.restricted_secant.dumps().splitlines(),
-            "cube_factor": self.cube_factor.dumps().splitlines(),
-            "cubic_factor": self.cubic_factor.dumps().splitlines(),
-            "circle_restriction": self.circle_restriction.dumps().splitlines(),
-            "secant_factorization_exact": self.secant_factorization_exact,
-            "circle_factorization_exact": self.circle_factorization_exact,
-            "series": {s.name: len(s.points) for s in self.series},
-        }
-
-    def to_csv(self) -> str:
-        lines = ["series,x,z,tag"]
-        for s in self.series:
-            for x, z, tag in s.points:
-                lines.append(f"{s.name},{x!r},{z!r},{tag}")
-        return "\n".join(lines) + "\n"
 
 
 # slice_b4: spacing of the x samples, and the band around the slice boundary
@@ -359,7 +320,7 @@ def _on_slice_boundary(x: float, z: float) -> bool:
             and min(abs(z - upper), abs(z - lower)) <= SLICE_BOUNDARY_BAND)
 
 
-def slice_b4() -> SliceReport:
+def slice_b4() -> tuple[dict, list[tuple[str, float, float, str]]]:
     """Slice B_4 with the plane w = y = 0 and classify its boundary arcs.
 
     The two boundary hypersurfaces restrict to z^2 - 1 = (z+1)(z-1) and to
@@ -367,34 +328,31 @@ def slice_b4() -> SliceReport:
     multiplication.  Each restricted curve is sampled over x in [-1.2, 1.2]
     and every sample is tagged black (bounds the slice) or gray (extends
     beyond it) against the slice's closed-form boundary
-    (:func:`_on_slice_boundary`).
+    (:func:`_on_slice_boundary`).  Returns the report (the restricted
+    polynomials, the two factorization verdicts and the sample count of
+    each series) and the ``(series, x, z, tag)`` rows of the samples.
     """
     f = fixtures.secant_surface_13()
     restricted = f.restrict({0: 0, 2: 0})
     cube = slice_line_cubed()
     cubic = slice_cubic()
-    secant_ok = restricted == cube * cubic
 
-    x = SparsePoly.variable(2, 0)
     z = SparsePoly.variable(2, 1)
-    circle = z * z - SparsePoly.constant(2, 1)  # y^2+z^2-1 at y := 0
     one = SparsePoly.constant(2, 1)
-    circle_ok = circle == (z + one) * (z - one)
+    circle = z * z - one  # y^2+z^2-1 at y := 0
 
-    def tagged(name: str, samples) -> PlotSeries:
-        return PlotSeries(name, tuple(
-            (float(px), float(pz),
-             "black" if _on_slice_boundary(px, pz) else "gray")
-            for px, pz in samples))
-
-    xs = np.arange(-1.2, 1.2 + SLICE_STEP / 2, SLICE_STEP)
-    series = [
-        tagged("segment z=1", ((px, 1.0) for px in xs)),
-        tagged("segment z=-1", ((px, -1.0) for px in xs)),
-        tagged("line z=-x", ((px, -px) for px in xs)),
-        tagged("cubic z=3x-4x^3", ((px, 3 * px - 4 * px ** 3) for px in xs)),
-    ]
-    return SliceReport(
-        restricted_secant=restricted, cube_factor=cube, cubic_factor=cubic,
-        circle_restriction=circle, secant_factorization_exact=secant_ok,
-        circle_factorization_exact=circle_ok, series=tuple(series))
+    xs = np.arange(-1.2, 1.2 + SLICE_STEP / 2, SLICE_STEP).tolist()
+    curves = {"segment z=1": [1.0] * len(xs),
+              "segment z=-1": [-1.0] * len(xs),
+              "line z=-x": [-px for px in xs],
+              "cubic z=3x-4x^3": [3 * px - 4 * px ** 3 for px in xs]}
+    rows = [(name, px, pz, "black" if _on_slice_boundary(px, pz) else "gray")
+            for name, zs in curves.items() for px, pz in zip(xs, zs)]
+    report = {
+        "restricted_secant": restricted, "cube_factor": cube,
+        "cubic_factor": cubic, "circle_restriction": circle,
+        "secant_factorization_exact": restricted == cube * cubic,
+        "circle_factorization_exact": circle == (z + one) * (z - one),
+        "series": {name: len(xs) for name in curves},
+    }
+    return report, rows

@@ -60,8 +60,12 @@ class Outcome:
 
 
 def _json_default(value):
+    """The one formatter of report values that JSON lacks: a Fraction
+    prints as ``"n/d"`` and a polynomial as the lines of its text format."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, SparsePoly):
+        return value.dumps().splitlines()
     raise TypeError(f"not JSON serializable: {type(value)}")
 
 
@@ -202,8 +206,8 @@ def cmd_faces(args) -> Outcome:
                             "is_edge": faces4d.is_edge(pq, s, t)}
     if args.polygon:
         which_str, t_str = args.polygon.split(",")
-        face = faces4d.polygon_faces(pq, int(which_str), _fraction(t_str))
-        payload["query"] = {"kind": "polygon", **face.to_json()}
+        payload["query"] = faces4d.polygon_faces(pq, int(which_str),
+                                                 _fraction(t_str))
     if args.vertex is not None:
         payload["query"] = {"kind": "vertex",
                             "parameter": args.vertex,
@@ -240,7 +244,7 @@ def cmd_secant_fit(args) -> Outcome:
         residuals.append(float(np.max(np.abs(values))))
     payload = {"fit": fit.report,
                "held_out_residuals": residuals,
-               "polynomials": [p.dumps().splitlines() for p in fit.polynomials]}
+               "polynomials": fit.polynomials}
     files = {f"nullspace_{i}.poly": p.dumps() for i, p in enumerate(fit.polynomials)}
     # an exact kernel whose nullity bound is not met proves nothing
     return Outcome(payload, _fit_tolerances(),
@@ -266,7 +270,7 @@ def cmd_rationalize(args) -> Outcome:
     result, dist = secantfit.rationalize(poly, anchor, _fraction(args.anchor_value))
     payload = {"terms": result.num_terms, "degree": result.degree,
                "max_rounding_distance": dist,
-               "polynomial": result.dumps().splitlines()}
+               "polynomial": result}
     return Outcome(payload, files={"rationalized.poly": result.dumps()})
 
 
@@ -293,10 +297,12 @@ def cmd_bn_witness(args) -> Outcome:
 
 
 def cmd_bn_slice(args) -> Outcome:
-    report = bnorbit.slice_b4()
-    ok = report.secant_factorization_exact and report.circle_factorization_exact
-    return Outcome(report.to_json(), passed=ok,
-                   files={"slice_series.csv": report.to_csv()})
+    report, rows = bnorbit.slice_b4()
+    ok = (report["secant_factorization_exact"]
+          and report["circle_factorization_exact"])
+    csv = "".join(f"{name},{x!r},{z!r},{tag}\n" for name, x, z, tag in rows)
+    return Outcome(report, passed=ok,
+                   files={"slice_series.csv": "series,x,z,tag\n" + csv})
 
 
 # -- parser wiring --------------------------------------------------------------

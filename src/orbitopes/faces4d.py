@@ -12,8 +12,7 @@ basic-closedness verdict with an explicit witness segment.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, tau
 
@@ -22,40 +21,6 @@ import numpy as np
 from .curve import Representation, orbit_points
 
 FLOAT_ENDPOINT_TOL = 1e-12
-
-
-class FaceKind(enum.Enum):
-    VERTEX = "vertex"
-    EDGE = "edge"
-    PGON = "p-gon"
-    QGON = "q-gon"
-    SIMPLEX = "simplex"
-
-
-@dataclass(frozen=True)
-class FaceDescriptor:
-    """A classified face: kind, defining arc parameters, exposedness."""
-
-    kind: FaceKind
-    parameters: tuple
-    exposed: bool
-    dimension: int
-    edges: tuple["FaceDescriptor", ...] = field(default=())
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "parameters": [_param_json(t) for t in self.parameters],
-            "exposed": self.exposed,
-            "dimension": self.dimension,
-            "edges": [e.to_json() for e in self.edges],
-        }
-
-
-def _param_json(t):
-    if isinstance(t, Fraction):
-        return f"{t.numerator}/{t.denominator}"
-    return float(t)
 
 
 @dataclass(frozen=True)
@@ -135,33 +100,38 @@ def polygon_vertices(pq: PQData, which: int, t) -> list:
             for j in range(which)]
 
 
-def polygon_faces(pq: PQData, which: int, t) -> FaceDescriptor:
+def _face(kind: str, parameters, exposed: bool, dimension: int,
+          edges=()) -> dict:
+    return {"kind": kind, "parameters": list(parameters), "exposed": exposed,
+            "dimension": dimension, "edges": list(edges)}
+
+
+def polygon_faces(pq: PQData, which: int, t) -> dict:
     """The polygon face with vertex parameters t + j/which, j = 0..which-1.
 
     For which >= 3 the face is a regular polygon of dimension 2 whose own
-    edges are returned as non-exposed edge descriptors; which = 2 gives the
-    exposed antipodal edge and which = 1 the vertex z(t).
+    edges are listed as non-exposed edge faces; which = 2 gives the
+    exposed antipodal edge and which = 1 the vertex z(t).  A face is the
+    dict ``{"kind", "parameters", "exposed", "dimension", "edges"}`` with
+    kind ``"vertex"``, ``"edge"``, ``"p-gon"`` or ``"q-gon"``.
     """
     if which not in (pq.p, pq.q):
         raise ValueError(f"polygon order {which} is neither p={pq.p} nor q={pq.q}")
     upper = Fraction(1, which)
     if not 0 <= t < upper:
         raise ValueError(f"t={t} outside [0, 1/{which})")
-    verts = tuple(polygon_vertices(pq, which, t))
+    verts = polygon_vertices(pq, which, t)
     if which == 1:
-        return FaceDescriptor(FaceKind.VERTEX, verts, exposed=True, dimension=0)
+        return _face("vertex", verts, exposed=True, dimension=0)
     if which == 2:
-        return FaceDescriptor(FaceKind.EDGE, verts, exposed=True, dimension=1)
-    kind = FaceKind.PGON if which == pq.p else FaceKind.QGON
+        return _face("edge", verts, exposed=True, dimension=1)
+    kind = "p-gon" if which == pq.p else "q-gon"
     other = pq.q if which == pq.p else pq.p
     # geometric cyclic order of the vertices comes from the other block
     order = sorted(range(which), key=lambda j: (other * j) % which)
-    edges = []
-    for a, b in zip(order, order[1:] + order[:1]):
-        edges.append(FaceDescriptor(FaceKind.EDGE, (verts[a], verts[b]),
-                                    exposed=False, dimension=1))
-    return FaceDescriptor(kind, verts, exposed=True, dimension=2,
-                          edges=tuple(edges))
+    edges = [_face("edge", (verts[a], verts[b]), exposed=False, dimension=1)
+             for a, b in zip(order, order[1:] + order[:1])]
+    return _face(kind, verts, exposed=True, dimension=2, edges=edges)
 
 
 SECANT_TAG = "S1(X)"
@@ -201,8 +171,8 @@ def is_basic_closed_4d(p: int, q: int) -> dict:
     secant segment z(0)z(g) whose gap avoids the closed gap intervals, the
     antipodal digons, and all polygon vertex spacings, so by completeness
     of the face list it passes through the interior.  The report holds
-    ``basic_closed``, the ``witness_segment`` parameters (``None`` when
-    basic closed) and an ``explanation``.
+    ``basic_closed``, the ``witness_segment`` parameters as Fractions
+    (``None`` when basic closed) and an ``explanation``.
     """
     pq = pq_data(p, q)
     if (p, q) == (1, 2):
@@ -211,7 +181,7 @@ def is_basic_closed_4d(p: int, q: int) -> dict:
                                "secant is a face"}
     witness = _witness_gap(pq)
     return {"basic_closed": False,
-            "witness_segment": [_param_json(Fraction(0)), _param_json(witness)],
+            "witness_segment": [Fraction(0), witness],
             "explanation": f"segment with gap {witness} spans no face, so its "
                            f"midpoint is an interior point of the body lying "
                            f"on the secant surface"}

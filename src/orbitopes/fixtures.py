@@ -17,7 +17,7 @@ from .poly import SparsePoly
 
 def _load(name: str) -> SparsePoly:
     text = resources.files("orbitopes").joinpath("data", name).read_text()
-    return SparsePoly.loads(text, nvars=4)
+    return SparsePoly.loads(text)
 
 
 def secant_surface_13() -> SparsePoly:

@@ -311,13 +311,13 @@ class SparsePoly:
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
-    def loads(cls, text: str, nvars: int | None = None) -> "SparsePoly":
-        """Parse the text format; infers nvars unless given, and the mode
-        from the first coefficient.  A coefficient that is not a finite
+    def loads(cls, text: str) -> "SparsePoly":
+        """Parse the text format; infers nvars and the mode from the first
+        term.  Text without terms, a coefficient that is not a finite
         number (``nan``, ``1e400``, ``1/0``), or a float one after a
         rational first coefficient, is a ValueError."""
         terms: dict[Exponent, object] = {}
-        mode = None
+        nvars = mode = None
         for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
@@ -342,7 +342,7 @@ class SparsePoly:
                 raise ValueError(f"float coefficient {head!r} in a rational polynomial")
             terms[expo] = terms.get(expo, 0) + coeff
         if nvars is None:
-            raise ValueError("cannot infer nvars from empty text; pass nvars=")
+            raise ValueError("the polynomial text has no terms")
         return cls(nvars, terms, mode or CoeffMode.RATIONAL)
 
     @classmethod

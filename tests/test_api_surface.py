@@ -10,10 +10,16 @@ strings and docstrings do not count.  A module-level function or class is
 reached by any name, attribute name or imported name; a method or field
 only by an attribute read (``x.name``) or a keyword argument
 (``f(name=...)``), so a local variable or a parameter of the same name does
-not hide it.
+not hide it.  Reads on ``args``, the argparse namespace of the command
+handlers, do not count either: ``args.params`` is a command-line option,
+not ``SecantSample.params``.
+
+The benchmark harness wraps the functions it names in ``TRACE_TARGETS``,
+looked up by name, so each of those names must resolve in the package.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,6 +31,8 @@ ALLOWED = {
                                      "degree-15 equation",
     "max_min_slack": "a benchmark trace target, which perfbench names only "
                      "in a string",
+    "SecantSample.params": "the sampler tests check s.point against "
+                           "secant_point(rep, s.params, s.weights)",
     "SecantSample.weights": "the sampler tests check s.point against "
                             "secant_point(rep, s.params, s.weights)",
 }
@@ -58,7 +66,9 @@ def referenced_names(paths) -> tuple[set[str], set[str]]:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and not (isinstance(node.value, ast.Name)
+                           and node.value.id == "args")):
                 members.add(node.attr)
             elif isinstance(node, ast.keyword) and node.arg is not None:
                 members.add(node.arg)
@@ -76,3 +86,27 @@ def test_public_api_is_reached_outside_the_tests():
                  (members if "." in name else names)}
     assert unreached - ALLOWED.keys() == set()
     assert ALLOWED.keys() <= unreached, "an allowed name is reached now; drop it"
+
+
+def trace_targets() -> list[str]:
+    """The keys of ``TRACE_TARGETS`` in the harness, read without importing
+    it."""
+    tree = ast.parse((ROOT / "perfbench" / "worker.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                and node.target.id == "TRACE_TARGETS"):
+            return [ast.literal_eval(key) for key in node.value.keys]
+    raise AssertionError("no TRACE_TARGETS in perfbench/worker.py")
+
+
+def test_trace_targets_resolve_in_the_package():
+    targets = trace_targets()
+    assert targets
+    for qualname in targets:
+        module, *path = qualname.split(".")
+        owner = importlib.import_module(f"orbitopes.{module}")
+        assert len(path) in (1, 2), qualname
+        for attr in path:
+            assert attr in vars(owner), qualname
+            owner = vars(owner)[attr]
+        assert callable(owner) or isinstance(owner, classmethod), qualname

@@ -373,6 +373,20 @@ def test_non_finite_poly_coefficient_is_a_usage_error(tmp_path, capsys, command,
     assert "is not a finite number" in captured.err
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "--rep", "1,3", "--r", "2", "--count", "10", "--poly", "{poly}"],
+    ["rationalize", "--poly", "{poly}", "--anchor", "0,0,4,0",
+     "--anchor-value", "1"],
+])
+def test_empty_poly_file_is_a_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "empty.poly"
+    path.write_text("")
+    assert main([tok.format(poly=path) for tok in command]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the polynomial text has no terms\n"
+
+
 def test_face_dim_malformed_point_is_a_usage_error(tmp_path, capsys):
     assert_usage_error(tmp_path, capsys, ["face-dim", "--point", "1,2,3"],
                        "positive even length")

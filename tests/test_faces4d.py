@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from orbitopes.bnorbit import certify_exposed_face
-from orbitopes.faces4d import (FaceKind, boundary_components,
+from orbitopes.faces4d import (boundary_components,
                                closure_is_unit_interval, is_basic_closed_4d,
                                is_edge, polygon_faces, pq_data, z_point)
 
@@ -93,18 +93,23 @@ def test_is_edge_symmetry_under_reversal():
 def test_polygon_faces_examples():
     d = pq_data(1, 3)
     face = polygon_faces(d, 3, Fraction(0))
-    assert face.kind is FaceKind.QGON
-    assert face.dimension == 2 and face.exposed
-    assert face.parameters == (Fraction(0), Fraction(1, 3), Fraction(2, 3))
-    assert len(face.edges) == 3
-    assert all(e.kind is FaceKind.EDGE and not e.exposed and e.dimension == 1
-               for e in face.edges)
+    assert face["kind"] == "q-gon"
+    assert face["dimension"] == 2 and face["exposed"]
+    assert face["parameters"] == [Fraction(0), Fraction(1, 3), Fraction(2, 3)]
+    assert len(face["edges"]) == 3
+    assert all(e["kind"] == "edge" and not e["exposed"] and e["dimension"] == 1
+               and e["edges"] == [] for e in face["edges"])
 
     digon = polygon_faces(pq_data(2, 3), 2, Fraction(0))
-    assert digon.kind is FaceKind.EDGE and digon.dimension == 1 and digon.exposed
+    assert digon["kind"] == "edge" and digon["dimension"] == 1 and digon["exposed"]
+    assert digon["edges"] == []
 
     vertex = polygon_faces(pq_data(1, 2), 1, Fraction(0))
-    assert vertex.kind is FaceKind.VERTEX and vertex.dimension == 0
+    assert vertex["kind"] == "vertex" and vertex["dimension"] == 0
+    assert vertex["parameters"] == [Fraction(0)] and vertex["edges"] == []
+
+    pgon = polygon_faces(pq_data(3, 5), 3, Fraction(1, 7))
+    assert pgon["kind"] == "p-gon" and pgon["dimension"] == 2
 
 
 def test_polygon_faces_validation():
@@ -120,8 +125,8 @@ def test_polygon_edges_have_endpoint_gaps():
     d = pq_data(2, 5)
     face = polygon_faces(d, 5, Fraction(1, 20))
     endpoint_gaps = {Fraction(d.ell, d.q), Fraction(d.q - d.ell, d.q)}
-    for e in face.edges:
-        s, t = sorted(e.parameters)
+    for e in face["edges"]:
+        s, t = sorted(e["parameters"])
         assert (t - s) % 1 in endpoint_gaps
 
 
@@ -129,7 +134,7 @@ def test_qgon_vertices_share_last_block_exactly():
     for p, q in ((1, 3), (2, 3), (2, 5), (3, 4)):
         d = pq_data(p, q)
         t = Fraction(1, 7 * q)
-        pts = [z_point(d, v) for v in polygon_faces(d, q, t).parameters]
+        pts = [z_point(d, v) for v in polygon_faces(d, q, t)["parameters"]]
         for pt in pts[1:]:
             assert np.allclose(pt[2:], pts[0][2:], atol=1e-12)
 
@@ -147,7 +152,7 @@ def test_basic_closed_verdicts():
     assert is_basic_closed_4d(1, 2)["witness_segment"] is None
     v13 = is_basic_closed_4d(1, 3)
     assert not v13["basic_closed"]
-    assert v13["witness_segment"] == ["0/1", "1/2"]
+    assert v13["witness_segment"] == [Fraction(0), Fraction(1, 2)]
     assert not is_basic_closed_4d(2, 5)["basic_closed"]
 
 
@@ -156,7 +161,7 @@ def test_witness_gap_avoids_faces():
         if (p, q) == (1, 2):
             continue
         verdict = is_basic_closed_4d(p, q)
-        s, t = (Fraction(v) for v in verdict["witness_segment"])
+        s, t = verdict["witness_segment"]
         g = t - s
         d = pq_data(p, q)
         assert not any(a <= g <= b for a, b in d.intervals)
@@ -223,5 +228,5 @@ def test_edge_classification_matches_hyperplane_search(p, q):
             continue
         for t in (Fraction(0), Fraction(2, 5 * which)):
             face = polygon_faces(d, which, t)
-            angles = [tau * float(v) for v in face.parameters]
+            angles = [tau * float(v) for v in face["parameters"]]
             assert certify_exposed_face(d.rep, angles, grid=1024) is not None
