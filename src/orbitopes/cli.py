@@ -91,6 +91,15 @@ def _fraction(text: str) -> Fraction:
     return value
 
 
+def _two_fields(text: str, option: str, form: str) -> list[str]:
+    """The fields of a two-field option value such as ``3,1/7``; another
+    number of fields is a usage error that names the expected form."""
+    fields = text.split(",")
+    if len(fields) != 2:
+        raise ValueError(f"{option} takes two values {form}, got {text!r}")
+    return fields
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -201,13 +210,17 @@ def cmd_faces(args) -> Outcome:
         "boundary_components": faces4d.boundary_components(pq.p, pq.q),
     }
     if args.edge:
-        s, t = (_fraction(tok) for tok in args.edge.split(","))
+        s, t = map(_fraction, _two_fields(args.edge, "--edge", "s,t"))
         payload["query"] = {"kind": "edge", "s": str(s), "t": str(t),
                             "is_edge": faces4d.is_edge(pq, s, t)}
     if args.polygon:
-        which_str, t_str = args.polygon.split(",")
-        payload["query"] = faces4d.polygon_faces(pq, int(which_str),
-                                                 _fraction(t_str))
+        which, t = _two_fields(args.polygon, "--polygon", "which,t")
+        try:
+            which = int(which)
+        except ValueError:
+            raise ValueError(f"--polygon takes which,t with an integer which, "
+                             f"got {args.polygon!r}") from None
+        payload["query"] = faces4d.polygon_faces(pq, which, _fraction(t))
     if args.vertex is not None:
         payload["query"] = {"kind": "vertex",
                             "parameter": args.vertex,
@@ -266,7 +279,11 @@ def cmd_verify(args) -> Outcome:
 
 def cmd_rationalize(args) -> Outcome:
     poly = _poly(args).to_float()
-    anchor = tuple(int(tok) for tok in args.anchor.split(","))
+    try:
+        anchor = tuple(int(tok) for tok in args.anchor.split(","))
+    except ValueError:
+        raise ValueError(f"--anchor takes comma-separated integer exponents, "
+                         f"got {args.anchor!r}") from None
     result, dist = secantfit.rationalize(poly, anchor, _fraction(args.anchor_value))
     payload = {"terms": result.num_terms, "degree": result.degree,
                "max_rounding_distance": dist,

@@ -116,10 +116,33 @@ def secant_point(rep: Representation, params: Sequence, weights: Sequence,
     return tuple(float(v) for v in np.asarray(weights) @ pts)
 
 
+# The curve points of one speculative window of the float sampler, a
+# (rows, r, 2R) float array, stay under this many bytes.
+_SPECULATE_BYTES = 8 * 2 ** 20
+
+
 def sample_secants(rep: Representation, r: int, count: int, seed: int,
                    mode: CoeffMode = CoeffMode.FLOAT) -> list[SecantSample]:
     """Draw secant samples; tuples of affinely dependent curve points are
     rejected and redrawn so every sample spans a genuine (r-1)-plane.
+
+    The samples are a function of ``(rep, r, count, seed)``.  The float
+    ones are defined one draw at a time: draw r angles with
+    ``rng.uniform(0, 2 pi, size=r)``, reject the draw if their curve points
+    are affinely dependent, and otherwise draw the weights with
+    ``rng.dirichlet(ones(r))`` and keep the sample.  The float sampler
+    returns exactly these samples, computed a window of draws at a time
+    (speculate, then replay): it saves the generator state, makes the RNG
+    calls of the window as if every draw were accepted, and then evaluates
+    the curve points, the independence test and the secant points of the
+    whole window in one batch each.  At the first rejected draw k it keeps
+    the k samples before it, restores the state, replays those k draws,
+    draws only the angles of draw k and speculates again from draw k + 1.
+    A window's curve points stay under ``_SPECULATE_BYTES``, and a window
+    holds at most half the mean run of draws per rejection so far: it
+    starts at one draw and grows by half while no draw is rejected, and
+    few draws are evaluated past a rejection, so a high rejection rate
+    costs about what the one-at-a-time loop costs.
 
     Raises :class:`InsufficientSamplesError` when ``count`` samples are not
     found in DRAWS_PER_SAMPLE * count draws.  The exact sampler draws each
@@ -130,21 +153,13 @@ def sample_secants(rep: Representation, r: int, count: int, seed: int,
         raise ValueError(f"r={r} out of range for ambient dim {rep.ambient_dim}")
     if not rep.is_reduced():
         raise ValueError("frequency set must be reduced")
-    out: list[SecantSample] = []
     draws = DRAWS_PER_SAMPLE * count
     if mode is CoeffMode.FLOAT:
-        rng = np.random.default_rng(seed)
-        for _ in range(draws):
-            params = tuple(float(t) for t in rng.uniform(0.0, 2 * math.pi, size=r))
-            pts = orbit_points(rep, np.array(params))
-            if not affinely_independent(pts, tol=1e-9):
-                continue
-            weights = tuple(float(w) for w in rng.dirichlet(np.ones(r)))
-            point = tuple(float(v) for v in np.asarray(weights) @ pts)
-            out.append(SecantSample(params, weights, point))
-            if len(out) == count:
-                return out
+        out = _speculate_and_replay(rep, r, count, seed, draws)
+        if len(out) == count:
+            return out
     else:
+        out = []
         rng = random.Random(seed)
         seen: set[tuple] = set()
         for _ in range(draws):
@@ -167,6 +182,45 @@ def sample_secants(rep: Representation, r: int, count: int, seed: int,
                 return out
     raise InsufficientSamplesError(
         f"only {len(out)} of {count} secant samples after {draws} draws")
+
+
+def _speculate_and_replay(rep: Representation, r: int, count: int, seed: int,
+                          draws: int) -> list[SecantSample]:
+    """The float samples of :func:`sample_secants`, at most ``count`` of
+    them from at most ``draws`` draws."""
+    rng = np.random.default_rng(seed)
+    ones = np.ones(r)
+    rows = max(1, _SPECULATE_BYTES // (8 * r * rep.ambient_dim))
+    out: list[SecantSample] = []
+    drawn = rejected = 0
+    while len(out) < count and drawn < draws:
+        # at most half the mean run of draws per rejection so far
+        n = min(rows, count - len(out), draws - drawn,
+                max(1, drawn // (2 * rejected + 2)))
+        state = rng.bit_generator.state
+        params, weights = np.empty((n, r)), np.empty((n, r))
+        for i in range(n):
+            params[i] = rng.uniform(0.0, 2 * math.pi, size=r)
+            weights[i] = rng.dirichlet(ones)
+        pts = orbit_points(rep, params)
+        independent = affinely_independent(pts, tol=1e-9)
+        k = n if independent.all() else int(independent.argmin())
+        points = np.matmul(weights[:k, None, :], pts[:k])[:, 0]
+        out += map(SecantSample, map(tuple, params[:k].tolist()),
+                   map(tuple, weights[:k].tolist()),
+                   map(tuple, points.tolist()))
+        drawn += k
+        if k < n:
+            # draw k is rejected: the draws after it were made from the
+            # wrong generator state, so rewind to draw k and draw its angles
+            rng.bit_generator.state = state
+            for _ in range(k):
+                rng.uniform(0.0, 2 * math.pi, size=r)
+                rng.dirichlet(ones)
+            rng.uniform(0.0, 2 * math.pi, size=r)
+            drawn += 1
+            rejected += 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -496,6 +550,9 @@ def rationalize(fit: SparsePoly, anchor: Sequence[int],
     zero polynomial).
     """
     anchor = tuple(int(e) for e in anchor)
+    if len(anchor) != fit.nvars:
+        raise ValueError(f"the anchor has {len(anchor)} exponents but the "
+                         f"polynomial has {fit.nvars} variables")
     coeffs = {e: float(c) for e, c in fit.terms.items()}
     if not coeffs:
         raise ValueError("cannot rationalize the zero polynomial")

@@ -124,6 +124,18 @@ def test_bad_rational_arguments_are_usage_errors(tmp_path, capsys, argv,
     assert_usage_error(tmp_path, capsys, argv, message)
 
 
+@pytest.mark.parametrize("anchor,message", [
+    ("0,0,4", "the anchor has 3 exponents but the polynomial has 4 variables"),
+    ("0,0,4,0,0", "the anchor has 5 exponents but the polynomial has 4 "
+                  "variables"),
+    ("0,x,4,0", "--anchor takes comma-separated integer exponents"),
+])
+def test_malformed_anchor_is_a_usage_error(tmp_path, capsys, anchor, message):
+    assert_usage_error(tmp_path, capsys, ["rationalize", "--poly", "{poly}",
+                                          "--anchor", anchor,
+                                          "--anchor-value", "1"], message)
+
+
 def assert_usage_error(tmp_path, capsys, argv, message):
     """``argv`` (with ``{poly}`` standing for a float polynomial file) exits
     1 with ``message`` on stderr and nothing on stdout."""
@@ -164,6 +176,16 @@ def assert_usage_error(tmp_path, capsys, argv, message):
      "not allowed with argument"),
     (["faces", "--rep", "1,3", "--polygon", "3,0", "--vertex", "1/4"],
      "not allowed with argument"),
+    (["faces", "--rep", "1,3", "--polygon", "3"],
+     "--polygon takes two values which,t, got '3'"),
+    (["faces", "--rep", "1,3", "--polygon", "3,0,1"],
+     "--polygon takes two values which,t"),
+    (["faces", "--rep", "1,3", "--polygon", "x,0"],
+     "--polygon takes which,t with an integer which, got 'x,0'"),
+    (["faces", "--rep", "1,3", "--edge", "0"],
+     "--edge takes two values s,t, got '0'"),
+    (["faces", "--rep", "1,3", "--edge", "0,1/5,1"],
+     "--edge takes two values s,t"),
 ])
 def test_out_of_range_arguments_are_usage_errors(tmp_path, capsys, argv,
                                                  message):

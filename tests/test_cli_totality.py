@@ -62,8 +62,10 @@ GRAMMAR = {
     "membership": ({"--point": POINT}, {"--tol": PSD_TOL}, []),
     "face-dim": ({"--point": POINT}, {"--tol": PSD_TOL}, []),
     "faces": ({"--rep": PAIR},
-              {"--edge": lists("0,1/5", "0,2/5", "1/10,1/2", "1/3,2/3", "0,0"),
-               "--polygon": lists("3,0", "2,1/7", "1,0", bad=["5,1/2"]),
+              {"--edge": lists("0,1/5", "0,2/5", "1/10,1/2", "1/3,2/3", "0,0",
+                               bad=["0", "0,1/5,1"]),
+               "--polygon": lists("3,0", "2,1/7", "1,0",
+                                  bad=["5,1/2", "3", "x,0"]),
                "--vertex": value("0", "1/4", "1/3")}, []),
     "boundary": ({"--rep": PAIR}, {}, []),
     "secant-fit": ({"--rep": FIT_REP, "--r": value("2", "3", bad=["5"]),
