@@ -168,11 +168,9 @@ def test_float_sampler_replays_single_rejections(monkeypatch):
 
 
 @pytest.mark.parametrize("indices,r,count,reject", [
-    ((1, 3), 2, 30, [0]),
     ((1, 3), 2, 30, [5, 6]),
     ((1, 3), 2, 30, [0, 1, 2, 3]),
     ((1, 3), 2, 30, list(range(0, 80, 2))),     # every other draw
-    ((1, 3), 2, 30, [29]),                      # the draw after the last kept
     ((1, 2), 1, 20, [0, 7, 8, 15]),
     ((1, 2, 3), 3, 25, [3, 9, 10, 11, 30]),
 ])
@@ -182,21 +180,15 @@ def test_float_sampler_replays_rejections(monkeypatch, indices, r, count,
                              17, reject)
 
 
-@pytest.mark.parametrize("reject", [[2, 3], [11], [20, 21, 22],
-                                    list(range(2, 60, 3))])
-def test_float_sampler_replays_across_window_boundaries(monkeypatch, reject):
-    # windows of at most 3 draws, so the rejections fall on their borders
-    monkeypatch.setattr(secantfit, "_SPECULATE_BYTES", 3 * 8 * 2 * 4)
-    forced = assert_replays_reference(monkeypatch, REP13, 2, 30, 5, reject)
-    assert max(rows for _, rows in forced) <= 3
-
-
-def test_float_sampler_replays_window_borders_at_three_rows(monkeypatch):
+def test_float_sampler_replays_across_window_boundaries(monkeypatch):
+    # a byte budget of 3 draws caps every window at 3 rows
     monkeypatch.setattr(secantfit, "_SPECULATE_BYTES", 3 * 8 * 2 * 4)
     positions = set()
-    for index in range(10, 30):
+    for reject in [[i] for i in range(10, 30)] + [[2, 3], [20, 21, 22],
+                                                   list(range(2, 60, 3))]:
         positions.update(assert_replays_reference(monkeypatch, REP13, 2, 30,
-                                                  5, [index]))
+                                                  5, reject))
+    assert max(rows for _, rows in positions) == 3
     assert {(0, 3), (2, 3)} <= positions  # first and last row of a window
 
 
