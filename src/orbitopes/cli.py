@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--rep", required=True,
                            help="comma-separated frequency list, e.g. 1,3")
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_int_in(0, None), default=0)
         p.add_argument("--out", help="directory for report/output files")
 
     p = sub.add_parser("curve-info", help="degree/smoothness of the orbit curve")

@@ -6,22 +6,29 @@ Two solvers with the same contract (a certified basis of the right kernel):
   over the integers with exact rational back-substitution.  Entry growth is
   bounded by minors of the input, which is fine for matrices up to a couple
   hundred columns but prohibitive beyond that.
-* :func:`nullspace_modular` — elimination over several word-size prime
-  fields (:func:`rref_mod_p`: in-place numpy row operations on int64
-  residues, forward on the trailing block, then back substitution on the
-  free columns), Chinese remaindering and rational reconstruction of the
-  kernel vectors, then exact re-verification over the integers.  The verified
-  vectors give a lower bound on the nullity and the prime-field nullity an
-  upper bound, so a matching pair certifies the kernel exactly.
+* :func:`nullspace_modular` — elimination over word-size prime fields
+  (:func:`rref_mod_p`: in-place numpy row operations on int64 residues,
+  forward on the trailing block, then back substitution on the free
+  columns), Chinese remaindering and rational reconstruction of the kernel
+  vectors, then an exact kernel test of each vector.  It never sees the
+  integer matrix: its inputs are the residues modulo a given prime and the
+  exact test, so a caller can form the residues without forming the
+  integers.  The prime-field nullity bounds the rational nullity from
+  above and the verified vectors bound it from below, so it stops at the
+  first prime whose reconstruction passes the test; that is often the
+  first prime.
 
-:func:`nullspace_exact` picks between the two by column count.
+:func:`nullspace_exact` picks between the two by column count; for callers
+that hold integer rows, :func:`_row_residues` and
+:func:`_verify_kernel_vector` are the modular solver's two inputs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import gcd, isqrt
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -201,47 +208,64 @@ def rational_reconstruction(a: int, m: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
-def nullspace_modular(rows: Sequence[Sequence]) -> tuple[list[tuple[Fraction, ...]], dict]:
-    """Certified kernel basis via multi-prime elimination and reconstruction.
+def nullspace_modular(ncols: int, residues: Callable[[int], np.ndarray],
+                      is_kernel: Callable[[Sequence[Fraction]], bool]
+                      ) -> tuple[list[tuple[Fraction, ...]], dict]:
+    """Certified kernel basis of an integer matrix with ``ncols`` columns.
 
-    Returns ``(basis, info)`` where ``info`` records the primes used, the
-    prime-field nullity (an upper bound on the true nullity) and whether the
-    reconstructed vectors were re-verified exactly over the integers.
-    Raises ``ArithmeticError`` if reconstruction or verification fails with
-    all available primes.
+    ``residues(p)`` gives the matrix modulo the prime p as an int64 array,
+    and ``is_kernel(v)`` tells, in exact arithmetic, whether the integer
+    vector v (``Fraction`` entries with denominator 1) is in the kernel.
+    For each prime of PRIMES in turn, the loop takes the reduced row
+    echelon form modulo p.  The primes whose nullity and pivot columns
+    match the best seen so far (least nullity, then least pivot columns)
+    are combined by Chinese remaindering, each kernel entry is
+    reconstructed as a rational and each vector is cleared to coprime
+    integers.  The loop stops at the first prime whose reconstruction
+    passes ``is_kernel`` for every vector.
+
+    Why the first such prime certifies the kernel: the rank modulo p is
+    at most the rank over the rationals (a minor that is nonzero modulo p
+    is nonzero), so the nullity modulo p bounds the rational nullity from
+    above.  The returned vectors pass the exact test and are independent
+    (each is nonzero on its own free column and zero on the other free
+    columns), so they bound it from below by the same number.  A prime
+    whose candidates fail the exact test (its modulus too small for the
+    entries, or the prime divides a pivot minor) only moves the loop on.
+    Modulo p every leading set of columns has at most its rational rank,
+    so no prime has a smaller nullity or earlier pivot columns than the
+    rational matrix; a prime with a larger nullity, or later pivots, loses
+    to any prime without.
+
+    Returns ``(basis, info)``; ``info`` records the primes combined, the
+    prime-field nullity and whether it is met (``certified``).  Raises
+    ``ArithmeticError`` if no prime of PRIMES gives a certified basis.
     """
-    int_rows = _to_integer_rows(rows)
-    if not int_rows:
-        return [], {"primes": [], "nullity_upper_bound": 0, "certified": True}
-    ncols = len(int_rows[0])
-
+    best: tuple[int, list[int]] | None = None
     mods: list[tuple[int, list[int], np.ndarray]] = []
-    best_nullity = ncols + 1
-    used: list[int] = []
     for p in PRIMES:
         # no local name keeps the residue matrix alive past the elimination
-        rref, pivots = rref_mod_p(
-            np.array([[x % p for x in row] for row in int_rows], dtype=np.int64), p)
-        nullity = ncols - len(pivots)
-        if nullity < best_nullity:
-            best_nullity = nullity
-            mods = [(p, pivots, rref)]
-        elif nullity == best_nullity and mods and pivots == mods[0][1]:
+        rref, pivots = rref_mod_p(residues(p), p)
+        key = (ncols - len(pivots), pivots)
+        if best is None or key < best:
+            best, mods = key, [(p, pivots, rref)]
+        elif key == best:
             mods.append((p, pivots, rref))
-        used.append(p)
-        if len(mods) >= 2:  # reconstruction needs two agreeing primes
-            basis = _try_finish(int_rows, ncols, mods)
-            if basis is not None:
-                return basis, {
-                    "primes": [q for q, _, _ in mods],
-                    "nullity_upper_bound": best_nullity,
-                    "certified": len(basis) == best_nullity,
-                }
+        else:
+            continue
+        basis = _try_finish(ncols, mods, is_kernel)
+        if basis is not None:
+            return basis, {
+                "primes": [q for q, _, _ in mods],
+                "nullity_upper_bound": best[0],
+                "certified": len(basis) == best[0],
+            }
     raise ArithmeticError(
-        f"kernel reconstruction failed with primes {used}; matrix may be degenerate")
+        f"kernel reconstruction failed with primes {list(PRIMES)}; "
+        f"matrix may be degenerate")
 
 
-def _try_finish(int_rows, ncols, mods) -> list[tuple[Fraction, ...]] | None:
+def _try_finish(ncols, mods, is_kernel) -> list[tuple[Fraction, ...]] | None:
     """CRT-combine the prime kernels, reconstruct, and verify exactly."""
     pivots = mods[0][1]
     is_pivot = set(pivots)
@@ -274,13 +298,21 @@ def _try_finish(int_rows, ncols, mods) -> list[tuple[Fraction, ...]] | None:
                 return None
             vec.append(frac)
         cleared = _clear_vector(vec)
-        if not _verify_kernel_vector(int_rows, cleared):
+        if not is_kernel(cleared):
             return None
         basis.append(tuple(cleared))
     return basis
 
 
-def _verify_kernel_vector(int_rows: list[list[int]], v: Sequence[Fraction]) -> bool:
+def _row_residues(int_rows: Sequence[Sequence[int]], p: int) -> np.ndarray:
+    """Integer rows modulo p, the ``residues`` of :func:`nullspace_modular`."""
+    return np.array([[x % p for x in row] for row in int_rows], dtype=np.int64)
+
+
+def _verify_kernel_vector(int_rows: Sequence[Sequence[int]],
+                          v: Sequence[Fraction]) -> bool:
+    """Whether the integer vector v is in the kernel of the integer rows,
+    the ``is_kernel`` of :func:`nullspace_modular`."""
     ints = [x.numerator for x in v]
     assert all(x.denominator == 1 for x in v)
     for row in int_rows:
@@ -289,16 +321,27 @@ def _verify_kernel_vector(int_rows: list[list[int]], v: Sequence[Fraction]) -> b
     return True
 
 
-def nullspace_exact(rows: Sequence[Sequence]) -> tuple[list[tuple[Fraction, ...]], dict]:
-    """Exact kernel basis; picks the solver by matrix width."""
-    if not rows:
-        return [], {"method": "trivial"}
-    ncols = len(rows[0])
+def nullspace_exact(ncols: int, rows: Callable[[], Sequence[Sequence]],
+                    residues: Callable[[int], np.ndarray] | None = None,
+                    is_kernel: Callable[[Sequence[Fraction]], bool] | None = None
+                    ) -> tuple[list[tuple[Fraction, ...]], dict]:
+    """Exact kernel basis of a matrix with ``ncols`` columns; the one place
+    that picks the solver by width.
+
+    ``rows()`` gives the matrix as integer or rational rows.  Up to
+    ``_BAREISS_MAX_COLS`` columns it goes to Bareiss.  Wider matrices go to
+    :func:`nullspace_modular` with ``residues`` and ``is_kernel``; a caller
+    that gives neither gets the residues and the exact test of ``rows()``.
+    """
     if ncols <= _BAREISS_MAX_COLS:
-        basis = nullspace_bareiss(rows)
+        basis = nullspace_bareiss(rows())
         return basis, {"method": "bareiss", "certified": True,
                        "nullity_upper_bound": len(basis)}
-    basis, info = nullspace_modular(rows)
+    if residues is None:
+        int_rows = _to_integer_rows(rows())
+        residues = partial(_row_residues, int_rows)
+        is_kernel = partial(_verify_kernel_vector, int_rows)
+    basis, info = nullspace_modular(ncols, residues, is_kernel)
     info["method"] = "modular"
     return basis, info
 

@@ -17,7 +17,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 from math import comb
 from typing import Sequence
@@ -454,6 +454,7 @@ def _integer_row(point: tuple[Fraction, ...], basis: MonomialBasis) -> list[int]
 
     With L the common denominator, the affine monomial row scaled by L^D
     equals the degree-D homogeneous monomials in (L, L*point), all integers.
+    Only Bareiss takes these rows; wider fits use :func:`_residue_rows`.
     """
     top = basis.max_degree
     pow_table = cleared_power_table(point, top)
@@ -467,10 +468,43 @@ def _integer_row(point: tuple[Fraction, ...], basis: MonomialBasis) -> list[int]
     return row
 
 
+def _residue_rows(points: list[tuple[Fraction, ...]], basis: MonomialBasis,
+                  p: int) -> np.ndarray:
+    """The :func:`_integer_row` rows of the points modulo p, without them.
+
+    Each cleared point (L, L*x_1, ..., L*x_n) is reduced modulo p once, its
+    powers are int64 tables modulo p, and each column is a product of
+    gathered table rows, reduced after every product (each below p^2).
+    """
+    top = basis.max_degree
+    base = np.array([[row[1] % p for row in cleared_power_table(x, 1)]
+                     for x in points], dtype=np.int64).T
+    # powers[i, e] = (cleared coordinate i)^e mod p over the samples
+    powers = np.empty((base.shape[0], top + 1, base.shape[1]), dtype=np.int64)
+    powers[:, 0] = 1
+    for e in range(1, top + 1):
+        np.multiply(powers[:, e - 1], base, out=powers[:, e])
+        powers[:, e] %= p
+    exponents = np.array(basis.exponents)
+    # one row per column of the evaluation matrix, as gathered table rows
+    matrix = powers[0, top - exponents.sum(axis=1)]
+    for i in range(basis.nvars):
+        matrix *= powers[i + 1, exponents[:, i]]
+        matrix %= p
+    return np.ascontiguousarray(matrix.T)
+
+
 def _fit_exact(rep: Representation, basis: MonomialBasis,
                samples: list[SecantSample], count: int, seed: int) -> FitResult:
-    rows = [_integer_row(s.point, basis) for s in samples]
-    kernel, info = nullspace_exact(rows)
+    points = [s.point for s in samples]
+
+    def is_kernel(vec) -> bool:
+        poly = SparsePoly(basis.nvars, zip(basis.exponents, vec))
+        return all(poly.evaluate(x) == 0 for x in points)
+
+    kernel, info = nullspace_exact(
+        basis.size, lambda: [_integer_row(x, basis) for x in points],
+        partial(_residue_rows, points, basis), is_kernel)
     report = {
         "mode": "exact",
         "basis_size": basis.size,

@@ -186,6 +186,19 @@ def assert_usage_error(tmp_path, capsys, argv, message):
      "--edge takes two values s,t, got '0'"),
     (["faces", "--rep", "1,3", "--edge", "0,1/5,1"],
      "--edge takes two values s,t"),
+    # a negative seed is refused before any work starts
+    (["secant-fit", "--rep", "1,3", "--r", "2", "--degree", "8",
+      "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
+    (["secant-fit", "--rep", "1,3", "--r", "2", "--degree", "8",
+      "--mode", "exact", "--seed", "-1"],
+     "argument --seed: must be at least 0, got -1"),
+    (["secant-fit", "--rep", "1,3", "--r", "2", "--degree", "8",
+      "--mode", "exact", "--seed", "-2"],
+     "argument --seed: must be at least 0, got -2"),
+    (["verify", "--rep", "1,3", "--r", "2", "--poly", "{poly}",
+      "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
+    (["curve-info", "--rep", "1,3", "--probe", "--seed", "-1"],
+     "argument --seed: must be at least 0, got -1"),
 ])
 def test_out_of_range_arguments_are_usage_errors(tmp_path, capsys, argv,
                                                  message):
@@ -347,8 +360,8 @@ def test_bn_certify_face_grid_covered_by_arcs(capsys, grid):
 
 
 def test_uncertified_exact_fit_exits_2(monkeypatch, tmp_path, capsys):
-    def uncertified(rows):
-        basis, info = real_modular(rows)
+    def uncertified(*args):
+        basis, info = real_modular(*args)
         return basis, {**info, "certified": False}
 
     real_modular = exactla.nullspace_modular

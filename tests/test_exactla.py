@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitopes.exactla import (PRIMES, _to_integer_rows, bareiss_echelon,
+from orbitopes import exactla
+from orbitopes.exactla import (PRIMES, _row_residues, _to_integer_rows,
+                               _verify_kernel_vector, bareiss_echelon,
                                exact_rank, nullspace_bareiss, nullspace_exact,
                                nullspace_modular, rational_reconstruction,
                                rref_mod_p)
@@ -20,6 +24,12 @@ def random_low_rank(rng, rows, cols, rank):
 
 def is_kernel(matrix, vec):
     return all(sum(a * b for a, b in zip(row, vec)) == 0 for row in matrix)
+
+
+def modular(matrix, residues=_row_residues):
+    """nullspace_modular of integer rows, through the two row adapters."""
+    return nullspace_modular(len(matrix[0]), partial(residues, matrix),
+                             partial(_verify_kernel_vector, matrix))
 
 
 def test_bareiss_known_kernel():
@@ -61,7 +71,7 @@ def test_modular_matches_bareiss_random():
         rank = rng.randint(1, min(rows, cols))
         matrix = random_low_rank(rng, rows, cols, rank)
         nb = nullspace_bareiss(matrix)
-        nm, info = nullspace_modular(matrix)
+        nm, info = modular(matrix)
         assert info["certified"]
         assert sorted(nb) == sorted(nm), f"trial {trial}"
 
@@ -69,7 +79,7 @@ def test_modular_matches_bareiss_random():
 def test_modular_certifies_kernel_vectors():
     rng = random.Random(32)
     matrix = random_low_rank(rng, 20, 12, 7)
-    basis, info = nullspace_modular(matrix)
+    basis, info = modular(matrix)
     assert len(basis) == 5
     assert info["nullity_upper_bound"] == 5
     for vec in basis:
@@ -84,7 +94,7 @@ def test_modular_with_large_entries_and_small_kernel():
              for _ in range(6)] for _ in range(4)]
     cols.append([3 * a - 2 * b for a, b in zip(cols[0], cols[1])])
     matrix = [list(row) for row in zip(*cols)]
-    basis, info = nullspace_modular(matrix)
+    basis, info = modular(matrix)
     assert info["certified"] and len(basis) == 1
     assert is_kernel(matrix, basis[0])
     assert sorted(abs(v) for v in basis[0]) == [0, 0, 1, 2, 3]
@@ -92,14 +102,79 @@ def test_modular_with_large_entries_and_small_kernel():
 
 def test_nullspace_exact_dispatches_by_width():
     narrow = [[1, 2, 3]]
-    basis, info = nullspace_exact(narrow)
+    basis, info = nullspace_exact(3, lambda: narrow)
     assert info["method"] == "bareiss" and len(basis) == 2
     wide = [[(i * j + 1) % 7 for j in range(200)] for i in range(4)]
-    basis, info = nullspace_exact(wide)
+    basis, info = nullspace_exact(200, lambda: wide)
     assert info["method"] == "modular"
     assert len(basis) == 200 - exact_rank(wide)
     for vec in basis[:3]:
         assert is_kernel(wide, vec)
+
+
+def test_modular_certifies_from_the_first_prime_that_reconstructs():
+    # two column relations with small coefficients
+    rng = random.Random(35)
+    cols = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(5)]
+    cols.append([2 * a - b for a, b in zip(cols[0], cols[1])])
+    cols.append([c + 3 * d for c, d in zip(cols[2], cols[3])])
+    matrix = [list(row) for row in zip(*cols)]
+    basis, info = modular(matrix)
+    assert info == {"primes": [PRIMES[0]], "nullity_upper_bound": 2,
+                    "certified": True}
+    assert sorted(basis) == sorted(nullspace_bareiss(matrix))
+
+
+def test_modular_falls_back_to_two_primes_for_large_kernel_entries():
+    # column 2 = 10**6 * column 0 + column 1: the cleared kernel vector has
+    # an entry 10**6 > sqrt(p/2), beyond reconstruction from one prime
+    rng = random.Random(36)
+    rows = [[rng.randint(-9, 9), rng.randint(-9, 9)] for _ in range(5)]
+    matrix = [[a, b, 10 ** 6 * a + b] for a, b in rows]
+    basis, info = modular(matrix)
+    assert info["certified"] and info["primes"] == list(PRIMES[:2])
+    assert basis == [(Fraction(10 ** 6), Fraction(1), Fraction(-1))]
+
+
+@pytest.mark.parametrize("matrix,kernel", [
+    # 7 divides the 2 x 2 determinant: the rank drops modulo 7
+    ([[7, 14], [1, 3]], []),
+    # 7 divides the entry of the first pivot: modulo 7 the pivots move
+    # from columns 0, 2 to columns 1, 2 at the same rank
+    ([[7, 1, 0], [0, 0, 1]], [(Fraction(1), Fraction(-7), Fraction(0))]),
+])
+def test_modular_moves_on_from_an_unlucky_first_prime(monkeypatch, matrix,
+                                                       kernel):
+    monkeypatch.setattr(exactla, "PRIMES", (7,) + PRIMES)
+    basis, info = modular(matrix)
+    assert info["certified"] and info["primes"] == [PRIMES[0]]
+    assert basis == kernel
+
+
+def test_modular_refuses_candidates_that_fail_the_exact_test(monkeypatch):
+    rng = random.Random(37)
+    matrix = random_low_rank(rng, 10, 7, 4)
+    tested = []
+
+    def corrupted(rows, p):
+        # the first prime sees column 0 zeroed: wrong candidate vectors
+        residues = _row_residues(rows, p)
+        if p == PRIMES[0]:
+            residues[:, 0] = 0
+        return residues
+
+    def exact_test(vec):
+        tested.append((vec, is_kernel(matrix, vec)))
+        return tested[-1][1]
+
+    basis, info = nullspace_modular(7, partial(corrupted, matrix), exact_test)
+    assert info["certified"] and PRIMES[0] not in info["primes"]
+    assert any(not ok for _, ok in tested)
+    assert all(is_kernel(matrix, vec) for vec in basis)
+    assert sorted(basis) == sorted(nullspace_bareiss(matrix))
+
+    with pytest.raises(ArithmeticError):
+        nullspace_modular(7, partial(_row_residues, matrix), lambda vec: False)
 
 
 def test_exact_rank():

@@ -309,6 +309,48 @@ def test_float_weight_fit_nullity_matches_exact_fit(monkeypatch, indices, r,
     assert fitted_nullity(CoeffMode.RATIONAL) == nullity
 
 
+@pytest.mark.parametrize("indices,r,degree", [
+    ((1, 3), 2, 8), ((1, 2, 3), 3, 4), ((1, 2), 1, 3),
+])
+def test_exact_fit_residues_match_reduced_integer_rows(indices, r, degree):
+    # the residues the modular solver eliminates, against the exact
+    # integer rows reduced entry by entry
+    rep = Representation(indices)
+    basis = monomial_basis(rep.ambient_dim, degree)
+    points = [s.point for s in sample_secants(
+        rep, r, secantfit.default_sample_count(basis.size), seed=0,
+        mode=CoeffMode.RATIONAL)]
+    rows = [secantfit._integer_row(x, basis) for x in points]
+    for p in (exactla.PRIMES[0], exactla.PRIMES[-1], 7):
+        residues = secantfit._residue_rows(points, basis, p)
+        assert residues.dtype == np.int64
+        assert residues.tolist() == [[x % p for x in row] for row in rows]
+
+
+def test_wide_exact_fit_forms_no_integer_rows(monkeypatch):
+    calls = []
+    integer_row = secantfit._integer_row
+
+    def spy(point, basis):
+        calls.append(point)
+        return integer_row(point, basis)
+
+    monkeypatch.setattr(secantfit, "_integer_row", spy)
+    fit = fit_hypersurface(REP12, r=2, degree=3, seed=0,
+                           mode=CoeffMode.RATIONAL)
+    assert fit.report["method"] == "bareiss"
+    assert len(calls) == fit.report["sample_count"]
+    narrow = fit.polynomials
+
+    calls.clear()
+    monkeypatch.setattr(exactla, "_BAREISS_MAX_COLS", 34)  # 35 columns
+    fit = fit_hypersurface(REP12, r=2, degree=3, seed=0,
+                           mode=CoeffMode.RATIONAL)
+    assert fit.report["method"] == "modular" and fit.report["certified"]
+    assert calls == []
+    assert fit.polynomials == narrow
+
+
 def test_fit_insufficient_samples():
     with pytest.raises(InsufficientSamplesError):
         fit_hypersurface(REP13, r=2, degree=8, count=100, seed=0)
