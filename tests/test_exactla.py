@@ -26,9 +26,9 @@ def is_kernel(matrix, vec):
     return all(sum(a * b for a, b in zip(row, vec)) == 0 for row in matrix)
 
 
-def modular(matrix, residues=_row_residues):
+def modular(matrix):
     """nullspace_modular of integer rows, through the two row adapters."""
-    return nullspace_modular(len(matrix[0]), partial(residues, matrix),
+    return nullspace_modular(len(matrix[0]), partial(_row_residues, matrix),
                              partial(_verify_kernel_vector, matrix))
 
 
