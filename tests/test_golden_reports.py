@@ -62,6 +62,10 @@ COMMANDS = [
      "--anchor-value", "3/2", "--out", "out"],
     ["secant-fit", "--rep", "1,3", "--r", "2", "--degree", "2",
      "--mode", "exact"],
+    ["secant-fit", "--rep", "1,3", "--r", "2", "--degree", "8",
+     "--mode", "exact"],
+    ["secant-fit", "--rep", "1,2", "--r", "2", "--degree", "3",
+     "--mode", "exact"],
     ["face-dim", "--point", "2,0,0,0"],
     ["faces", "--rep", "1,3,5"],
     ["membership"],
