@@ -4,23 +4,29 @@ Two solvers with the same contract (a certified basis of the right kernel):
 
 * :func:`nullspace_bareiss` — single-pass fraction-free (Bareiss) elimination
   over the integers with exact rational back-substitution.  Entry growth is
-  bounded by minors of the input, which is fine for matrices up to a couple
-  hundred columns but prohibitive beyond that.
+  bounded by minors of the input, which is fine for a few dozen columns
+  but far slower than the modular solver beyond that.
 * :func:`nullspace_modular` — elimination over word-size prime fields
   (:func:`rref_mod_p`: in-place numpy row operations on int64 residues,
   forward on the trailing block, then back substitution on the free
   columns), Chinese remaindering and rational reconstruction of the kernel
-  vectors, then an exact kernel test of each vector.  It never sees the
-  integer matrix: its inputs are the residues modulo a given prime and the
-  exact test, so a caller can form the residues without forming the
+  vectors, then one exact kernel test of the whole basis.  It never sees
+  the integer matrix: its inputs are the residues modulo a given prime and
+  the exact test, so a caller can form the residues without forming the
   integers.  The prime-field nullity bounds the rational nullity from
   above and the verified vectors bound it from below, so it stops at the
   first prime whose reconstruction passes the test; that is often the
   first prime.
 
+Both eliminate only the first ``ncols + _PREFIX_MARGIN`` rows of a taller
+matrix, check the result against the remaining rows and eliminate all rows
+if the check fails.  A passing check proves the prefix has the whole
+matrix's row space, so the results are those of all rows, whatever the
+margin; a prefix of lower rank always fails it.
+
 :func:`nullspace_exact` picks between the two by column count; for callers
-that hold integer rows, :func:`_row_residues` and
-:func:`_verify_kernel_vector` are the modular solver's two inputs.
+that hold integer rows, :func:`_row_residues` and :func:`_verify_kernel`
+are the modular solver's two inputs.
 """
 
 from __future__ import annotations
@@ -39,7 +45,12 @@ PRIMES = (
     1073741717, 1073741689, 1073741671, 1073741663, 1073741651,
 )
 
-_BAREISS_MAX_COLS = 160
+_BAREISS_MAX_COLS = 35
+
+# Rows eliminated beyond the column count before the rest are checked
+# against the result; a prefix short of the full rank costs only the
+# fallback to all rows.
+_PREFIX_MARGIN = 8
 
 
 def _to_integer_rows(rows: Sequence[Sequence]) -> list[Sequence[int]]:
@@ -96,10 +107,30 @@ def bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
 
 
 def nullspace_bareiss(rows: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
-    """Exact kernel basis via fraction-free elimination; small matrices only."""
+    """Exact kernel basis via fraction-free elimination; small matrices only.
+
+    A matrix with more than ``ncols + _PREFIX_MARGIN`` rows is eliminated
+    on that prefix first, and the prefix kernel's vectors are tested on the
+    remaining rows.  The prefix kernel contains the whole kernel, so if
+    every vector passes the two are equal.  The pivot columns depend only
+    on the kernel, and so does the basis (per free column, the kernel
+    vector that is 1 there and 0 on the other free columns), so it is the
+    one all rows give.  If a vector fails, all rows are eliminated.
+    """
     int_rows = _to_integer_rows(rows)
     if not int_rows:
         return []
+    head = len(int_rows[0]) + _PREFIX_MARGIN
+    if len(int_rows) > head:
+        basis = _bareiss_kernel(int_rows[:head])
+        if _verify_kernel(int_rows[head:], basis):
+            return basis
+    return _bareiss_kernel(int_rows)
+
+
+def _bareiss_kernel(int_rows: list[Sequence[int]]) -> list[tuple[Fraction, ...]]:
+    """Kernel basis of nonempty integer rows: Bareiss, then exact rational
+    back-substitution for each free column."""
     ncols = len(int_rows[0])
     echelon, pivots = bareiss_echelon(int_rows)
     free = [c for c in range(ncols) if c not in pivots]
@@ -138,6 +169,24 @@ def _clear_vector(v: list[Fraction]) -> list[Fraction]:
 
 def rref_mod_p(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(p) and its pivot columns.
+
+    A matrix with more than ``ncols + _PREFIX_MARGIN`` rows is eliminated
+    on that prefix first, and the remaining rows are multiplied modulo p by
+    the prefix's kernel.  Over GF(p) the row space is the annihilator of
+    the kernel, so a zero product means the prefix spans the whole row
+    space; the reduced form is unique, so it is then the whole matrix's.
+    Otherwise the whole matrix is eliminated.
+    """
+    head = matrix.shape[1] + _PREFIX_MARGIN
+    if matrix.shape[0] > head:
+        rref, pivots = _rref(matrix[:head], p)
+        if not _times_kernel(matrix[head:], rref, pivots, p).any():
+            return rref, pivots
+    return _rref(matrix, p)
+
+
+def _rref(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """:func:`rref_mod_p` of all the rows.
 
     Two phases on the int64 residues: forward elimination in place, where
     each pivot clears only the trailing block below and right of it, then
@@ -191,6 +240,26 @@ def rref_mod_p(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
+def _times_kernel(rows: np.ndarray, rref: np.ndarray, pivots: list[int],
+                  p: int) -> np.ndarray:
+    """``rows @ K`` modulo p, where K holds the kernel of the reduced form:
+    for each free column fc, e_fc minus the sum of rref[i, fc] e_pivots[i].
+
+    For p < 2^30, as for every prime of PRIMES, K is split into 15-bit
+    halves: each product is then below 2^45, and a dot product over fewer
+    than 2^18 columns stays inside int64.
+    """
+    ncols = rref.shape[1]
+    is_pivot = set(pivots)
+    free = [c for c in range(ncols) if c not in is_pivot]
+    kernel = np.zeros((ncols, len(free)), dtype=np.int64)
+    kernel[free, np.arange(len(free))] = 1
+    kernel[pivots] = -rref[:, free] % p
+    high, low = np.divmod(kernel, 1 << 15)
+    rows = np.mod(rows, p)
+    return ((rows @ high) % p * (1 << 15) + rows @ low) % p
+
+
 def rational_reconstruction(a: int, m: int) -> Fraction | None:
     """Recover n/d = a (mod m) with |n|, d <= sqrt(m/2); None if impossible."""
     a %= m
@@ -209,20 +278,26 @@ def rational_reconstruction(a: int, m: int) -> Fraction | None:
 
 
 def nullspace_modular(ncols: int, residues: Callable[[int], np.ndarray],
-                      is_kernel: Callable[[Sequence[Fraction]], bool]
+                      is_kernel: Callable[[list[tuple[Fraction, ...]]], bool]
                       ) -> tuple[list[tuple[Fraction, ...]], dict]:
     """Certified kernel basis of an integer matrix with ``ncols`` columns.
 
     ``residues(p)`` gives the matrix modulo the prime p as an int64 array,
-    and ``is_kernel(v)`` tells, in exact arithmetic, whether the integer
-    vector v (``Fraction`` entries with denominator 1) is in the kernel.
-    For each prime of PRIMES in turn, the loop takes the reduced row
-    echelon form modulo p.  The primes whose nullity and pivot columns
-    match the best seen so far (least nullity, then least pivot columns)
-    are combined by Chinese remaindering, each kernel entry is
-    reconstructed as a rational and each vector is cleared to coprime
-    integers.  The loop stops at the first prime whose reconstruction
-    passes ``is_kernel`` for every vector.
+    and ``is_kernel(basis)`` tells, in exact arithmetic, whether every
+    integer vector of the candidate basis (``Fraction`` entries with
+    denominator 1) is in the kernel.  For each prime of PRIMES in turn, the
+    loop takes the reduced row echelon form modulo p.  The primes whose
+    nullity and pivot columns match the best seen so far (least nullity,
+    then least pivot columns) are combined by Chinese remaindering, each
+    kernel entry is reconstructed as a rational and each vector is cleared
+    to coprime integers.  The loop stops at the first prime whose
+    reconstruction passes ``is_kernel``.
+
+    :func:`rref_mod_p` eliminates only a prefix of the rows, but it returns
+    the whole matrix's reduced form: it checks the prefix kernel against
+    the remaining rows modulo p and falls back to all rows when the prefix
+    has the lower rank.  The exact test still runs on every row, so the
+    certificate below is the one of all rows.
 
     Why the first such prime certifies the kernel: the rank modulo p is
     at most the rank over the rationals (a minor that is nonzero modulo p
@@ -297,10 +372,9 @@ def _try_finish(ncols, mods, is_kernel) -> list[tuple[Fraction, ...]] | None:
             if frac is None:
                 return None
             vec.append(frac)
-        cleared = _clear_vector(vec)
-        if not is_kernel(cleared):
-            return None
-        basis.append(tuple(cleared))
+        basis.append(tuple(_clear_vector(vec)))
+    if basis and not is_kernel(basis):
+        return None
     return basis
 
 
@@ -309,21 +383,20 @@ def _row_residues(int_rows: Sequence[Sequence[int]], p: int) -> np.ndarray:
     return np.array([[x % p for x in row] for row in int_rows], dtype=np.int64)
 
 
-def _verify_kernel_vector(int_rows: Sequence[Sequence[int]],
-                          v: Sequence[Fraction]) -> bool:
-    """Whether the integer vector v is in the kernel of the integer rows,
-    the ``is_kernel`` of :func:`nullspace_modular`."""
-    ints = [x.numerator for x in v]
-    assert all(x.denominator == 1 for x in v)
-    for row in int_rows:
-        if sum(a * b for a, b in zip(row, ints) if b) != 0:
-            return False
-    return True
+def _verify_kernel(int_rows: Sequence[Sequence[int]],
+                   basis: Sequence[Sequence[Fraction]]) -> bool:
+    """Whether every integer vector of ``basis`` is in the kernel of the
+    integer rows, the ``is_kernel`` of :func:`nullspace_modular`."""
+    assert all(x.denominator == 1 for v in basis for x in v)
+    vectors = [[x.numerator for x in v] for v in basis]
+    return all(sum(a * b for a, b in zip(row, ints) if b) == 0
+               for row in int_rows for ints in vectors)
 
 
 def nullspace_exact(ncols: int, rows: Callable[[], Sequence[Sequence]],
                     residues: Callable[[int], np.ndarray] | None = None,
-                    is_kernel: Callable[[Sequence[Fraction]], bool] | None = None
+                    is_kernel: Callable[[list[tuple[Fraction, ...]]], bool]
+                    | None = None
                     ) -> tuple[list[tuple[Fraction, ...]], dict]:
     """Exact kernel basis of a matrix with ``ncols`` columns; the one place
     that picks the solver by width.
@@ -340,7 +413,7 @@ def nullspace_exact(ncols: int, rows: Callable[[], Sequence[Sequence]],
     if residues is None:
         int_rows = _to_integer_rows(rows())
         residues = partial(_row_residues, int_rows)
-        is_kernel = partial(_verify_kernel_vector, int_rows)
+        is_kernel = partial(_verify_kernel, int_rows)
     basis, info = nullspace_modular(ncols, residues, is_kernel)
     info["method"] = "modular"
     return basis, info

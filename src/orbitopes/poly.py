@@ -197,12 +197,14 @@ class SparsePoly:
 
     # -- evaluation and calculus -------------------------------------------
 
-    def evaluate(self, point: Sequence):
+    def evaluate(self, point: Sequence, table: list[list[int]] | None = None):
         """Evaluate at ``point`` (length ``nvars``); exact in rational mode.
 
         Rational mode works on Python ints: with M the common denominator of
         the coefficients and L that of the point, M * L^D * p(point) is the
-        integer-coefficient homogenization of M * p at (L, L * point).
+        integer-coefficient homogenization of M * p at (L, L * point).  A
+        caller that evaluates several polynomials at one point can pass the
+        point's :func:`cleared_power_table` of degree at least D as ``table``.
         """
         values = [_coerce(v, self.mode) for v in point]
         if len(values) != self.nvars:
@@ -221,7 +223,7 @@ class SparsePoly:
         if self._cleared is None:
             object.__setattr__(self, "_cleared", self._cleared_terms())
         top, denom, terms = self._cleared
-        lead, *rows = cleared_power_table(values, top)
+        lead, *rows = table or cleared_power_table(values, top)
         total = 0
         for coeff, pad, factors in terms:
             term = coeff * lead[pad]

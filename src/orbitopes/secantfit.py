@@ -498,9 +498,15 @@ def _fit_exact(rep: Representation, basis: MonomialBasis,
                samples: list[SecantSample], count: int, seed: int) -> FitResult:
     points = [s.point for s in samples]
 
-    def is_kernel(vec) -> bool:
-        poly = SparsePoly(basis.nvars, zip(basis.exponents, vec))
-        return all(poly.evaluate(x) == 0 for x in points)
+    def is_kernel(vectors) -> bool:
+        # one power table per sample, shared by all the vectors
+        polys = [SparsePoly(basis.nvars, zip(basis.exponents, vec))
+                 for vec in vectors]
+        for x in points:
+            table = cleared_power_table(x, basis.max_degree)
+            if any(poly.evaluate(x, table) != 0 for poly in polys):
+                return False
+        return True
 
     kernel, info = nullspace_exact(
         basis.size, lambda: [_integer_row(x, basis) for x in points],

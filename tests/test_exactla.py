@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitopes import exactla
+from orbitopes.curve import Representation
 from orbitopes.exactla import (PRIMES, _row_residues, _to_integer_rows,
-                               _verify_kernel_vector, bareiss_echelon,
+                               _verify_kernel, bareiss_echelon,
                                exact_rank, nullspace_bareiss, nullspace_exact,
                                nullspace_modular, rational_reconstruction,
                                rref_mod_p)
+from orbitopes.poly import CoeffMode
+from orbitopes.secantfit import fit_hypersurface
 
 
 def random_low_rank(rng, rows, cols, rank):
@@ -29,7 +32,7 @@ def is_kernel(matrix, vec):
 def modular(matrix):
     """nullspace_modular of integer rows, through the two row adapters."""
     return nullspace_modular(len(matrix[0]), partial(_row_residues, matrix),
-                             partial(_verify_kernel_vector, matrix))
+                             partial(_verify_kernel, matrix))
 
 
 def test_bareiss_known_kernel():
@@ -62,6 +65,71 @@ def test_bareiss_echelon_pivots():
     echelon, pivots = bareiss_echelon([[0, 1, 2], [0, 2, 4], [3, 0, 0]])
     assert len(pivots) == 2
     assert len(echelon) == 2
+
+
+def spy_on_eliminations(monkeypatch):
+    """Row counts of the eliminations inside rref_mod_p, as a list."""
+    eliminated = []
+    rref = exactla._rref
+
+    def spy(matrix, p):
+        eliminated.append(matrix.shape[0])
+        return rref(matrix, p)
+
+    monkeypatch.setattr(exactla, "_rref", spy)
+    return eliminated
+
+
+def test_bareiss_falls_back_when_the_prefix_repeats_one_row():
+    # the first ncols + margin rows are copies of one row, so the prefix
+    # kernel has dimension 5 and fails on the later rows
+    rng = random.Random(39)
+    ncols = 6
+    matrix = ([[rng.randint(-9, 9) for _ in range(ncols)]]
+              * (ncols + exactla._PREFIX_MARGIN)
+              + random_low_rank(rng, 6, ncols, 3))
+    basis = nullspace_bareiss(matrix)
+    assert len(basis) == ncols - exact_rank(matrix) < ncols - 1
+    assert basis == exactla._bareiss_kernel(matrix)
+    assert sorted(basis) == sorted(modular(matrix)[0])
+
+
+def test_rref_mod_p_checks_the_prefix_without_overflow(monkeypatch):
+    # full 30-bit residues and a 5-dimensional kernel: a residue times a
+    # kernel entry nears 2^60, so a plain int64 product over 40 columns
+    # would overflow and send this full-rank prefix to the fallback
+    rng = random.Random(38)
+    p = PRIMES[0]
+    left = [[rng.randrange(p) for _ in range(35)] for _ in range(100)]
+    right = [[rng.randrange(p) for _ in range(40)] for _ in range(35)]
+    rows = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)]
+            for row in left]
+    eliminated = spy_on_eliminations(monkeypatch)
+    rref, pivots = rref_mod_p(np.array(rows, dtype=np.int64), p)
+    assert eliminated == [40 + exactla._PREFIX_MARGIN]
+    expected, expected_pivots = gauss_jordan_mod_p(rows, 40, p)
+    assert len(pivots) == 35
+    assert pivots == expected_pivots
+    assert rref.tolist() == expected
+
+
+def test_degree_8_fit_eliminates_one_prefix(monkeypatch):
+    # one rref_mod_p call for the one prime, which eliminates
+    # ncols + margin of the 1238 rows and needs no fallback
+    shapes = []
+    rref_mod_p = exactla.rref_mod_p
+
+    def spy(matrix, p):
+        shapes.append(matrix.shape)
+        return rref_mod_p(matrix, p)
+
+    monkeypatch.setattr(exactla, "rref_mod_p", spy)
+    eliminated = spy_on_eliminations(monkeypatch)
+    fit = fit_hypersurface(Representation((1, 3)), r=2, degree=8, seed=0,
+                           mode=CoeffMode.RATIONAL)
+    assert fit.report["primes"] == [PRIMES[0]] and fit.report["certified"]
+    assert shapes == [(1238, 495)]
+    assert eliminated == [495 + exactla._PREFIX_MARGIN]
 
 
 def test_modular_matches_bareiss_random():
@@ -163,8 +231,8 @@ def test_modular_refuses_candidates_that_fail_the_exact_test(monkeypatch):
             residues[:, 0] = 0
         return residues
 
-    def exact_test(vec):
-        tested.append((vec, is_kernel(matrix, vec)))
+    def exact_test(basis):
+        tested.append((basis, all(is_kernel(matrix, vec) for vec in basis)))
         return tested[-1][1]
 
     basis, info = nullspace_modular(7, partial(corrupted, matrix), exact_test)
@@ -174,7 +242,8 @@ def test_modular_refuses_candidates_that_fail_the_exact_test(monkeypatch):
     assert sorted(basis) == sorted(nullspace_bareiss(matrix))
 
     with pytest.raises(ArithmeticError):
-        nullspace_modular(7, partial(_row_residues, matrix), lambda vec: False)
+        nullspace_modular(7, partial(_row_residues, matrix),
+                          lambda basis: False)
 
 
 def test_exact_rank():
@@ -234,7 +303,8 @@ def gauss_jordan_mod_p(rows, ncols, p):
 @st.composite
 def shaped_matrices(draw):
     kind = draw(st.sampled_from(
-        ["tall", "wide", "rank-deficient", "zero-columns", "all-zero", "1xn"]))
+        ["tall", "wide", "rank-deficient", "zero-columns", "all-zero", "1xn",
+         "short-prefix"]))
     entries = st.integers(-10 ** 12, 10 ** 12) | st.integers(-3, 3)
     # up to 12 pivots, so that the forward phase's deferred reduction
     # (every 8 pivots for primes near 2^30) takes place
@@ -246,6 +316,10 @@ def shaped_matrices(draw):
     elif kind == "wide":
         nrows = draw(st.integers(1, 12))
         ncols = draw(st.integers(nrows + 1, 16))
+    elif kind == "short-prefix":
+        ncols = draw(st.integers(1, 12))
+        head = ncols + exactla._PREFIX_MARGIN
+        nrows = draw(st.integers(head + 1, head + 6))
     else:
         nrows, ncols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     if kind == "all-zero":
@@ -266,6 +340,13 @@ def shaped_matrices(draw):
         zero = draw(st.sets(st.integers(0, ncols - 1), min_size=1))
         rows = [[0 if j in zero else x for j, x in enumerate(row)]
                 for row in rows]
+    if kind == "short-prefix":
+        # the rows that rref_mod_p eliminates first vanish on the last
+        # column and a later row does not: modulo every prime the prefix
+        # has a lower rank than the whole matrix
+        for row in rows[:head]:
+            row[-1] = 0
+        rows[draw(st.integers(head, nrows - 1))][-1] = 1
     return rows
 
 

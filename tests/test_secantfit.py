@@ -282,8 +282,8 @@ def test_weight_block_expansion_matches_complex_monomials():
 
 # Float nullities of the weight-block fit against the certified exact
 # full-monomial fit ({1,3}, r=2, degree 8 is the f_float_fit and f_exact_fit
-# pair).  The modular solver is forced: Bareiss would take minutes at 126
-# columns.
+# pair).  The modular solver is forced, so that it also solves the fits of
+# 35 columns and fewer, which go to Bareiss by default.
 @pytest.mark.parametrize("indices,r,degree,nullity", [
     ((1, 2), 1, 2, 6), ((1, 2), 1, 3, 22), ((1, 2), 2, 3, 1),
     ((1, 2), 2, 4, 5), ((1, 2), 2, 5, 15),
@@ -349,6 +349,15 @@ def test_wide_exact_fit_forms_no_integer_rows(monkeypatch):
     assert fit.report["method"] == "modular" and fit.report["certified"]
     assert calls == []
     assert fit.polynomials == narrow
+
+
+def test_mid_width_exact_fit_is_modular():
+    # 126 columns: Bareiss ran for minutes on this fit, the modular solver
+    # takes a fraction of a second
+    fit = fit_hypersurface(REP12, r=2, degree=5, seed=0,
+                           mode=CoeffMode.RATIONAL)
+    assert fit.report["method"] == "modular" and fit.report["certified"]
+    assert fit.nullity == 15
 
 
 def test_fit_insufficient_samples():
