@@ -180,7 +180,8 @@ def rref_mod_p(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     head = matrix.shape[1] + _PREFIX_MARGIN
     if matrix.shape[0] > head:
         rref, pivots = _rref(matrix[:head], p)
-        if not _times_kernel(matrix[head:], rref, pivots, p).any():
+        kernel = _kernel_mod_p(rref, pivots, p)
+        if not _matmul_mod_p(matrix[head:], kernel, p).any():
             return rref, pivots
     return _rref(matrix, p)
 
@@ -240,24 +241,28 @@ def _rref(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
-def _times_kernel(rows: np.ndarray, rref: np.ndarray, pivots: list[int],
-                  p: int) -> np.ndarray:
-    """``rows @ K`` modulo p, where K holds the kernel of the reduced form:
-    for each free column fc, e_fc minus the sum of rref[i, fc] e_pivots[i].
-
-    For p < 2^30, as for every prime of PRIMES, K is split into 15-bit
-    halves: each product is then below 2^45, and a dot product over fewer
-    than 2^18 columns stays inside int64.
-    """
+def _kernel_mod_p(rref: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+    """Kernel of the reduced form modulo p, one column per free column fc
+    in order: e_fc minus the sum of rref[i, fc] e_pivots[i]."""
     ncols = rref.shape[1]
     is_pivot = set(pivots)
     free = [c for c in range(ncols) if c not in is_pivot]
     kernel = np.zeros((ncols, len(free)), dtype=np.int64)
     kernel[free, np.arange(len(free))] = 1
     kernel[pivots] = -rref[:, free] % p
-    high, low = np.divmod(kernel, 1 << 15)
-    rows = np.mod(rows, p)
-    return ((rows @ high) % p * (1 << 15) + rows @ low) % p
+    return kernel
+
+
+def _matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """``a @ b`` modulo p for int64 arrays, b with entries in [0, p).
+
+    For p < 2^30, as for every prime of PRIMES, b is split into 15-bit
+    halves: each product is then below 2^45, and a dot product of fewer
+    than 2^18 terms stays inside int64.
+    """
+    high, low = np.divmod(b, 1 << 15)
+    a = np.mod(a, p)
+    return ((a @ high) % p * (1 << 15) + a @ low) % p
 
 
 def rational_reconstruction(a: int, m: int) -> Fraction | None:
@@ -328,7 +333,7 @@ def nullspace_modular(ncols: int, residues: Callable[[int], np.ndarray],
             mods.append((p, pivots, rref))
         else:
             continue
-        basis = _try_finish(ncols, mods, is_kernel)
+        basis = _try_finish(mods, is_kernel)
         if basis is not None:
             return basis, {
                 "primes": [q for q, _, _ in mods],
@@ -340,34 +345,27 @@ def nullspace_modular(ncols: int, residues: Callable[[int], np.ndarray],
         f"matrix may be degenerate")
 
 
-def _try_finish(ncols, mods, is_kernel) -> list[tuple[Fraction, ...]] | None:
+def _try_finish(mods, is_kernel) -> list[tuple[Fraction, ...]] | None:
     """CRT-combine the prime kernels, reconstruct, and verify exactly."""
-    pivots = mods[0][1]
-    is_pivot = set(pivots)
-    free = [c for c in range(ncols) if c not in is_pivot]
     modulus = 1
-    combined = {fc: [0] * ncols for fc in free}
-    for p, _, rref in mods:
-        for fc in free:
-            vec = [0] * ncols
-            vec[fc] = 1
-            for i, pc in enumerate(pivots):
-                vec[pc] = (-int(rref[i, fc])) % p
-            old = combined[fc]
-            if modulus == 1:
-                combined[fc] = vec
-            else:
-                inv = pow(modulus % p, -1, p)
-                combined[fc] = [
-                    (o + modulus * (((v - o) * inv) % p)) % (modulus * p)
-                    for o, v in zip(old, vec)
-                ]
+    combined: list[list[int]] = []
+    for p, pivots, rref in mods:
+        vectors = _kernel_mod_p(rref, pivots, p).T.tolist()
+        if modulus == 1:
+            combined = vectors
+        else:
+            inv = pow(modulus % p, -1, p)
+            combined = [
+                [(o + modulus * (((v - o) * inv) % p)) % (modulus * p)
+                 for o, v in zip(old, vec)]
+                for old, vec in zip(combined, vectors)
+            ]
         modulus *= p
 
     basis: list[tuple[Fraction, ...]] = []
-    for fc in free:
+    for residues in combined:
         vec: list[Fraction] = []
-        for a in combined[fc]:
+        for a in residues:
             frac = rational_reconstruction(a, modulus)
             if frac is None:
                 return None

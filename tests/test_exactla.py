@@ -94,25 +94,6 @@ def test_bareiss_falls_back_when_the_prefix_repeats_one_row():
     assert sorted(basis) == sorted(modular(matrix)[0])
 
 
-def test_rref_mod_p_checks_the_prefix_without_overflow(monkeypatch):
-    # full 30-bit residues and a 5-dimensional kernel: a residue times a
-    # kernel entry nears 2^60, so a plain int64 product over 40 columns
-    # would overflow and send this full-rank prefix to the fallback
-    rng = random.Random(38)
-    p = PRIMES[0]
-    left = [[rng.randrange(p) for _ in range(35)] for _ in range(100)]
-    right = [[rng.randrange(p) for _ in range(40)] for _ in range(35)]
-    rows = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)]
-            for row in left]
-    eliminated = spy_on_eliminations(monkeypatch)
-    rref, pivots = rref_mod_p(np.array(rows, dtype=np.int64), p)
-    assert eliminated == [40 + exactla._PREFIX_MARGIN]
-    expected, expected_pivots = gauss_jordan_mod_p(rows, 40, p)
-    assert len(pivots) == 35
-    assert pivots == expected_pivots
-    assert rref.tolist() == expected
-
-
 def test_degree_8_fit_eliminates_one_prefix(monkeypatch):
     # one rref_mod_p call for the one prime, which eliminates
     # ncols + margin of the 1238 rows and needs no fallback
@@ -375,3 +356,22 @@ def test_rref_mod_p_many_pivots_matches_gauss_jordan():
         expected, expected_pivots = gauss_jordan_mod_p(rows, len(rows[0]), p)
         assert pivots == expected_pivots
         assert rref.tolist() == expected
+
+
+def test_rref_mod_p_checks_the_prefix_without_overflow(monkeypatch):
+    # full 30-bit residues and a 5-dimensional kernel: a residue times a
+    # kernel entry nears 2^60, so a plain int64 product over 40 columns
+    # would overflow and send this full-rank prefix to the fallback
+    rng = random.Random(38)
+    p = PRIMES[0]
+    left = [[rng.randrange(p) for _ in range(35)] for _ in range(100)]
+    right = [[rng.randrange(p) for _ in range(40)] for _ in range(35)]
+    rows = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)]
+            for row in left]
+    eliminated = spy_on_eliminations(monkeypatch)
+    rref, pivots = rref_mod_p(np.array(rows, dtype=np.int64), p)
+    assert eliminated == [40 + exactla._PREFIX_MARGIN]
+    expected, expected_pivots = gauss_jordan_mod_p(rows, 40, p)
+    assert len(pivots) == 35
+    assert pivots == expected_pivots
+    assert rref.tolist() == expected
