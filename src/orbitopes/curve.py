@@ -10,10 +10,9 @@ This module provides the package's one float evaluator of the curve,
 :func:`orbit_points`, and the exact rational (tan-half-angle)
 parametrization, built on one table of integer angle-multiplication
 coefficients (those of ``(1+it)^(2j)``); the float affine-independence test
-for a tuple of points or a stack of tuples, the projective degree and
-smoothness data, and an independent numeric probe that re-derives the
-degree by intersecting the rational parametrization with a random affine
-hyperplane.
+for tuples of points, the projective degree and smoothness data, and an
+independent numeric probe that re-derives the degree by intersecting the
+rational parametrization with a random affine hyperplane.
 """
 
 from __future__ import annotations
@@ -146,27 +145,18 @@ def antipodal_point(rep: Representation) -> tuple[Fraction, ...]:
     return tuple(coords)
 
 
-def affinely_independent(points, tol: float = AFFINE_RANK_TOL):
-    """Whether the points are affinely independent (rank of differences).
-
-    One tuple of m points, an ``(m, d)`` array, gives a bool; a stack of
-    tuples, ``(..., m, d)``, gives an array of verdicts from one stacked SVD.
-    """
+def affinely_independent(points: Sequence[np.ndarray]) -> bool:
+    """Whether the points are affinely independent (rank of differences)."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim < 2 or pts.shape[-2] == 0:
+    if len(pts) == 0:
         raise ValueError("need at least one point")
-    m, d = pts.shape[-2:]
-    if m == 1:
-        verdict = np.ones(pts.shape[:-2], dtype=bool)
-    elif m - 1 > d:
-        verdict = np.zeros(pts.shape[:-2], dtype=bool)
-    else:
-        sigma = np.linalg.svd(pts[..., 1:, :] - pts[..., :1, :],
-                              compute_uv=False)
-        # sorted largest first: full rank needs all m - 1 values above the
-        # cut, and the last one is the smallest
-        verdict = sigma[..., -1] > tol * np.maximum(sigma[..., 0], 1.0)
-    return verdict if verdict.ndim else bool(verdict)
+    if len(pts) == 1:
+        return True
+    sigma = np.linalg.svd(pts[1:] - pts[0], compute_uv=False)
+    # sorted largest first: full rank needs len(pts) - 1 values, all above
+    # the cut, and the last one is the smallest
+    return bool(len(sigma) == len(pts) - 1
+                and sigma[-1] > AFFINE_RANK_TOL * max(sigma[0], 1.0))
 
 
 def curve_info(rep: Representation) -> CurveInfo:

@@ -24,15 +24,12 @@ if the check fails.  A passing check proves the prefix has the whole
 matrix's row space, so the results are those of all rows, whatever the
 margin; a prefix of lower rank always fails it.
 
-:func:`nullspace_exact` picks between the two by column count; for callers
-that hold integer rows, :func:`_row_residues` and :func:`_verify_kernel`
-are the modular solver's two inputs.
+:func:`nullspace_exact` picks between the two by column count.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from math import gcd, isqrt
 from typing import Callable, Sequence
 
@@ -376,15 +373,10 @@ def _try_finish(mods, is_kernel) -> list[tuple[Fraction, ...]] | None:
     return basis
 
 
-def _row_residues(int_rows: Sequence[Sequence[int]], p: int) -> np.ndarray:
-    """Integer rows modulo p, the ``residues`` of :func:`nullspace_modular`."""
-    return np.array([[x % p for x in row] for row in int_rows], dtype=np.int64)
-
-
 def _verify_kernel(int_rows: Sequence[Sequence[int]],
                    basis: Sequence[Sequence[Fraction]]) -> bool:
     """Whether every integer vector of ``basis`` is in the kernel of the
-    integer rows, the ``is_kernel`` of :func:`nullspace_modular`."""
+    integer rows."""
     assert all(x.denominator == 1 for v in basis for x in v)
     vectors = [[x.numerator for x in v] for v in basis]
     return all(sum(a * b for a, b in zip(row, ints) if b) == 0
@@ -392,26 +384,20 @@ def _verify_kernel(int_rows: Sequence[Sequence[int]],
 
 
 def nullspace_exact(ncols: int, rows: Callable[[], Sequence[Sequence]],
-                    residues: Callable[[int], np.ndarray] | None = None,
+                    residues: Callable[[int], np.ndarray],
                     is_kernel: Callable[[list[tuple[Fraction, ...]]], bool]
-                    | None = None
                     ) -> tuple[list[tuple[Fraction, ...]], dict]:
     """Exact kernel basis of a matrix with ``ncols`` columns; the one place
     that picks the solver by width.
 
-    ``rows()`` gives the matrix as integer or rational rows.  Up to
-    ``_BAREISS_MAX_COLS`` columns it goes to Bareiss.  Wider matrices go to
-    :func:`nullspace_modular` with ``residues`` and ``is_kernel``; a caller
-    that gives neither gets the residues and the exact test of ``rows()``.
+    Up to ``_BAREISS_MAX_COLS`` columns, Bareiss eliminates ``rows()``, the
+    matrix as integer or rational rows.  Wider matrices go to
+    :func:`nullspace_modular` with ``residues`` and ``is_kernel``.
     """
     if ncols <= _BAREISS_MAX_COLS:
         basis = nullspace_bareiss(rows())
         return basis, {"method": "bareiss", "certified": True,
                        "nullity_upper_bound": len(basis)}
-    if residues is None:
-        int_rows = _to_integer_rows(rows())
-        residues = partial(_row_residues, int_rows)
-        is_kernel = partial(_verify_kernel, int_rows)
     basis, info = nullspace_modular(ncols, residues, is_kernel)
     info["method"] = "modular"
     return basis, info

@@ -24,8 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curve import (Representation, affinely_independent, orbit_points,
-                    rational_point)
+from .curve import Representation, orbit_points, rational_point
 from .exactla import exact_rank, nullspace_exact
 from .poly import (CoeffMode, Exponent, SparsePoly, cleared_power_table,
                    monomials_up_to_degree)
@@ -116,111 +115,76 @@ def secant_point(rep: Representation, params: Sequence, weights: Sequence,
     return tuple(float(v) for v in np.asarray(weights) @ pts)
 
 
-# The curve points of one speculative window of the float sampler, a
-# (rows, r, 2R) float array, stay under this many bytes.
-_SPECULATE_BYTES = 8 * 2 ** 20
+# The curve points of one chunk of float draws, a (rows, r, 2R) float
+# array, stay under this many bytes.  The budget is small because a chunk's
+# samples are built from lists of its rows: turning the 9690 draws of a
+# degree-15 {1,4} fit into samples in one chunk raised the peak RSS of the
+# fit by about 2 MB.
+_CHUNK_BYTES = 2 ** 18
 
 
 def sample_secants(rep: Representation, r: int, count: int, seed: int,
                    mode: CoeffMode = CoeffMode.FLOAT) -> list[SecantSample]:
-    """Draw secant samples; tuples of affinely dependent curve points are
-    rejected and redrawn so every sample spans a genuine (r-1)-plane.
+    """Draw secant samples, a function of ``(rep, r, count, seed)``.
 
-    The samples are a function of ``(rep, r, count, seed)``.  The float
-    ones are defined one draw at a time: draw r angles with
-    ``rng.uniform(0, 2 pi, size=r)``, reject the draw if their curve points
-    are affinely dependent, and otherwise draw the weights with
-    ``rng.dirichlet(ones(r))`` and keep the sample.  The float sampler
-    returns exactly these samples, computed a window of draws at a time
-    (speculate, then replay): it saves the generator state, makes the RNG
-    calls of the window as if every draw were accepted, and then evaluates
-    the curve points, the independence test and the secant points of the
-    whole window in one batch each.  At the first rejected draw k it keeps
-    the k samples before it, restores the state, replays those k draws,
-    draws only the angles of draw k and speculates again from draw k + 1.
-    A window's curve points stay under ``_SPECULATE_BYTES``, and a window
-    holds at most half the mean run of draws per rejection so far: it
-    starts at one draw and grows by half while no draw is rejected, and
-    few draws are evaluated past a rejection, so a high rejection rate
-    costs about what the one-at-a-time loop costs.
+    A float sample is one draw: r angles from ``rng.uniform(0, 2 pi,
+    size=r)``, then weights from ``rng.dirichlet(ones(r))``, and every draw
+    is kept.  Affinely dependent curve points need no rejection: their
+    combination lies on a lower secant variety, which the r-th one contains.
+    The curve points and the combinations are computed in chunks of draws
+    whose curve points stay under ``_CHUNK_BYTES``.
 
-    Raises :class:`InsufficientSamplesError` when ``count`` samples are not
-    found in DRAWS_PER_SAMPLE * count draws.  The exact sampler draws each
-    curve parameter from about 2225 rationals, so with r = 1 it runs out."""
+    The exact sampler rejects repeated parameter tuples and tuples of
+    affinely dependent curve points, and raises
+    :class:`InsufficientSamplesError` when ``count`` samples are not found
+    in DRAWS_PER_SAMPLE * count draws.  It draws each curve parameter from
+    about 2225 rationals, so with r = 1 it runs out."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if r < 1 or r > rep.ambient_dim:
         raise ValueError(f"r={r} out of range for ambient dim {rep.ambient_dim}")
     if not rep.is_reduced():
         raise ValueError("frequency set must be reduced")
-    draws = DRAWS_PER_SAMPLE * count
     if mode is CoeffMode.FLOAT:
-        out = _speculate_and_replay(rep, r, count, seed, draws)
+        rng = np.random.default_rng(seed)
+        ones = np.ones(r)
+        rows = max(1, _CHUNK_BYTES // (8 * r * rep.ambient_dim))
+        out: list[SecantSample] = []
+        for start in range(0, count, rows):
+            n = min(rows, count - start)
+            params, weights = np.empty((n, r)), np.empty((n, r))
+            for i in range(n):
+                params[i] = rng.uniform(0.0, 2 * math.pi, size=r)
+                weights[i] = rng.dirichlet(ones)
+            points = np.matmul(weights[:, None, :], orbit_points(rep, params))
+            out += map(SecantSample, map(tuple, params.tolist()),
+                       map(tuple, weights.tolist()),
+                       map(tuple, points[:, 0].tolist()))
+        return out
+    out = []
+    rng = random.Random(seed)
+    seen: set[tuple] = set()
+    draws = DRAWS_PER_SAMPLE * count
+    for _ in range(draws):
+        params = tuple(Fraction(rng.randint(-4 * d, 4 * d), d)
+                       for d in (rng.randint(1, 30) for _ in range(r)))
+        if len(set(params)) != r or params in seen:
+            continue
+        pts = [rational_point(rep, t) for t in params]
+        diffs = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
+        if exact_rank(diffs) < r - 1:
+            continue
+        seen.add(params)
+        raw = [rng.randint(1, 64) for _ in range(r)]
+        total = sum(raw)
+        weights = tuple(Fraction(w, total) for w in raw)
+        point = tuple(sum(w * p[i] for w, p in zip(weights, pts))
+                      for i in range(rep.ambient_dim))
+        out.append(SecantSample(params, weights, point))
         if len(out) == count:
             return out
-    else:
-        out = []
-        rng = random.Random(seed)
-        seen: set[tuple] = set()
-        for _ in range(draws):
-            params = tuple(Fraction(rng.randint(-4 * d, 4 * d), d)
-                           for d in (rng.randint(1, 30) for _ in range(r)))
-            if len(set(params)) != r or params in seen:
-                continue
-            pts = [rational_point(rep, t) for t in params]
-            diffs = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
-            if exact_rank(diffs) < r - 1:
-                continue
-            seen.add(params)
-            raw = [rng.randint(1, 64) for _ in range(r)]
-            total = sum(raw)
-            weights = tuple(Fraction(w, total) for w in raw)
-            point = tuple(sum(w * p[i] for w, p in zip(weights, pts))
-                          for i in range(rep.ambient_dim))
-            out.append(SecantSample(params, weights, point))
-            if len(out) == count:
-                return out
     raise InsufficientSamplesError(
         f"only {len(out)} of {count} secant samples after {draws} draws")
-
-
-def _speculate_and_replay(rep: Representation, r: int, count: int, seed: int,
-                          draws: int) -> list[SecantSample]:
-    """The float samples of :func:`sample_secants`, at most ``count`` of
-    them from at most ``draws`` draws."""
-    rng = np.random.default_rng(seed)
-    ones = np.ones(r)
-    rows = max(1, _SPECULATE_BYTES // (8 * r * rep.ambient_dim))
-    out: list[SecantSample] = []
-    drawn = rejected = 0
-    while len(out) < count and drawn < draws:
-        # at most half the mean run of draws per rejection so far
-        n = min(rows, count - len(out), draws - drawn,
-                max(1, drawn // (2 * rejected + 2)))
-        state = rng.bit_generator.state
-        params, weights = np.empty((n, r)), np.empty((n, r))
-        for i in range(n):
-            params[i] = rng.uniform(0.0, 2 * math.pi, size=r)
-            weights[i] = rng.dirichlet(ones)
-        pts = orbit_points(rep, params)
-        independent = affinely_independent(pts, tol=1e-9)
-        k = n if independent.all() else int(independent.argmin())
-        points = np.matmul(weights[:k, None, :], pts[:k])[:, 0]
-        out += map(SecantSample, map(tuple, params[:k].tolist()),
-                   map(tuple, weights[:k].tolist()),
-                   map(tuple, points.tolist()))
-        drawn += k
-        if k < n:
-            # draw k is rejected: the draws after it were made from the
-            # wrong generator state, so rewind to draw k and draw its angles
-            rng.bit_generator.state = state
-            for _ in range(k):
-                rng.uniform(0.0, 2 * math.pi, size=r)
-                rng.dirichlet(ones)
-            rng.uniform(0.0, 2 * math.pi, size=r)
-            drawn += 1
-            rejected += 1
-    return out
 
 
 @dataclass(frozen=True)

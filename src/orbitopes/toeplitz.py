@@ -79,9 +79,12 @@ def membership_report(point: Sequence[float], tol: float = DEFAULT_TOL) -> dict:
 
     A boundary point in the relative interior of a k-face has Toeplitz rank
     k+1, so its face dimension is rank - 1; interior and outside points give
-    None.
+    None.  Raises ValueError when the eigenvalues overflow to infinity.
     """
     eigs = eigenvalues(point)
+    if not np.isfinite(eigs).all():
+        raise ValueError("the Toeplitz eigenvalues of the point are not "
+                         "finite: its coordinates are too large")
     verdict = _verdict(eigs, tol)
     rank = numerical_rank(eigs, tol)
     return {

@@ -98,6 +98,35 @@ def test_verify_pass_and_fail(tmp_path, capsys):
     assert code == 2
 
 
+def test_verify_with_more_points_than_dimensions_finishes(tmp_path, capsys):
+    # 128 points on the frequency-(1..64) curve: the secant variety fills
+    # R^128, most draws are numerically affinely dependent, and every draw
+    # is a sample
+    path = tmp_path / "one.poly"
+    path.write_text("1/1" + " 0" * 128 + "\n")
+    code, out = run_cli(capsys, "verify", "--rep",
+                        ",".join(map(str, range(1, 65))), "--r", "128",
+                        "--count", "200", "--poly", str(path))
+    assert code == 2
+    assert json.loads(out)["max_residual"] == 1.0
+
+
+def test_negative_values_parse_after_an_equals_sign(tmp_path, capsys):
+    # argparse reads "-0.5,0.2" after a space as an option
+    assert main(["membership", "--point", "-0.5,0.2"]) == 1
+    assert "expected one argument" in capsys.readouterr().err
+    code, out = run_cli(capsys, "membership", "--point=-0.5,0.2")
+    assert code == 0
+    assert json.loads(out)["config"]["point"] == "-0.5,0.2"
+    from orbitopes import fixtures
+    path = tmp_path / "float.poly"
+    path.write_text(fixtures.secant_surface_13().to_float().dumps())
+    code, out = run_cli(capsys, "rationalize", "--poly", str(path),
+                        "--anchor", "0,0,4,0", "--anchor-value=-3/4")
+    assert code == 0
+    assert "-3/4 0 0 4 0" in json.loads(out)["polynomial"]
+
+
 def test_rationalize_subcommand(tmp_path, capsys):
     from orbitopes import fixtures
     path = tmp_path / "float.poly"
@@ -199,6 +228,11 @@ def assert_usage_error(tmp_path, capsys, argv, message):
       "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
     (["curve-info", "--rep", "1,3", "--probe", "--seed", "-1"],
      "argument --seed: must be at least 0, got -1"),
+    # the Toeplitz eigenvalues overflow to infinity
+    (["membership", "--point", "1e308,1e308,1e308,1e308"],
+     "Toeplitz eigenvalues of the point are not finite"),
+    (["face-dim", "--point", "1e308,1e308,1e308,1e308"],
+     "Toeplitz eigenvalues of the point are not finite"),
 ])
 def test_out_of_range_arguments_are_usage_errors(tmp_path, capsys, argv,
                                                  message):

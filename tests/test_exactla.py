@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from orbitopes import exactla
 from orbitopes.curve import Representation
-from orbitopes.exactla import (PRIMES, _row_residues, _to_integer_rows,
+from orbitopes.exactla import (PRIMES, _to_integer_rows,
                                _verify_kernel, bareiss_echelon,
                                exact_rank, nullspace_bareiss, nullspace_exact,
                                nullspace_modular, rational_reconstruction,
@@ -27,6 +27,11 @@ def random_low_rank(rng, rows, cols, rank):
 
 def is_kernel(matrix, vec):
     return all(sum(a * b for a, b in zip(row, vec)) == 0 for row in matrix)
+
+
+def _row_residues(int_rows, p):
+    """Integer rows modulo p, the ``residues`` of nullspace_modular."""
+    return np.array([[x % p for x in row] for row in int_rows], dtype=np.int64)
 
 
 def modular(matrix):
@@ -151,10 +156,14 @@ def test_modular_with_large_entries_and_small_kernel():
 
 def test_nullspace_exact_dispatches_by_width():
     narrow = [[1, 2, 3]]
-    basis, info = nullspace_exact(3, lambda: narrow)
+    basis, info = nullspace_exact(3, lambda: narrow,
+                                  partial(_row_residues, narrow),
+                                  partial(_verify_kernel, narrow))
     assert info["method"] == "bareiss" and len(basis) == 2
     wide = [[(i * j + 1) % 7 for j in range(200)] for i in range(4)]
-    basis, info = nullspace_exact(200, lambda: wide)
+    basis, info = nullspace_exact(200, lambda: wide,
+                                  partial(_row_residues, wide),
+                                  partial(_verify_kernel, wide))
     assert info["method"] == "modular"
     assert len(basis) == 200 - exact_rank(wide)
     for vec in basis[:3]:

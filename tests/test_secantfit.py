@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from orbitopes import exactla, secantfit
-from orbitopes.curve import (Representation, affinely_independent,
-                            antipodal_point, orbit_points, rational_point)
+from orbitopes.curve import (Representation, antipodal_point, orbit_points,
+                            rational_point)
 from orbitopes.poly import CoeffMode, SparsePoly
 from orbitopes.secantfit import (InsufficientSamplesError,
                                  NoVanishingPolynomialError, SecantSample,
@@ -83,157 +83,84 @@ def test_sample_secants_exact_pool_exhausted():
         sample_secants(REP13, 1, 2503, seed=0, mode=CoeffMode.RATIONAL)
 
 
-def sequential_float_samples(rep, r, count, seed, reject=()):
+def sequential_float_samples(rep, r, count, seed):
     """The float sampler one draw at a time, the definition that the
-    batched sampler must equal bit for bit; draws whose index is in
-    ``reject`` are rejected as if their curve points were dependent.
+    chunked sampler must equal bit for bit.
 
-    Returns the samples, the curve points of the rejected draws (as bytes)
-    and the generator in its final state."""
+    Returns the samples and the generator in its final state."""
     rng = np.random.default_rng(seed)
-    out, rejected = [], set()
-    for draw in range(secantfit.DRAWS_PER_SAMPLE * count):
+    out = []
+    for _ in range(count):
         params = tuple(float(t) for t in rng.uniform(0.0, 2 * math.pi, size=r))
-        pts = orbit_points(rep, np.array(params))
-        if draw in reject or not affinely_independent(pts, tol=1e-9):
-            rejected.add(pts.tobytes())
-            continue
         weights = tuple(float(w) for w in rng.dirichlet(np.ones(r)))
+        pts = orbit_points(rep, np.array(params))
         point = tuple(float(v) for v in np.asarray(weights) @ pts)
         out.append(SecantSample(params, weights, point))
-        if len(out) == count:
-            break
-    return out, rejected, rng
+    return out, rng
 
 
 def sample_bits(samples) -> bytes:
     return np.array([s.params + s.weights + s.point for s in samples]).tobytes()
 
 
-def batched_float_samples(monkeypatch, rep, r, count, seed, rejected=()):
-    """``sample_secants`` with the draws whose curve points are in
-    ``rejected`` forced to fail the independence test.
-
-    Returns the samples (or the InsufficientSamplesError), the generator in
-    its final state, and ``(row, rows)`` of each forced rejection: the row
-    of the speculative window it fell in and the window's length."""
-    real = secantfit.affinely_independent
-    forced = []
-
-    def verdict(pts, tol):
-        independent = real(pts, tol)
-        for i, row in enumerate(pts):
-            if row.tobytes() in rejected:
-                independent[i] = False
-                forced.append((i, len(pts)))
-        return independent
-
+def assert_matches_reference(monkeypatch, rep, r, count, seed):
+    """``sample_secants`` equals the one-at-a-time loop bit for bit and
+    leaves its generator in the same state."""
     generators = []
     make = np.random.default_rng
     with monkeypatch.context() as patch:
-        patch.setattr(secantfit, "affinely_independent", verdict)
         patch.setattr(np.random, "default_rng",
                       lambda seed: generators.append(make(seed)) or generators[-1])
-        try:
-            result = sample_secants(rep, r, count, seed)
-        except InsufficientSamplesError as exc:
-            result = exc
-    return result, generators[0], forced
-
-
-def assert_replays_reference(monkeypatch, rep, r, count, seed, reject):
-    expected, rejected, reference = sequential_float_samples(
-        rep, r, count, seed, frozenset(reject))
-    got, rng, forced = batched_float_samples(monkeypatch, rep, r, count, seed,
-                                             rejected)
+        got = sample_secants(rep, r, count, seed)
+    expected, reference = sequential_float_samples(rep, r, count, seed)
     assert len(got) == count
     assert sample_bits(got) == sample_bits(expected)
-    # no draw more or less than the one-at-a-time loop
-    assert rng.bit_generator.state == reference.bit_generator.state
-    assert len(forced) == len(rejected)
-    return forced
+    # no RNG call more or less than the one-at-a-time loop
+    assert generators[0].bit_generator.state == reference.bit_generator.state
 
 
-def test_float_sampler_replays_single_rejections(monkeypatch):
-    # a forced rejection at each of the first 30 draws in turn; together
-    # they fall on the first draw, inside windows and on their last rows
-    positions = set()
-    for index in range(30):
-        (position,) = assert_replays_reference(monkeypatch, REP13, 2, 30, 3,
-                                               [index])
-        positions.add(position)
-    assert (0, 1) in positions  # the first draw is a window of its own
-    assert any(0 < row < rows - 1 for row, rows in positions)
-    assert any(row == rows - 1 and rows > 1 for row, rows in positions)
-
-
-@pytest.mark.parametrize("indices,r,count,reject", [
-    ((1, 3), 2, 30, [5, 6]),
-    ((1, 3), 2, 30, [0, 1, 2, 3]),
-    ((1, 3), 2, 30, list(range(0, 80, 2))),     # every other draw
-    ((1, 2), 1, 20, [0, 7, 8, 15]),
-    ((1, 2, 3), 3, 25, [3, 9, 10, 11, 30]),
+@pytest.mark.parametrize("indices,r,count", [
+    ((1, 2), 1, 40),                # r = 1
+    ((1, 3), 2, 60),                # r = R
+    ((1, 2, 3), 3, 50),
+    ((1, 3), 4, 60),                # r = 2R
+    (tuple(range(1, 9)), 16, 200),
 ])
-def test_float_sampler_replays_rejections(monkeypatch, indices, r, count,
-                                          reject):
-    assert_replays_reference(monkeypatch, Representation(indices), r, count,
-                             17, reject)
+def test_float_sampler_matches_one_draw_at_a_time(monkeypatch, indices, r,
+                                                  count):
+    assert_matches_reference(monkeypatch, Representation(indices), r, count,
+                             17)
 
 
-def test_float_sampler_replays_across_window_boundaries(monkeypatch):
-    # a byte budget of 3 draws caps every window at 3 rows
-    monkeypatch.setattr(secantfit, "_SPECULATE_BYTES", 3 * 8 * 2 * 4)
-    positions = set()
-    for reject in [[i] for i in range(10, 30)] + [[2, 3], [20, 21, 22],
-                                                   list(range(2, 60, 3))]:
-        positions.update(assert_replays_reference(monkeypatch, REP13, 2, 30,
-                                                  5, reject))
-    assert max(rows for _, rows in positions) == 3
-    assert {(0, 3), (2, 3)} <= positions  # first and last row of a window
-
-
-def test_sample_secants_float_draws_are_bounded(monkeypatch):
-    # every draw rejected: the sampler stops after DRAWS_PER_SAMPLE * count
-    # draws, each of which drew its angles and nothing else
-    reference = np.random.default_rng(0)
-    for _ in range(secantfit.DRAWS_PER_SAMPLE * 10):
-        reference.uniform(0.0, 2 * math.pi, size=2)
-    monkeypatch.setattr(secantfit, "affinely_independent",
-                        lambda pts, tol: np.zeros(len(pts), dtype=bool))
-    got, rng, _ = batched_float_samples(monkeypatch, REP13, 2, 10, 0)
-    assert str(got) == "only 0 of 10 secant samples after 200 draws"
-    assert rng.bit_generator.state == reference.bit_generator.state
-
-
-def test_sample_secants_float_runs_out_after_the_same_draws(monkeypatch):
-    reject = frozenset(range(200)) - {4, 50, 199}
-    expected, rejected, reference = sequential_float_samples(REP13, 2, 10, 0,
-                                                             reject)
-    assert len(expected) == 3
-    got, rng, _ = batched_float_samples(monkeypatch, REP13, 2, 10, 0, rejected)
-    assert str(got) == "only 3 of 10 secant samples after 200 draws"
-    assert rng.bit_generator.state == reference.bit_generator.state
+def test_float_sampler_keeps_affinely_dependent_draws():
+    # the 16th secant variety of the frequency-(1..8) curve fills R^16; a
+    # draw of 16 curve points that are numerically affinely dependent
+    # still gives a point of it, and a sample
+    rep = Representation(tuple(range(1, 9)))
+    samples = sample_secants(rep, 16, 200, 17)
+    ratios = []
+    for s in samples:
+        pts = orbit_points(rep, np.array(s.params))
+        sigma = np.linalg.svd(pts[1:] - pts[0], compute_uv=False)
+        ratios.append(sigma[-1] / sigma[0])
+    assert len(samples) == 200 and min(ratios) < 1e-9
 
 
 def test_float_sampler_windows_stay_within_the_byte_budget(monkeypatch):
     # 128 points of a 64-frequency curve: one draw is 128 KiB of curve
-    # points, so 300 draws at once would take 37.5 MiB.  The verdict is
-    # forced to accept, so the windows grow until the budget stops them.
+    # points, so the 300 draws take 150 chunks of 2 draws
     shapes = []
 
     def spy(rep, thetas):
         pts = orbit_points(rep, thetas)
         shapes.append(pts.shape)
-        assert pts.nbytes <= secantfit._SPECULATE_BYTES
+        assert pts.nbytes <= secantfit._CHUNK_BYTES
         return pts
 
     monkeypatch.setattr(secantfit, "orbit_points", spy)
-    monkeypatch.setattr(secantfit, "affinely_independent",
-                        lambda pts, tol: np.ones(len(pts), dtype=bool))
-    samples = sample_secants(Representation(tuple(range(1, 65))), 128, 300, 0)
-    assert len(samples) == 300
-    assert sum(rows for rows, _, _ in shapes) == 300
-    assert max(shapes) == (64, 128, 128)
+    assert_matches_reference(monkeypatch, Representation(tuple(range(1, 65))),
+                             128, 300, 0)
+    assert shapes == [(2, 128, 128)] * 150
 
 
 @pytest.mark.parametrize("indices,degree", [((1, 2), 3), ((1, 4), 6),
