@@ -31,13 +31,16 @@ from .poly import CoeffMode, SparsePoly
 EXIT_OK, EXIT_USAGE, EXIT_VERIFY = 0, 1, 2
 
 # Input budgets; a larger value is a usage error.  The basis size is the
-# number of monomials of degree <= --degree in the ambient variables.
+# number of monomials of degree <= --degree in the ambient variables.  A fit
+# writes polynomials of at most its basis size in terms, so the term budget
+# of a --poly file refuses none of them.
 MAX_FREQUENCY = 64                                    # in --rep
 MAX_SAMPLES = 10_000                                  # --count
 MAX_BASIS_SIZE = {"float": 4_000, "exact": 1_001}     # by --mode
 MAX_N = 201                                           # bn --n
 MAX_POINT_COORDS = 128                                # in --point
 MAX_POLY_DEGREE = 128                                 # of a --poly file
+MAX_POLY_TERMS = 4_000                                # of a --poly file
 
 
 class _Parser(argparse.ArgumentParser):
@@ -148,6 +151,8 @@ def _poly(args) -> SparsePoly:
     poly = SparsePoly.load_file(args.poly)
     if poly.degree > MAX_POLY_DEGREE:
         raise ValueError(f"degree {poly.degree} over the budget {MAX_POLY_DEGREE}")
+    if poly.num_terms > MAX_POLY_TERMS:
+        raise ValueError(f"{poly.num_terms} terms over the budget {MAX_POLY_TERMS}")
     return poly
 
 

@@ -8,16 +8,18 @@ curve
 whose convex hull is the object of study everywhere else in this package.
 This module provides the package's one float evaluator of the curve,
 :func:`orbit_points`, and the exact rational (tan-half-angle)
-parametrization, built on one table of integer angle-multiplication
-coefficients (those of ``(1+it)^(2j)``); the float affine-independence test
-for tuples of points, the projective degree and smoothness data, and an
-independent numeric probe that re-derives the degree by intersecting the
-rational parametrization with a random affine hyperplane.
+parametrization in cleared integers (:func:`cleared_point`), built on one
+table of integer angle-multiplication coefficients (those of
+``(1+it)^(2j)``); the float affine-independence test for tuples of
+points, the projective degree and smoothness data, and an independent
+numeric probe that re-derives the degree by intersecting the rational
+parametrization with a random affine hyperplane.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -114,26 +116,42 @@ def orbit_points(rep: Representation, thetas) -> np.ndarray:
     return out
 
 
-def rational_point(rep: Representation, t) -> tuple[Fraction, ...]:
-    """Exact curve point for the parameter ``t = tan(theta/2)``.
+def cleared_point(rep: Representation, n: int,
+                  d: int) -> tuple[tuple[int, ...], int]:
+    """Integer coordinates and their common denominator of the curve point
+    at ``t = n/d`` (lowest terms, d > 0).
 
-    With t = n/d, cos(j*theta) = sum_k re_k n^k d^(2j-k) / (d^2+n^2)^j,
+    With norm = d^2 + n^2, cos(j*theta) = sum_k re_k n^k d^(2j-k) / norm^j,
     and sin(j*theta) is the same sum over im_k, where re_k + i*im_k are
-    the coefficients of (1+it)^(2j) (:func:`_cleared_cos_sin`).  As ``t``
+    the coefficients of (1+it)^(2j) (:func:`_cleared_cos_sin`).  Every
+    coordinate is returned over the denominator norm^J, J the largest
+    frequency.
+    """
+    top = rep.max_index
+    norm = d * d + n * n
+    n_pow, d_pow = [1], [1]
+    for _ in range(2 * top):
+        n_pow.append(n_pow[-1] * n)
+        d_pow.append(d_pow[-1] * d)
+    coords: list[int] = []
+    for j in rep.indices:
+        re, im = _cleared_cos_sin(j)
+        terms = list(map(operator.mul, n_pow[:2 * j + 1], d_pow[2 * j::-1]))
+        pad = norm ** (top - j)
+        coords.append(pad * sum(map(operator.mul, re, terms)))
+        coords.append(pad * sum(map(operator.mul, im, terms)))
+    return tuple(coords), norm ** top
+
+
+def rational_point(rep: Representation, t) -> tuple[Fraction, ...]:
+    """Exact curve point for the parameter ``t = tan(theta/2)``: the
+    :func:`cleared_point` of t, one ``Fraction`` per coordinate.  As ``t``
     runs over the rationals this covers the orbit minus the single point at
     theta = pi.
     """
     t = Fraction(t)
-    n, d = t.numerator, t.denominator
-    norm = d * d + n * n
-    coords: list[Fraction] = []
-    for j in rep.indices:
-        re, im = _cleared_cos_sin(j)
-        terms = [n ** k * d ** (2 * j - k) for k in range(2 * j + 1)]
-        denom = norm ** j
-        coords.append(Fraction(sum(c * x for c, x in zip(re, terms)), denom))
-        coords.append(Fraction(sum(c * x for c, x in zip(im, terms)), denom))
-    return tuple(coords)
+    coords, denom = cleared_point(rep, t.numerator, t.denominator)
+    return tuple(Fraction(c, denom) for c in coords)
 
 
 def antipodal_point(rep: Representation) -> tuple[Fraction, ...]:

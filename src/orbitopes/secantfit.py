@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -24,7 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .curve import Representation, orbit_points, rational_point
+from .curve import (Representation, cleared_point, orbit_points,
+                    rational_point)
 from .exactla import exact_rank, nullspace_exact
 from .poly import (CoeffMode, Exponent, SparsePoly, cleared_power_table,
                    monomials_up_to_degree)
@@ -134,11 +136,18 @@ def sample_secants(rep: Representation, r: int, count: int, seed: int,
     The curve points and the combinations are computed in chunks of draws
     whose curve points stay under ``_CHUNK_BYTES``.
 
-    The exact sampler rejects repeated parameter tuples and tuples of
-    affinely dependent curve points, and raises
-    :class:`InsufficientSamplesError` when ``count`` samples are not found
-    in DRAWS_PER_SAMPLE * count draws.  It draws each curve parameter from
-    about 2225 rationals, so with r = 1 it runs out."""
+    An exact draw is r parameters t = n/d, each d from ``randint(1, 30)``
+    and then n from ``randint(-4d, 4d)``.  The sampler works on the cleared
+    integer curve points x_k / D_k of :func:`cleared_point`.  It rejects
+    repeated parameter tuples, compared as reduced (n, d) pairs, and tuples
+    of affinely dependent curve points: the rank of the integer rows
+    x_k D_0 - x_0 D_k, the differences scaled by D_0 D_k.  A kept tuple then
+    draws r weights from ``randint(1, 64)``, normalized to sum 1, and each
+    coordinate of the combination is one ``Fraction`` over the common
+    denominator.  It raises :class:`InsufficientSamplesError` when
+    ``count`` samples are not found in DRAWS_PER_SAMPLE * count draws.  It
+    draws each curve parameter from about 2225 rationals, so with r = 1 it
+    runs out."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if r < 1 or r > rep.ambient_dim:
@@ -166,20 +175,30 @@ def sample_secants(rep: Representation, r: int, count: int, seed: int,
     seen: set[tuple] = set()
     draws = DRAWS_PER_SAMPLE * count
     for _ in range(draws):
-        params = tuple(Fraction(rng.randint(-4 * d, 4 * d), d)
-                       for d in (rng.randint(1, 30) for _ in range(r)))
-        if len(set(params)) != r or params in seen:
+        key = []  # the reduced (n, d) of each parameter
+        for _ in range(r):
+            d = rng.randint(1, 30)
+            n = rng.randint(-4 * d, 4 * d)
+            g = math.gcd(n, d)
+            key.append((n // g, d // g))
+        key = tuple(key)
+        if len(set(key)) != r or key in seen:
             continue
-        pts = [rational_point(rep, t) for t in params]
-        diffs = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
-        if exact_rank(diffs) < r - 1:
+        pts = [cleared_point(rep, n, d) for n, d in key]
+        (x0, d0), rest = pts[0], pts[1:]
+        if exact_rank([[a * d0 - b * dk for a, b in zip(x, x0)]
+                       for x, dk in rest]) < r - 1:
             continue
-        seen.add(params)
+        seen.add(key)
         raw = [rng.randint(1, 64) for _ in range(r)]
         total = sum(raw)
+        denom = math.lcm(*[dk for _, dk in pts])
+        factors = [w * (denom // dk) for w, (_, dk) in zip(raw, pts)]
+        point = tuple(Fraction(sum(map(operator.mul, factors, column)),
+                               total * denom)
+                      for column in zip(*[x for x, _ in pts]))
+        params = tuple(Fraction(n, d) for n, d in key)
         weights = tuple(Fraction(w, total) for w in raw)
-        point = tuple(sum(w * p[i] for w, p in zip(weights, pts))
-                      for i in range(rep.ambient_dim))
         out.append(SecantSample(params, weights, point))
         if len(out) == count:
             return out
@@ -458,23 +477,67 @@ def _residue_rows(points: list[tuple[Fraction, ...]], basis: MonomialBasis,
     return np.ascontiguousarray(matrix.T)
 
 
+# Points whose cleared powers :func:`_vanishes` holds at a time: enough for
+# each numpy call on a monomial to pay off, few enough to bound the memory
+# and to stop soon after a failing point.
+_VANISH_CHUNK = 256
+
+
+def _vanishes(points: list[tuple[Fraction, ...]], basis: MonomialBasis,
+              vectors) -> bool:
+    """Whether every coefficient vector on ``basis`` vanishes, exactly, at
+    every point: the exact kernel test of :func:`_fit_exact`.
+
+    Each vector is scaled to integers once.  The points are taken in chunks
+    of ``_VANISH_CHUNK``; the powers of their cleared coordinates (L, L*x_1,
+    ..., L*x_n) form an object array indexed by (coordinate, exponent,
+    point).  Each monomial of the vectors' union support is computed once
+    per point, as the integer L^D x^e of :func:`_integer_row`, and
+    multiplied into the integer dot product of every vector that has it; a
+    chunk whose dot products are not all zero ends the test.
+    """
+    top = basis.max_degree
+    ints = []
+    for vec in vectors:
+        vec = [Fraction(c) for c in vec]
+        denom = math.lcm(*[c.denominator for c in vec])
+        ints.append([int(c * denom) for c in vec])
+    # per monomial of the union support: L's exponent, the nonzero
+    # (coordinate, exponent) pairs and the (vector, coefficient) pairs
+    columns = []
+    for col in sorted({i for vec in ints for i, c in enumerate(vec) if c}):
+        expo = basis.exponents[col]
+        columns.append((top - sum(expo),
+                        [(i, e) for i, e in enumerate(expo, 1) if e],
+                        [(k, vec[col]) for k, vec in enumerate(ints) if vec[col]]))
+    for start in range(0, len(points), _VANISH_CHUNK):
+        base = np.array([[row[1] for row in cleared_power_table(x, 1)]
+                         for x in points[start:start + _VANISH_CHUNK]],
+                        dtype=object).T
+        # powers[i, e] = (cleared coordinate i)^e over the chunk's points
+        powers = np.empty((base.shape[0], top + 1, base.shape[1]), dtype=object)
+        powers[:, 0] = 1
+        for e in range(1, top + 1):
+            powers[:, e] = powers[:, e - 1] * base
+        sums = np.zeros((len(ints), base.shape[1]), dtype=object)
+        for pad, factors, coeffs in columns:
+            value = powers[0, pad]
+            for i, e in factors:
+                value = value * powers[i, e]
+            for k, c in coeffs:
+                sums[k] += c * value
+        if sums.any():
+            return False
+    return True
+
+
 def _fit_exact(rep: Representation, basis: MonomialBasis,
                samples: list[SecantSample], count: int, seed: int) -> FitResult:
     points = [s.point for s in samples]
-
-    def is_kernel(vectors) -> bool:
-        # one power table per sample, shared by all the vectors
-        polys = [SparsePoly(basis.nvars, zip(basis.exponents, vec))
-                 for vec in vectors]
-        for x in points:
-            table = cleared_power_table(x, basis.max_degree)
-            if any(poly.evaluate(x, table) != 0 for poly in polys):
-                return False
-        return True
-
     kernel, info = nullspace_exact(
         basis.size, lambda: [_integer_row(x, basis) for x in points],
-        partial(_residue_rows, points, basis), is_kernel)
+        partial(_residue_rows, points, basis),
+        partial(_vanishes, points, basis))
     report = {
         "mode": "exact",
         "basis_size": basis.size,

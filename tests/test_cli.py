@@ -8,6 +8,7 @@ import pytest
 from orbitopes import exactla, secantfit
 from orbitopes.cli import main
 from orbitopes.curve import Representation
+from orbitopes.poly import monomials_up_to_degree
 
 
 def run_cli(capsys, *argv):
@@ -550,12 +551,15 @@ def test_point_budget_admits_its_largest_value(command, capsys):
     assert json.loads(capsys.readouterr().out)["config"]["command"] == command
 
 
-@pytest.mark.parametrize("argv,target", [
+POLY_COMMANDS = [
     (["verify", "--rep", "1,3", "--r", "2", "--count", "1"],
      "orbitopes.secantfit.verify_vanishing"),
     (["rationalize", "--anchor", "0,0,4,0", "--anchor-value", "1"],
      "orbitopes.secantfit.rationalize"),
-])
+]
+
+
+@pytest.mark.parametrize("argv,target", POLY_COMMANDS)
 def test_poly_degree_budget(tmp_path, monkeypatch, capsys, argv, target):
     # the computation is replaced by a stub: only the budget check runs
     def reached(*args, **kwargs):
@@ -566,6 +570,24 @@ def test_poly_degree_budget(tmp_path, monkeypatch, capsys, argv, target):
                             (129, "degree 129 over the budget 128")):
         path = tmp_path / f"degree{degree}.poly"
         path.write_text(f"1/1 {degree} 0 0 0\n")
+        assert main(argv + ["--poly", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize("argv,target", POLY_COMMANDS)
+def test_poly_term_budget(tmp_path, monkeypatch, capsys, argv, target):
+    # the computation is replaced by a stub: only the budget check runs
+    def reached(*args, **kwargs):
+        raise ValueError("budget check passed")
+
+    monkeypatch.setattr(target, reached)
+    exponents = monomials_up_to_degree(4, 17)  # 5985 monomials
+    for terms, message in ((4000, "budget check passed"),
+                           (4001, "4001 terms over the budget 4000")):
+        path = tmp_path / f"terms{terms}.poly"
+        path.write_text("".join(f"1/1 {' '.join(map(str, e))}\n"
+                                for e in exponents[:terms]))
         assert main(argv + ["--poly", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err

@@ -10,6 +10,7 @@ large ones.
 
 import contextlib
 import io
+import itertools
 import json
 import signal
 
@@ -42,7 +43,7 @@ def lists(*valid, bad=()):
 
 POLY = value("good.poly", "float.poly", bad=[f"{name}.poly" for name in (
     "nan", "inf", "overflow", "huge", "zero-denominator", "mixed", "empty",
-    "garbage", "high-degree", "missing")])
+    "garbage", "high-degree", "many-terms", "missing")])
 SEED = value("0", "1", "7")
 TOL = value("0", "1e-9", "1e-3")
 PSD_TOL = value("0", "1e-9", "1e-3", bad=["1", "5"])
@@ -93,10 +94,12 @@ GRAMMAR = {
 EXAMPLES = {
     "membership": [["membership", "--point", p] for p in LONG_POINTS],
     "face-dim": [["face-dim", "--point", p] for p in LONG_POINTS],
-    "verify": [["verify", "--rep", "1,3", "--r", "2", "--poly",
-                "high-degree.poly", "--count", "50"]],
-    "rationalize": [["rationalize", "--poly", "high-degree.poly", "--anchor",
-                     "0,0,4,0", "--anchor-value", "1"]],
+    "verify": [["verify", "--rep", "1,3", "--r", "2", "--poly", name,
+                "--count", "50"]
+               for name in ("high-degree.poly", "many-terms.poly")],
+    "rationalize": [["rationalize", "--poly", name, "--anchor", "0,0,4,0",
+                     "--anchor-value", "1"]
+                    for name in ("high-degree.poly", "many-terms.poly")],
 }
 
 
@@ -162,7 +165,11 @@ def poly_dir(tmp_path_factory):
                        "mixed": "1/1 0 0 4 0\n0.5 1 0 0 0\n",
                        "empty": "",
                        "garbage": "1/1 0 x 4\n",
-                       "high-degree": "1/1 20000 0 0 0\n"}.items():
+                       "high-degree": "1/1 20000 0 0 0\n",
+                       # over the term budget, every degree within its own
+                       "many-terms": "".join(
+                           f"1/1 {a} {b} {c} {d}\n" for a, b, c, d in
+                           itertools.product(range(8), repeat=4))}.items():
         (path / f"{name}.poly").write_text(text)
     return path
 

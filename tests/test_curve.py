@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orbitopes.curve import (DegenerateHyperplaneError, Representation,
-                             antipodal_point, curve_info, numeric_degree_probe,
-                             orbit_points, rational_point)
+                             _cleared_cos_sin, antipodal_point, cleared_point,
+                             curve_info, numeric_degree_probe, orbit_points,
+                             rational_point)
 
 
 def test_representation_validation():
@@ -71,6 +74,37 @@ def test_rational_point_examples():
     assert rational_point(rep, 1) == (0, 1, 0, -1)
     assert rational_point(Representation((1,)), Fraction(1, 2)) == \
         (Fraction(3, 5), Fraction(4, 5))
+
+
+def per_coordinate_rational_point(rep, t):
+    """Each coordinate its own Fraction over (d^2+n^2)^j, as the exact
+    curve point was computed before the cleared integer points."""
+    t = Fraction(t)
+    n, d = t.numerator, t.denominator
+    norm = d * d + n * n
+    coords = []
+    for j in rep.indices:
+        re, im = _cleared_cos_sin(j)
+        terms = [n ** k * d ** (2 * j - k) for k in range(2 * j + 1)]
+        coords.append(Fraction(sum(c * x for c, x in zip(re, terms)), norm ** j))
+        coords.append(Fraction(sum(c * x for c, x in zip(im, terms)), norm ** j))
+    return tuple(coords)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sets(st.integers(1, 64), min_size=1, max_size=4),
+       st.fractions(max_denominator=10 ** 4))
+@example({64}, Fraction(0))
+@example({1, 3}, Fraction(-7, 2))
+@example({1, 2, 63, 64}, Fraction(-120, 1))
+def test_rational_point_matches_per_coordinate_formula(indices, t):
+    rep = Representation(tuple(indices))
+    expected = per_coordinate_rational_point(rep, t)
+    assert repr(rational_point(rep, t)) == repr(expected)
+    n, d = t.numerator, t.denominator
+    coords, denom = cleared_point(rep, n, d)
+    assert denom == (d * d + n * n) ** rep.max_index
+    assert tuple(Fraction(c, denom) for c in coords) == expected
 
 
 def test_rational_point_matches_orbit_point():

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orbitopes.poly import (CoeffMode, SparsePoly, cleared_power_table,
-                            monomials_up_to_degree)
+from orbitopes.poly import CoeffMode, SparsePoly, monomials_up_to_degree
 
 
 def var(i, nvars=2):
@@ -229,9 +228,6 @@ def test_rational_eval_matches_fraction_sum(case):
     value = p.evaluate(point)
     assert isinstance(value, Fraction)
     assert value == expected
-    # a caller's power table of a higher degree gives the same value
-    table = cleared_power_table([Fraction(v) for v in point], p.degree + 2)
-    assert p.evaluate(point, table) == expected
 
 
 @pytest.mark.parametrize("text", [

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -81,6 +82,108 @@ def test_sample_secants_requires_reduced():
 def test_sample_secants_exact_pool_exhausted():
     with pytest.raises(InsufficientSamplesError):
         sample_secants(REP13, 1, 2503, seed=0, mode=CoeffMode.RATIONAL)
+
+
+def sequential_exact_samples(rep, r, count, seed):
+    """The exact sampler in Fraction arithmetic, the definition that the
+    cleared-integer sampler must equal sample for sample: the same
+    generator calls, the same rejections and the same error."""
+    rng = random.Random(seed)
+    seen = set()
+    out = []
+    draws = secantfit.DRAWS_PER_SAMPLE * count
+    for _ in range(draws):
+        params = tuple(Fraction(rng.randint(-4 * d, 4 * d), d)
+                       for d in (rng.randint(1, 30) for _ in range(r)))
+        if len(set(params)) != r or params in seen:
+            continue
+        pts = [rational_point(rep, t) for t in params]
+        diffs = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
+        if exactla.exact_rank(diffs) < r - 1:
+            continue
+        seen.add(params)
+        raw = [rng.randint(1, 64) for _ in range(r)]
+        total = sum(raw)
+        weights = tuple(Fraction(w, total) for w in raw)
+        point = tuple(sum(w * p[i] for w, p in zip(weights, pts))
+                      for i in range(rep.ambient_dim))
+        out.append(SecantSample(params, weights, point))
+        if len(out) == count:
+            return out
+    raise InsufficientSamplesError(
+        f"only {len(out)} of {count} secant samples after {draws} draws")
+
+
+def exact_outcome(sampler, *args):
+    """The repr of the samples, or the message of the sampler's error."""
+    try:
+        return repr(sampler(*args))
+    except InsufficientSamplesError as exc:
+        return f"InsufficientSamplesError: {exc}"
+
+
+@pytest.mark.parametrize("indices,r,count,seed", [
+    ((1, 3), 2, 400, 0),
+    ((1, 3), 1, 2503, 0),           # runs out
+    ((1, 3), 1, 800, 1),            # r = 1
+    ((1, 2), 4, 150, 2),            # r = ambient dimension
+    ((1, 2, 3), 6, 100, 3),
+    ((1, 64), 2, 100, 4),           # big integers
+    ((1, 2, 3, 4), 3, 150, 5),
+])
+def test_exact_sampler_matches_fraction_reference(indices, r, count, seed):
+    rep = Representation(indices)
+    got = exact_outcome(sample_secants, rep, r, count, seed,
+                        CoeffMode.RATIONAL)
+    assert got == exact_outcome(sequential_exact_samples, rep, r, count, seed)
+
+
+def every_third_candidate_rejected(calls):
+    """``exact_rank`` that reports a rank of -1, a rejection, on every
+    third call, and records the calls."""
+    rank = exactla.exact_rank
+
+    def patched(rows):
+        calls.append(len(rows))
+        return -1 if len(calls) % 3 == 0 else rank(rows)
+    return patched
+
+
+@pytest.mark.parametrize("r,count", [(2, 300), (1, 1600), (1, 2300)])
+def test_exact_sampler_matches_reference_with_rejections(monkeypatch, r,
+                                                         count):
+    # the weights are drawn for kept candidates only, so both samplers must
+    # reject the same candidates to draw the same samples afterwards
+    new_calls, reference_calls = [], []
+    monkeypatch.setattr(secantfit, "exact_rank",
+                        every_third_candidate_rejected(new_calls))
+    got = exact_outcome(sample_secants, REP13, r, count, 11,
+                        CoeffMode.RATIONAL)
+    monkeypatch.setattr(exactla, "exact_rank",
+                        every_third_candidate_rejected(reference_calls))
+    assert got == exact_outcome(sequential_exact_samples, REP13, r, count, 11)
+    assert new_calls == reference_calls and len(new_calls) >= count
+    # with r = 1 there are about 2225 distinct parameters
+    assert got.startswith("InsufficientSamplesError" if count > 2225 else "[")
+
+
+def test_exact_kernel_test_refuses_the_last_vector_at_the_last_point():
+    # x2 and x1*x2/2 vanish at every point, x1^2 - x1 everywhere but at the
+    # last point, which lies in the last chunk; its monomials are outside
+    # the support of the other two vectors
+    basis = monomial_basis(2, 2)
+    points = [(Fraction(k % 2), Fraction(0))
+              for k in range(2 * secantfit._VANISH_CHUNK + 1)]
+    points.append((Fraction(1, 3), Fraction(0)))
+
+    def vector(terms):
+        return tuple(Fraction(terms.get(e, 0)) for e in basis.exponents)
+
+    vectors = [vector({(0, 1): 1}), vector({(1, 1): Fraction(1, 2)}),
+               vector({(2, 0): 1, (1, 0): -1})]
+    assert not secantfit._vanishes(points, basis, vectors)
+    assert secantfit._vanishes(points[:-1], basis, vectors)
+    assert secantfit._vanishes(points, basis, vectors[:-1])
 
 
 def sequential_float_samples(rep, r, count, seed):
