@@ -66,6 +66,11 @@ COMMANDS = [
      "--mode", "exact"],
     ["secant-fit", "--rep", "1,2", "--r", "2", "--degree", "3",
      "--mode", "exact"],
+    # nullity > 1, where the order and scaling of the printed basis matter
+    ["secant-fit", "--rep", "1,3", "--r", "2", "--degree", "9",
+     "--mode", "exact"],
+    ["secant-fit", "--rep", "1,2", "--r", "2", "--degree", "5",
+     "--mode", "exact"],
     ["face-dim", "--point", "2,0,0,0"],
     ["faces", "--rep", "1,3,5"],
     ["membership"],
