@@ -24,22 +24,29 @@ if the check fails.  A passing check proves the prefix has the whole
 matrix's row space, so the results are those of all rows, whatever the
 margin; a prefix of lower rank always fails it.
 
-:func:`nullspace_exact` picks between the two by column count.
+:func:`nullspace_exact` solves a matrix given as column blocks, each block
+on its own, and picks one solver for all of them by the total column
+count.  :func:`canonical_basis` puts kernel vectors in the basis both
+solvers give a whole matrix.  Every prime of ``PRIMES`` is 1 modulo 4, so
+-1 has a square root modulo it (:func:`sqrt_minus_one`), which lets a
+caller reduce Gaussian integers modulo the prime.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import gcd, isqrt
 from typing import Callable, Sequence
 
 import numpy as np
 
-# Primes just below 2**30 so that products of two residues stay well inside
-# int64 during vectorized elimination.
+# The largest primes below 2**30 that are 1 modulo 4: products of two
+# residues stay well inside int64 during vectorized elimination, and each
+# has a square root of -1.
 PRIMES = (
-    1073741789, 1073741783, 1073741741, 1073741723, 1073741719,
-    1073741717, 1073741689, 1073741671, 1073741663, 1073741651,
+    1073741789, 1073741741, 1073741717, 1073741689, 1073741621,
+    1073741561, 1073741477, 1073741441, 1073741381, 1073741329,
 )
 
 _BAREISS_MAX_COLS = 35
@@ -162,6 +169,17 @@ def _clear_vector(v: list[Fraction]) -> list[Fraction]:
     if lead < 0:
         ints = [-x for x in ints]
     return [Fraction(x) for x in ints]
+
+
+def sqrt_minus_one(p: int) -> int:
+    """A square root of -1 modulo the prime p = 1 (mod 4): c^((p-1)/4) for
+    the least quadratic non-residue c, whose (p-1)/2-th power is -1."""
+    if p % 4 != 1:
+        raise ValueError(f"-1 has no square root modulo {p}")
+    c = 2
+    while pow(c, (p - 1) // 2, p) != p - 1:
+        c += 1
+    return pow(c, (p - 1) // 4, p)
 
 
 def rref_mod_p(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -383,24 +401,80 @@ def _verify_kernel(int_rows: Sequence[Sequence[int]],
                for row in int_rows for ints in vectors)
 
 
-def nullspace_exact(ncols: int, rows: Callable[[], Sequence[Sequence]],
-                    residues: Callable[[int], np.ndarray],
-                    is_kernel: Callable[[list[tuple[Fraction, ...]]], bool]
-                    ) -> tuple[list[tuple[Fraction, ...]], dict]:
-    """Exact kernel basis of a matrix with ``ncols`` columns; the one place
-    that picks the solver by width.
+def nullspace_exact(widths: Sequence[int],
+                    rows: Callable[[int], Sequence[Sequence]],
+                    residues: Callable[[int, int], np.ndarray],
+                    is_kernel: Callable[[int, list[tuple[Fraction, ...]]], bool]
+                    ) -> tuple[list[list[tuple[Fraction, ...]]], dict]:
+    """Exact kernel basis of each column block of a matrix, the block j
+    being ``widths[j]`` columns wide; the one place that picks the solver
+    by width.
 
-    Up to ``_BAREISS_MAX_COLS`` columns, Bareiss eliminates ``rows()``, the
-    matrix as integer or rational rows.  Wider matrices go to
-    :func:`nullspace_modular` with ``residues`` and ``is_kernel``.
+    The solver is picked once, by the width of the whole matrix.  Up to
+    ``_BAREISS_MAX_COLS`` columns, Bareiss eliminates ``rows(j)``, block j
+    as integer or rational rows.  Wider matrices send every block to
+    :func:`nullspace_modular` with ``residues(j, p)`` and
+    ``is_kernel(j, basis)``.  Returns the bases, block by block, and the
+    report: the summed nullity bounds, whether every block met its bound
+    (``certified``), and for the modular solver the primes any block
+    combined, in ``PRIMES`` order.
     """
-    if ncols <= _BAREISS_MAX_COLS:
-        basis = nullspace_bareiss(rows())
-        return basis, {"method": "bareiss", "certified": True,
-                       "nullity_upper_bound": len(basis)}
-    basis, info = nullspace_modular(ncols, residues, is_kernel)
-    info["method"] = "modular"
-    return basis, info
+    blocks = range(len(widths))
+    if sum(widths) <= _BAREISS_MAX_COLS:
+        bases = [nullspace_bareiss(rows(j)) for j in blocks]
+        return bases, {"method": "bareiss", "certified": True,
+                       "nullity_upper_bound": sum(map(len, bases))}
+    bases, primes, bound, certified = [], set(), 0, True
+    for j in blocks:
+        basis, info = nullspace_modular(widths[j], partial(residues, j),
+                                        partial(is_kernel, j))
+        bases.append(basis)
+        primes.update(info["primes"])
+        bound += info["nullity_upper_bound"]
+        certified = certified and info["certified"]
+    return bases, {"primes": [p for p in PRIMES if p in primes],
+                   "nullity_upper_bound": bound, "certified": certified,
+                   "method": "modular"}
+
+
+def canonical_basis(vectors: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
+    """The basis of the span of independent vectors that both solvers give
+    a matrix with that kernel, and its order.
+
+    The solvers return, per free column fc in increasing order, the kernel
+    vector that is 1 at fc and 0 on the other free columns, cleared by
+    :func:`_clear_vector`.  Its last nonzero entry is at fc, so these are
+    the rows of the reduced echelon form with the columns taken in reverse
+    order, last pivot first.  The elimination runs on the rows' nonzero
+    entries only.
+    """
+    rows = [{c: Fraction(x) for c, x in enumerate(v) if x} for v in vectors]
+    ncols = len(vectors[0]) if rows else 0
+    done = 0
+    for col in range(ncols - 1, -1, -1):
+        if done == len(rows):
+            break
+        hit = next((i for i in range(done, len(rows)) if col in rows[i]), None)
+        if hit is None:
+            continue
+        rows[done], rows[hit] = rows[hit], rows[done]
+        inv = 1 / rows[done][col]
+        pivot = {c: x * inv for c, x in rows[done].items()}
+        rows[done] = pivot
+        for i, row in enumerate(rows):
+            factor = row.get(col) if i != done else None
+            if factor:
+                for c, x in pivot.items():
+                    value = row.get(c, 0) - factor * x
+                    if value:
+                        row[c] = value
+                    else:
+                        row.pop(c, None)
+        done += 1
+    assert done == len(rows), "the vectors are not independent"
+    return [tuple(_clear_vector([row.get(c, Fraction(0))
+                                 for c in range(ncols)]))
+            for row in reversed(rows)]
 
 
 def exact_rank(rows: Sequence[Sequence]) -> int:

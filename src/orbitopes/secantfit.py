@@ -5,10 +5,14 @@ r curve parameters and convex weights and form the combination.  Every
 polynomial of degree at most D vanishing on the variety is then a null
 vector of the sample-by-monomial evaluation matrix.  The float path splits
 that matrix by rotation weight and finds the null space by singular values
-with an explicit rank-gap policy; the exact path samples rational curve
-points, clears denominators, and computes a certified integer kernel
-(:mod:`orbitopes.exactla`).  A continued-fraction rounding step converts
-float fits to exact candidates for comparison.
+with an explicit rank-gap policy.  The exact path samples rational curve
+points, clears their denominators once, and computes a certified integer
+kernel of each weight block (:mod:`orbitopes.exactla`): over GF(p), p = 1
+(mod 4), the block columns 2 Re and 2 Im of a complex monomial are int64
+residues of u_k = x_k + i y_k with i a square root of -1 modulo p.  The
+block kernels are expanded back to monomials and printed in the basis a
+solver gives the whole evaluation matrix.  A continued-fraction rounding
+step converts float fits to exact candidates for comparison.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from fractions import Fraction
 from math import comb
 from typing import Sequence
@@ -27,7 +31,8 @@ import numpy as np
 
 from .curve import (Representation, cleared_point, orbit_points,
                     rational_point)
-from .exactla import exact_rank, nullspace_exact
+from .exactla import (canonical_basis, exact_rank, nullspace_exact,
+                      sqrt_minus_one)
 from .poly import (CoeffMode, Exponent, SparsePoly, cleared_power_table,
                    monomials_up_to_degree)
 
@@ -231,8 +236,8 @@ def fit_hypersurface(rep: Representation, r: int, degree: int,
     directions below SIGMA_NULL_FACTOR * sigma_max are null, and the cut
     must be witnessed by a singular-value gap of at least
     GAP_RATIO_REQUIRED, otherwise :class:`AmbiguousRankError` is raised.
-    Exact mode: certified integer kernel of the cleared-denominator
-    evaluation matrix.  Raises :class:`NoVanishingPolynomialError` when the
+    Exact mode: certified integer kernels of the cleared-denominator
+    evaluation matrices of the weight blocks (:func:`_fit_exact`).  Raises :class:`NoVanishingPolynomialError` when the
     kernel is zero-dimensional.
     """
     if degree < 1:
@@ -337,15 +342,17 @@ def _pair_terms(a: Exponent, b: Exponent):
 
 def _expand_block_vector(basis: MonomialBasis, block: WeightBlock,
                          vec: np.ndarray) -> np.ndarray:
-    """Coefficients on the real monomials of a block's null vector.
+    """Coefficients on the real monomials of a block's null vector, of the
+    vector's dtype: floats for the float fit, Python ints and ``Fraction``s
+    (dtype object) for the exact one.
 
     With alpha on Re(m) and beta on Im(m), the term c * i^q * x^e of m
     contributes c * (alpha, beta, -alpha, -beta)[q] to x^e.
     """
     index = basis.index
-    beta = np.zeros(len(block.pairs))
+    beta = np.zeros(len(block.pairs), dtype=vec.dtype)
     beta[block.imaginary] = vec[len(block.pairs):]
-    coeffs = np.zeros(basis.size)
+    coeffs = np.zeros(basis.size, dtype=vec.dtype)
     for (a, b), re, im in zip(block.pairs, vec, beta):
         if not (re or im):
             continue
@@ -432,67 +439,105 @@ def _float_poly(basis: MonomialBasis, coeffs: np.ndarray) -> SparsePoly:
     return SparsePoly(basis.nvars, terms, CoeffMode.FLOAT)
 
 
-def _integer_row(point: tuple[Fraction, ...], basis: MonomialBasis) -> list[int]:
-    """Clear denominators and evaluate monomials as exact integers.
+# Points whose cleared powers :func:`_power_chunks` holds in one array:
+# enough for each numpy call on a monomial to pay off, few enough that a
+# failing chunk stops the exact test soon.
+_VANISH_CHUNK = 256
 
-    With L the common denominator, the affine monomial row scaled by L^D
-    equals the degree-D homogeneous monomials in (L, L*point), all integers.
-    Only Bareiss takes these rows; wider fits use :func:`_residue_rows`.
+
+def _power_chunks(cleared: list[tuple[int, ...]], top: int) -> list[np.ndarray]:
+    """Powers 0..top of the cleared points' coordinates (L, L*x_1, ...,
+    L*x_n), as object arrays (Python ints) indexed by (coordinate, exponent,
+    point), one per chunk of ``_VANISH_CHUNK`` points."""
+    chunks = []
+    for start in range(0, len(cleared), _VANISH_CHUNK):
+        base = np.array(cleared[start:start + _VANISH_CHUNK], dtype=object).T
+        powers = np.empty((base.shape[0], top + 1, base.shape[1]), dtype=object)
+        powers[:, 0] = 1
+        for e in range(1, top + 1):
+            powers[:, e] = powers[:, e - 1] * base
+        chunks.append(powers)
+    return chunks
+
+
+def _block_rows(chunks: list[np.ndarray], basis: MonomialBasis,
+                block: WeightBlock) -> list[list[int]]:
+    """The block's columns at the cleared points as exact integer rows.
+
+    Entry j of a point's row is L^D times row j of :func:`_block_matrix`
+    there: the point's monomial row L^D x^e (row 0 of the powers at
+    D - |e| times row i at e_i) times the block's integer change of basis,
+    whose column j is :func:`_expand_block_vector` of the j-th unit vector.
+    Only Bareiss takes these rows; wider fits use :func:`_block_residues`.
     """
-    top = basis.max_degree
-    pow_table = cleared_power_table(point, top)
-    row = []
-    for expo in basis.exponents:
-        val = pow_table[0][top - sum(expo)]
-        for i, e in enumerate(expo, start=1):
-            if e:
-                val *= pow_table[i][e]
-        row.append(val)
-    return row
+    powers = np.concatenate(chunks, axis=2)
+    exponents = np.array(basis.exponents)
+    monomials = powers[0, basis.max_degree - exponents.sum(axis=1)]
+    for i in range(basis.nvars):
+        monomials = monomials * powers[i + 1, exponents[:, i]]
+    change = np.array([_expand_block_vector(basis, block, unit)
+                       for unit in np.eye(block.size, dtype=int).astype(object)])
+    return (change @ monomials).T.tolist()
 
 
-def _residue_rows(points: list[tuple[Fraction, ...]], basis: MonomialBasis,
-                  p: int) -> np.ndarray:
-    """The :func:`_integer_row` rows of the points modulo p, without them.
-
-    Each cleared point (L, L*x_1, ..., L*x_n) is reduced modulo p once, its
-    powers are int64 tables modulo p, and each column is a product of
-    gathered table rows, reduced after every product (each below p^2).
-    """
-    top = basis.max_degree
-    base = np.array([[row[1] % p for row in cleared_power_table(x, 1)]
-                     for x in points], dtype=np.int64).T
-    # powers[i, e] = (cleared coordinate i)^e mod p over the samples
+def _residue_tables(cleared: list[tuple[int, ...]], top: int,
+                    p: int) -> np.ndarray:
+    """Powers 0..top modulo p over the cleared points, an int64 array
+    indexed by (factor, exponent, point).  The factors are L, then
+    z_k = X_k + i_p Y_k and then zbar_k = X_k - i_p Y_k for the cleared
+    coordinate pairs (X_k, Y_k) = (L x_k, L y_k), with i_p the square root
+    of -1 modulo p of :func:`sqrt_minus_one`: the images modulo p of L,
+    L u_k and L ubar_k."""
+    i_p = sqrt_minus_one(p)
+    base = np.array([[x % p for x in point] for point in cleared],
+                    dtype=np.int64).T
+    iy = base[2::2] * i_p % p
+    base = np.concatenate([base[:1], (base[1::2] + iy) % p,
+                           (base[1::2] - iy) % p])
     powers = np.empty((base.shape[0], top + 1, base.shape[1]), dtype=np.int64)
     powers[:, 0] = 1
     for e in range(1, top + 1):
         np.multiply(powers[:, e - 1], base, out=powers[:, e])
         powers[:, e] %= p
-    exponents = np.array(basis.exponents)
-    # one row per column of the evaluation matrix, as gathered table rows
-    matrix = powers[0, top - exponents.sum(axis=1)]
-    for i in range(basis.nvars):
-        matrix *= powers[i + 1, exponents[:, i]]
-        matrix %= p
-    return np.ascontiguousarray(matrix.T)
+    return powers
 
 
-# Points whose cleared powers :func:`_vanishes` holds at a time: enough for
-# each numpy call on a monomial to pay off, few enough to bound the memory
-# and to stop soon after a failing point.
-_VANISH_CHUNK = 256
+def _block_residues(powers: np.ndarray, block: WeightBlock,
+                    p: int) -> np.ndarray:
+    """Twice the :func:`_block_rows` rows modulo p, without them, from the
+    :func:`_residue_tables` of the points.
+
+    m = L^(D - |a| - |b|) z^a zbar^b is the image of L^D u^a ubar^b and
+    mbar, with a and b swapped, that of its conjugate, so m + mbar is
+    2 Re and (m - mbar) / i_p is 2 Im of it, modulo p.  Each is a product
+    of gathered table rows, reduced after every product (each below p^2).
+    """
+    r = (powers.shape[0] - 1) // 2
+    top = powers.shape[1] - 1
+    pairs = np.array(block.pairs)
+    a, b = pairs[:, 0], pairs[:, 1]
+    m = mbar = powers[0, top - a.sum(axis=1) - b.sum(axis=1)]
+    for k in range(r):
+        m = m * powers[1 + k, a[:, k]] % p * powers[1 + r + k, b[:, k]] % p
+        mbar = (mbar * powers[1 + k, b[:, k]] % p
+                * powers[1 + r + k, a[:, k]] % p)
+    n = len(block.pairs)
+    matrix = np.empty((m.shape[1], block.size), dtype=np.int64)
+    matrix[:, :n] = ((m + mbar) % p).T
+    # 1 / i_p = -i_p modulo p
+    diff = (m - mbar)[block.imaginary]
+    matrix[:, n:] = (diff * (p - sqrt_minus_one(p)) % p).T
+    return matrix
 
 
-def _vanishes(points: list[tuple[Fraction, ...]], basis: MonomialBasis,
+def _vanishes(chunks: list[np.ndarray], basis: MonomialBasis,
               vectors) -> bool:
     """Whether every coefficient vector on ``basis`` vanishes, exactly, at
     every point: the exact kernel test of :func:`_fit_exact`.
 
-    Each vector is scaled to integers once.  The points are taken in chunks
-    of ``_VANISH_CHUNK``; the powers of their cleared coordinates (L, L*x_1,
-    ..., L*x_n) form an object array indexed by (coordinate, exponent,
-    point).  Each monomial of the vectors' union support is computed once
-    per point, as the integer L^D x^e of :func:`_integer_row`, and
+    ``chunks`` holds the points' cleared powers (:func:`_power_chunks`).
+    Each vector is scaled to integers once.  Each monomial of the vectors'
+    union support is computed once per point, as the integer L^D x^e, and
     multiplied into the integer dot product of every vector that has it; a
     chunk whose dot products are not all zero ends the test.
     """
@@ -510,16 +555,8 @@ def _vanishes(points: list[tuple[Fraction, ...]], basis: MonomialBasis,
         columns.append((top - sum(expo),
                         [(i, e) for i, e in enumerate(expo, 1) if e],
                         [(k, vec[col]) for k, vec in enumerate(ints) if vec[col]]))
-    for start in range(0, len(points), _VANISH_CHUNK):
-        base = np.array([[row[1] for row in cleared_power_table(x, 1)]
-                         for x in points[start:start + _VANISH_CHUNK]],
-                        dtype=object).T
-        # powers[i, e] = (cleared coordinate i)^e over the chunk's points
-        powers = np.empty((base.shape[0], top + 1, base.shape[1]), dtype=object)
-        powers[:, 0] = 1
-        for e in range(1, top + 1):
-            powers[:, e] = powers[:, e - 1] * base
-        sums = np.zeros((len(ints), base.shape[1]), dtype=object)
+    for powers in chunks:
+        sums = np.zeros((len(ints), powers.shape[2]), dtype=object)
         for pad, factors, coeffs in columns:
             value = powers[0, pad]
             for i, e in factors:
@@ -533,11 +570,40 @@ def _vanishes(points: list[tuple[Fraction, ...]], basis: MonomialBasis,
 
 def _fit_exact(rep: Representation, basis: MonomialBasis,
                samples: list[SecantSample], count: int, seed: int) -> FitResult:
-    points = [s.point for s in samples]
-    kernel, info = nullspace_exact(
-        basis.size, lambda: [_integer_row(x, basis) for x in points],
-        partial(_residue_rows, points, basis),
-        partial(_vanishes, points, basis))
+    """The certified exact fit, one weight block at a time.
+
+    Why the split is sound: the secant varieties are invariant under the
+    rotations, so the weight components of a polynomial in their ideal are
+    in the ideal too (:func:`weight_blocks`).  Every equation is then a sum
+    of block equations, and the fit solves each block on the same samples.
+    Per block, the prime-field nullity bounds the block's kernel from above
+    and the exact test of its expanded vectors bounds it from below, so the
+    fit is certified when every block is.  The block vectors are expanded to monomials and put
+    in the basis :func:`exactla.canonical_basis` that a solver gives the
+    whole evaluation matrix.
+
+    Each point is cleared to integers (L, L*x_1, ..., L*x_n) once; the
+    residue tables (per prime) and the exact test's powers (per chunk of
+    points) are built once per fit and shared by the blocks.
+    """
+    top = basis.max_degree
+    cleared = [tuple(row[1] for row in cleared_power_table(s.point, 1))
+               for s in samples]
+    blocks = weight_blocks(rep, top)
+    tables = cache(partial(_residue_tables, cleared, top))
+    chunks = cache(partial(_power_chunks, cleared, top))
+
+    def expand(j, vectors):
+        return [_expand_block_vector(basis, blocks[j], np.array(v, dtype=object))
+                for v in vectors]
+
+    bases, info = nullspace_exact(
+        [block.size for block in blocks],
+        lambda j: _block_rows(chunks(), basis, blocks[j]),
+        lambda j, p: _block_residues(tables(p), blocks[j], p),
+        lambda j, vectors: _vanishes(chunks(), basis, expand(j, vectors)))
+    kernel = canonical_basis([vec for j, block_basis in enumerate(bases)
+                              for vec in expand(j, block_basis)])
     report = {
         "mode": "exact",
         "basis_size": basis.size,

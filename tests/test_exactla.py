@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import partial
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -11,11 +12,12 @@ from orbitopes import exactla
 from orbitopes.curve import Representation
 from orbitopes.exactla import (PRIMES, _to_integer_rows,
                                _verify_kernel, bareiss_echelon,
-                               exact_rank, nullspace_bareiss, nullspace_exact,
-                               nullspace_modular, rational_reconstruction,
-                               rref_mod_p)
+                               canonical_basis, exact_rank, nullspace_bareiss,
+                               nullspace_exact, nullspace_modular,
+                               rational_reconstruction, rref_mod_p,
+                               sqrt_minus_one)
 from orbitopes.poly import CoeffMode
-from orbitopes.secantfit import fit_hypersurface
+from orbitopes.secantfit import fit_hypersurface, weight_blocks
 
 
 def random_low_rank(rng, rows, cols, rank):
@@ -100,8 +102,9 @@ def test_bareiss_falls_back_when_the_prefix_repeats_one_row():
 
 
 def test_degree_8_fit_eliminates_one_prefix(monkeypatch):
-    # one rref_mod_p call for the one prime, which eliminates
-    # ncols + margin of the 1238 rows and needs no fallback
+    # one rref_mod_p call per weight block for the one prime, each of which
+    # eliminates the block's columns + margin of the 1238 rows and needs no
+    # fallback
     shapes = []
     rref_mod_p = exactla.rref_mod_p
 
@@ -111,11 +114,13 @@ def test_degree_8_fit_eliminates_one_prefix(monkeypatch):
 
     monkeypatch.setattr(exactla, "rref_mod_p", spy)
     eliminated = spy_on_eliminations(monkeypatch)
-    fit = fit_hypersurface(Representation((1, 3)), r=2, degree=8, seed=0,
-                           mode=CoeffMode.RATIONAL)
+    rep = Representation((1, 3))
+    fit = fit_hypersurface(rep, r=2, degree=8, seed=0, mode=CoeffMode.RATIONAL)
     assert fit.report["primes"] == [PRIMES[0]] and fit.report["certified"]
-    assert shapes == [(1238, 495)]
-    assert eliminated == [495 + exactla._PREFIX_MARGIN]
+    widths = [block.size for block in weight_blocks(rep, 8)]
+    assert sum(widths) == 495 and len(widths) == 24
+    assert shapes == [(1238, w) for w in widths]
+    assert eliminated == [w + exactla._PREFIX_MARGIN for w in widths]
 
 
 def test_modular_matches_bareiss_random():
@@ -154,20 +159,86 @@ def test_modular_with_large_entries_and_small_kernel():
     assert sorted(abs(v) for v in basis[0]) == [0, 0, 1, 2, 3]
 
 
+def column_blocks(matrix, widths):
+    """The arguments of nullspace_exact for integer rows cut into column
+    blocks of the given widths."""
+    starts = np.cumsum([0, *widths]).tolist()
+    blocks = [[row[a:b] for row in matrix] for a, b in zip(starts, starts[1:])]
+    return (widths, lambda j: blocks[j],
+            lambda j, p: _row_residues(blocks[j], p),
+            lambda j, basis: _verify_kernel(blocks[j], basis))
+
+
 def test_nullspace_exact_dispatches_by_width():
-    narrow = [[1, 2, 3]]
-    basis, info = nullspace_exact(3, lambda: narrow,
-                                  partial(_row_residues, narrow),
-                                  partial(_verify_kernel, narrow))
-    assert info["method"] == "bareiss" and len(basis) == 2
+    # the solver is picked by the whole width, not by the block widths
+    narrow = [[1, 2, 3, 0], [2, 4, 6, 5]]
+    bases, info = nullspace_exact(*column_blocks(narrow, [3, 1]))
+    assert info == {"method": "bareiss", "certified": True,
+                    "nullity_upper_bound": 2}
+    assert bases == [nullspace_bareiss([row[:3] for row in narrow]), []]
     wide = [[(i * j + 1) % 7 for j in range(200)] for i in range(4)]
-    basis, info = nullspace_exact(200, lambda: wide,
-                                  partial(_row_residues, wide),
-                                  partial(_verify_kernel, wide))
-    assert info["method"] == "modular"
-    assert len(basis) == 200 - exact_rank(wide)
-    for vec in basis[:3]:
-        assert is_kernel(wide, vec)
+    bases, info = nullspace_exact(*column_blocks(wide, [30, 170]))
+    assert info["method"] == "modular" and info["certified"]
+    assert info["primes"] == [PRIMES[0]]
+    assert [len(b) for b in bases] == [30 - exact_rank([r[:30] for r in wide]),
+                                       170 - exact_rank([r[30:] for r in wide])]
+    assert info["nullity_upper_bound"] == sum(map(len, bases))
+    for vec in bases[1][:3]:
+        assert is_kernel([r[30:] for r in wide], vec)
+
+
+def test_nullspace_exact_lists_the_primes_of_every_block_in_order():
+    # the second block needs two primes, the first one: the report lists
+    # both primes once, in PRIMES order
+    rng = random.Random(40)
+    rows = [[rng.randint(-9, 9), rng.randint(-9, 9)] for _ in range(60)]
+    matrix = [[a, 2 * a, a, b, 10 ** 6 * a + b]
+              + [rng.randint(-9, 9) for _ in range(32)] for a, b in rows]
+    bases, info = nullspace_exact(*column_blocks(matrix, [2, 35]))
+    assert info == {"primes": list(PRIMES[:2]), "nullity_upper_bound": 2,
+                    "certified": True, "method": "modular"}
+    assert bases[0] == [(Fraction(2), Fraction(-1))]
+    assert bases[1] == [(Fraction(10 ** 6), Fraction(1), Fraction(-1))
+                        + (Fraction(0),) * 32]
+
+
+def is_prime(n):
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def test_primes_are_one_mod_four_with_a_square_root_of_minus_one():
+    assert len(set(PRIMES)) == 10 and list(PRIMES) == sorted(PRIMES)[::-1]
+    for p in PRIMES + (5, 13):
+        assert is_prime(p) and p % 4 == 1 and p < 2 ** 30
+        i = sqrt_minus_one(p)
+        assert 0 < i < p and i * i % p == p - 1
+    # the ten largest such primes below 2^30
+    assert [n for n in range(PRIMES[-1], 2 ** 30)
+            if n % 4 == 1 and is_prime(n)] == sorted(PRIMES)
+    for p in (3, 7, 1073741783):
+        with pytest.raises(ValueError):
+            sqrt_minus_one(p)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_canonical_basis_is_the_solvers_basis(seed):
+    # any basis of a kernel, mixed by an invertible matrix, is put back in
+    # the basis and order that the solvers return
+    rng = random.Random(seed)
+    rows, cols = rng.randint(3, 8), rng.randint(4, 10)
+    matrix = random_low_rank(rng, rows, cols, rng.randint(1, min(rows, cols) - 1))
+    kernel = nullspace_bareiss(matrix)
+    assert sorted(kernel) == sorted(modular(matrix)[0])
+    k = len(kernel)
+    while True:
+        mix = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+        if exact_rank(mix) == k:
+            break
+    mixed = [[sum(m * v[c] for m, v in zip(row, kernel)) for c in range(cols)]
+             for row in mix]
+    assert canonical_basis(mixed) == kernel
+    assert canonical_basis([[Fraction(x, 3) for x in v] for v in mixed]) == kernel
+    assert canonical_basis([]) == []
 
 
 def test_modular_certifies_from_the_first_prime_that_reconstructs():

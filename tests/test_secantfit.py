@@ -9,7 +9,7 @@ import pytest
 from orbitopes import exactla, secantfit
 from orbitopes.curve import (Representation, antipodal_point, orbit_points,
                             rational_point)
-from orbitopes.poly import CoeffMode, SparsePoly
+from orbitopes.poly import CoeffMode, SparsePoly, cleared_power_table
 from orbitopes.secantfit import (InsufficientSamplesError,
                                  NoVanishingPolynomialError, SecantSample,
                                  evaluate_on_points,
@@ -167,6 +167,15 @@ def test_exact_sampler_matches_reference_with_rejections(monkeypatch, r,
     assert isinstance(got, str) == (count > 2225)
 
 
+def cleared(points):
+    """Each rational point as the integers (L, L*x_1, ..., L*x_n)."""
+    return [tuple(row[1] for row in cleared_power_table(x, 1)) for x in points]
+
+
+def power_chunks(points, degree):
+    return secantfit._power_chunks(cleared(points), degree)
+
+
 def test_exact_kernel_test_refuses_the_last_vector_at_the_last_point():
     # x2 and x1*x2/2 vanish at every point, x1^2 - x1 everywhere but at the
     # last point, which lies in the last chunk; its monomials are outside
@@ -181,9 +190,9 @@ def test_exact_kernel_test_refuses_the_last_vector_at_the_last_point():
 
     vectors = [vector({(0, 1): 1}), vector({(1, 1): Fraction(1, 2)}),
                vector({(2, 0): 1, (1, 0): -1})]
-    assert not secantfit._vanishes(points, basis, vectors)
-    assert secantfit._vanishes(points[:-1], basis, vectors)
-    assert secantfit._vanishes(points, basis, vectors[:-1])
+    assert not secantfit._vanishes(power_chunks(points, 2), basis, vectors)
+    assert secantfit._vanishes(power_chunks(points[:-1], 2), basis, vectors)
+    assert secantfit._vanishes(power_chunks(points, 2), basis, vectors[:-1])
 
 
 def sequential_float_samples(rep, r, count, seed):
@@ -339,37 +348,64 @@ def test_float_weight_fit_nullity_matches_exact_fit(monkeypatch, indices, r,
     assert fitted_nullity(CoeffMode.RATIONAL) == nullity
 
 
+def gaussian_block_row(point, block, degree):
+    """The block's columns at one cleared point (L, X_1, Y_1, ...), from
+    Gaussian integers: Re and Im of L^pad (X + iY)^a (X - iY)^b."""
+    def times(z, w):
+        return (z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0])
+
+    values = []
+    for a, b in block.pairs:
+        m = (point[0] ** (degree - sum(a) - sum(b)), 0)
+        for k, (ak, bk) in enumerate(zip(a, b)):
+            x, y = point[1 + 2 * k], point[2 + 2 * k]
+            for _ in range(ak):
+                m = times(m, (x, y))
+            for _ in range(bk):
+                m = times(m, (x, -y))
+        values.append(m)
+    return ([re for re, _ in values]
+            + [values[i][1] for i in block.imaginary])
+
+
 @pytest.mark.parametrize("indices,r,degree", [
     ((1, 3), 2, 8), ((1, 2, 3), 3, 4), ((1, 2), 1, 3),
 ])
 def test_exact_fit_residues_match_reduced_integer_rows(indices, r, degree):
-    # the residues the modular solver eliminates, against the exact
-    # integer rows reduced entry by entry
+    # the block residues the modular solver eliminates, against the exact
+    # integer block rows that Bareiss eliminates, reduced entry by entry;
+    # those against Gaussian-integer arithmetic
     rep = Representation(indices)
     basis = monomial_basis(rep.ambient_dim, degree)
-    points = [s.point for s in sample_secants(
-        rep, r, secantfit.default_sample_count(basis.size), seed=0,
-        mode=CoeffMode.RATIONAL)]
-    rows = [secantfit._integer_row(x, basis) for x in points]
-    for p in (exactla.PRIMES[0], exactla.PRIMES[-1], 7):
-        residues = secantfit._residue_rows(points, basis, p)
-        assert residues.dtype == np.int64
-        assert residues.tolist() == [[x % p for x in row] for row in rows]
+    points = cleared([s.point for s in sample_secants(
+        rep, r, 40, seed=0, mode=CoeffMode.RATIONAL)])
+    chunks = secantfit._power_chunks(points, degree)
+    tables = {p: secantfit._residue_tables(points, degree, p)
+              for p in (exactla.PRIMES[0], exactla.PRIMES[-1], 13)}
+    for block in weight_blocks(rep, degree):
+        rows = secantfit._block_rows(chunks, basis, block)
+        assert rows == [gaussian_block_row(x, block, degree) for x in points]
+        for p, table in tables.items():
+            residues = secantfit._block_residues(table, block, p)
+            assert residues.dtype == np.int64
+            # the residue columns are 2 Re and 2 Im
+            assert residues.tolist() == [[2 * x % p for x in row]
+                                         for row in rows]
 
 
 def test_wide_exact_fit_forms_no_integer_rows(monkeypatch):
     calls = []
-    integer_row = secantfit._integer_row
+    block_rows = secantfit._block_rows
 
-    def spy(point, basis):
-        calls.append(point)
-        return integer_row(point, basis)
+    def spy(chunks, basis, block):
+        calls.append(block)
+        return block_rows(chunks, basis, block)
 
-    monkeypatch.setattr(secantfit, "_integer_row", spy)
+    monkeypatch.setattr(secantfit, "_block_rows", spy)
     fit = fit_hypersurface(REP12, r=2, degree=3, seed=0,
                            mode=CoeffMode.RATIONAL)
     assert fit.report["method"] == "bareiss"
-    assert len(calls) == fit.report["sample_count"]
+    assert calls == weight_blocks(REP12, 3)
     narrow = fit.polynomials
 
     calls.clear()
@@ -379,6 +415,96 @@ def test_wide_exact_fit_forms_no_integer_rows(monkeypatch):
     assert fit.report["method"] == "modular" and fit.report["certified"]
     assert calls == []
     assert fit.polynomials == narrow
+
+
+def reference_integer_row(point, basis):
+    """The monomial row of a rational point scaled by L^D, L its common
+    denominator: the degree-D homogeneous monomials in (L, L*point)."""
+    top = basis.max_degree
+    pow_table = cleared_power_table(point, top)
+    row = []
+    for expo in basis.exponents:
+        val = pow_table[0][top - sum(expo)]
+        for i, e in enumerate(expo, start=1):
+            if e:
+                val *= pow_table[i][e]
+        row.append(val)
+    return row
+
+
+def reference_residue_rows(points, basis, p):
+    """The reference_integer_row rows modulo p, from int64 power tables."""
+    top = basis.max_degree
+    base = np.array([[row[1] % p for row in cleared_power_table(x, 1)]
+                     for x in points], dtype=np.int64).T
+    powers = np.empty((base.shape[0], top + 1, base.shape[1]), dtype=np.int64)
+    powers[:, 0] = 1
+    for e in range(1, top + 1):
+        np.multiply(powers[:, e - 1], base, out=powers[:, e])
+        powers[:, e] %= p
+    exponents = np.array(basis.exponents)
+    matrix = powers[0, top - exponents.sum(axis=1)]
+    for i in range(basis.nvars):
+        matrix *= powers[i + 1, exponents[:, i]]
+        matrix %= p
+    return np.ascontiguousarray(matrix.T)
+
+
+def full_monomial_exact_fit(rep, r, degree, seed):
+    """The exact fit on the whole sample-by-monomial matrix, without the
+    weight blocks: Bareiss on its integer rows up to _BAREISS_MAX_COLS
+    columns, the modular solver on its residues beyond.  Returns the
+    kernel's terms and the report."""
+    basis = monomial_basis(rep.ambient_dim, degree)
+    count = secantfit.default_sample_count(basis.size)
+    points = [s.point for s in sample_secants(rep, r, count, seed,
+                                              CoeffMode.RATIONAL)]
+    if basis.size <= exactla._BAREISS_MAX_COLS:
+        kernel = exactla.nullspace_bareiss(
+            [reference_integer_row(x, basis) for x in points])
+        info = {"method": "bareiss", "certified": True,
+                "nullity_upper_bound": len(kernel)}
+    else:
+        chunks = power_chunks(points, degree)
+        kernel, info = exactla.nullspace_modular(
+            basis.size, lambda p: reference_residue_rows(points, basis, p),
+            lambda vectors: secantfit._vanishes(chunks, basis, vectors))
+        info["method"] = "modular"
+    report = {"mode": "exact", "basis_size": basis.size,
+              "sample_count": count, "seed": seed, "nullity": len(kernel),
+              **info}
+    terms = [[(e, c) for e, c in zip(basis.exponents, vec) if c]
+             for vec in kernel]
+    return terms, report
+
+
+@pytest.mark.parametrize("indices,r,degree,seed,bareiss_max_cols", [
+    ((1, 3), 2, 3, 0, None),        # nullity 0, Bareiss
+    ((2, 3), 2, 6, 1, None),        # nullity 0, modular
+    ((1, 2), 2, 3, 2, None),        # nullity 1, Bareiss
+    ((1, 3), 2, 8, 3, None),        # nullity 1, modular (the 47 terms)
+    ((1, 3), 2, 9, 0, None),        # nullity 5
+    ((1, 2), 2, 4, 4, None),        # nullity 5
+    ((1, 2), 2, 5, 5, None),        # nullity 15
+    ((1, 2), 1, 3, 6, None),        # nullity 22, Bareiss
+    ((1, 2, 3), 3, 4, 7, None),     # 210 columns, 6 variables
+    ((1, 2), 1, 3, 8, 0),           # nullity 22, modular forced
+    ((1, 2), 2, 3, 9, 0),           # nullity 1, modular forced
+])
+def test_block_fit_matches_full_monomial_fit(monkeypatch, indices, r, degree,
+                                             seed, bareiss_max_cols):
+    if bareiss_max_cols is not None:
+        monkeypatch.setattr(exactla, "_BAREISS_MAX_COLS", bareiss_max_cols)
+    rep = Representation(indices)
+    terms, report = full_monomial_exact_fit(rep, r, degree, seed)
+    try:
+        fit = fit_hypersurface(rep, r, degree, seed=seed,
+                               mode=CoeffMode.RATIONAL)
+    except NoVanishingPolynomialError as exc:
+        assert terms == [] and exc.report == report
+        return
+    assert fit.report == report and report["certified"]
+    assert [list(p.terms.items()) for p in fit.polynomials] == terms
 
 
 def test_mid_width_exact_fit_is_modular():
