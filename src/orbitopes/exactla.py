@@ -444,9 +444,9 @@ def canonical_basis(vectors: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
     The solvers return, per free column fc in increasing order, the kernel
     vector that is 1 at fc and 0 on the other free columns, cleared by
     :func:`_clear_vector`.  Its last nonzero entry is at fc, so these are
-    the rows of the reduced echelon form with the columns taken in reverse
-    order, last pivot first.  The elimination runs on the rows' nonzero
-    entries only.
+    the rows of the reduced echelon form taken with the columns in reverse
+    order, listed by increasing pivot column.  The elimination runs on the
+    rows' nonzero entries only.
     """
     rows = [{c: Fraction(x) for c, x in enumerate(v) if x} for v in vectors]
     ncols = len(vectors[0]) if rows else 0

@@ -9,10 +9,11 @@ with an explicit rank-gap policy.  The exact path samples rational curve
 points, clears their denominators once, and computes a certified integer
 kernel of each weight block (:mod:`orbitopes.exactla`): over GF(p), p = 1
 (mod 4), the block columns 2 Re and 2 Im of a complex monomial are int64
-residues of u_k = x_k + i y_k with i a square root of -1 modulo p.  The
-block kernels are expanded back to monomials and printed in the basis a
-solver gives the whole evaluation matrix.  A continued-fraction rounding
-step converts float fits to exact candidates for comparison.
+residues of z_k = X_k + i_p Y_k, the cleared u_k = x_k + i y_k with i_p a
+square root of -1 modulo p.  The block kernels are expanded back to
+monomials and printed in the basis a solver gives the whole evaluation
+matrix.  A continued-fraction rounding step converts float fits to exact
+candidates for comparison.
 """
 
 from __future__ import annotations
@@ -237,8 +238,9 @@ def fit_hypersurface(rep: Representation, r: int, degree: int,
     must be witnessed by a singular-value gap of at least
     GAP_RATIO_REQUIRED, otherwise :class:`AmbiguousRankError` is raised.
     Exact mode: certified integer kernels of the cleared-denominator
-    evaluation matrices of the weight blocks (:func:`_fit_exact`).  Raises :class:`NoVanishingPolynomialError` when the
-    kernel is zero-dimensional.
+    evaluation matrices of the weight blocks (:func:`_fit_exact`).  Raises
+    :class:`NoVanishingPolynomialError` when the kernel is
+    zero-dimensional.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -578,9 +580,9 @@ def _fit_exact(rep: Representation, basis: MonomialBasis,
     of block equations, and the fit solves each block on the same samples.
     Per block, the prime-field nullity bounds the block's kernel from above
     and the exact test of its expanded vectors bounds it from below, so the
-    fit is certified when every block is.  The block vectors are expanded to monomials and put
-    in the basis :func:`exactla.canonical_basis` that a solver gives the
-    whole evaluation matrix.
+    fit is certified when every block is.  The block vectors are expanded
+    to monomials and put in the basis that a solver gives the whole
+    evaluation matrix (:func:`exactla.canonical_basis`).
 
     Each point is cleared to integers (L, L*x_1, ..., L*x_n) once; the
     residue tables (per prime) and the exact test's powers (per chunk of

@@ -319,9 +319,8 @@ def test_weight_block_expansion_matches_complex_monomials():
                                atol=1e-12)
 
 
-# Float nullities of the weight-block fit against the certified exact
-# full-monomial fit ({1,3}, r=2, degree 8 is the f_float_fit and f_exact_fit
-# pair).  The modular solver is forced, so that it also solves the fits of
+# Float nullities of the weight-block fit against the certified exact fit
+# ({1,3}, r=2, degree 8 is the f_float_fit and f_exact_fit pair).  The modular solver is forced, so that it also solves the fits of
 # 35 columns and fewer, which go to Bareiss by default.
 @pytest.mark.parametrize("indices,r,degree,nullity", [
     ((1, 2), 1, 2, 6), ((1, 2), 1, 3, 22), ((1, 2), 2, 3, 1),
