@@ -272,6 +272,12 @@ def cmd_secant_fit(args) -> Outcome:
 def cmd_verify(args) -> Outcome:
     rep = _rep(args)
     poly = _poly(args)
+    # secant coordinates lie in [-1, 1], so no residual exceeds the sum of
+    # the absolute coefficients; below this bound it is a finite float
+    bound = sys.float_info.max / 2
+    if sum(abs(Fraction(c)) for c in poly.terms.values()) > bound:
+        raise ValueError(f"the absolute coefficients sum to more than the "
+                         f"budget {bound!r}")
     mode = CoeffMode.RATIONAL if args.mode == "exact" else CoeffMode.FLOAT
     if mode is CoeffMode.FLOAT:
         poly = poly.to_float()

@@ -22,6 +22,8 @@ from fractions import Fraction
 from math import isfinite, lcm
 from typing import Mapping, Sequence
 
+import numpy as np
+
 Exponent = tuple[int, ...]
 
 
@@ -54,7 +56,7 @@ class SparsePoly:
     polynomials.
     """
 
-    __slots__ = ("nvars", "terms", "mode", "_cleared")
+    __slots__ = ("nvars", "terms", "mode", "_integer_form")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, object] = (),
                  mode: CoeffMode = CoeffMode.RATIONAL):
@@ -78,7 +80,7 @@ class SparsePoly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "_cleared", None)
+        object.__setattr__(self, "_integer_form", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparsePoly is immutable")
@@ -200,9 +202,11 @@ class SparsePoly:
     def evaluate(self, point: Sequence):
         """Evaluate at ``point`` (length ``nvars``); exact in rational mode.
 
-        Rational mode works on Python ints: with M the common denominator of
-        the coefficients and L that of the point, M * L^D * p(point) is the
-        integer-coefficient homogenization of M * p at (L, L * point).
+        Rational mode is the one-point case of :func:`cleared_values`: the
+        point is cleared to the integers (L, L * point), L the least common
+        denominator of its coordinates, and with M and the integer
+        coefficients of :meth:`integer_form` the value is that integer
+        M * L^D * p(point) over M * L^D.
         """
         values = [_coerce(v, self.mode) for v in point]
         if len(values) != self.nvars:
@@ -218,28 +222,23 @@ class SparsePoly:
             return total
         if not self.terms:
             return Fraction(0)
-        if self._cleared is None:
-            object.__setattr__(self, "_cleared", self._cleared_terms())
-        top, denom, terms = self._cleared
-        lead, *rows = cleared_power_table(values, top)
-        total = 0
-        for coeff, pad, factors in terms:
-            term = coeff * lead[pad]
-            for i, e in factors:
-                term *= rows[i][e]
-            total += term
-        return Fraction(total, denom * lead[top])
+        top, denom, exponents, ints = self.integer_form()
+        cleared = [row[1] for row in cleared_power_table(values, 1)]
+        value = cleared_values(exponents, [ints], top, [cleared])[0, 0]
+        return Fraction(value, denom * cleared[0] ** top)
 
-    def _cleared_terms(self) -> tuple[int, int, list]:
-        """Degree D, common coefficient denominator M and, per term, the
-        integer M * coefficient, D - |e| and the nonzero (variable, exponent)
-        pairs; computed once for the rational evaluator."""
-        top = self.degree
-        denom = lcm(*[c.denominator for c in self.terms.values()])
-        terms = [(c.numerator * (denom // c.denominator), top - sum(expo),
-                  [(i, e) for i, e in enumerate(expo) if e])
-                 for expo, c in self.terms.items()]
-        return top, denom, terms
+    def integer_form(self) -> tuple[int, int, list[Exponent], list[int]]:
+        """The degree D of a rational polynomial, the least common
+        denominator M of its coefficients, its exponents and, in the same
+        order, the integers M * coefficient: the input of
+        :func:`cleared_values`.  Computed once per polynomial."""
+        if self._integer_form is None:
+            denom = lcm(*[c.denominator for c in self.terms.values()])
+            form = (self.degree, denom, list(self.terms),
+                    [c.numerator * (denom // c.denominator)
+                     for c in self.terms.values()])
+            object.__setattr__(self, "_integer_form", form)
+        return self._integer_form
 
     def partial(self, index: int) -> "SparsePoly":
         """Partial derivative with respect to variable ``index``."""
@@ -366,6 +365,53 @@ def cleared_power_table(point: Sequence[Fraction], degree: int) -> list[list[int
             powers.append(powers[-1] * base)
         table.append(powers)
     return table
+
+
+def cleared_values(exponents: Sequence[Exponent], vectors: Sequence[Sequence[int]],
+                   top: int, points: Sequence[Sequence[int]]) -> np.ndarray:
+    """Exact values of integer coefficient vectors at cleared points.
+
+    Each point is given as the integers (L, L*x_1, ..., L*x_n) over its
+    common denominator L, and each vector as its integer coefficients on
+    ``exponents`` (each of total degree at most ``top``).  Entry (k, j) of
+    the result, an object array of Python ints, is
+
+        sum_t vectors[k][t] * L^(top - |e_t|) * (L*x)^(e_t)
+
+    at point j: L^top times the value at x of vector k's polynomial.  Each
+    monomial is computed once per point and multiplied into every vector
+    with a nonzero coefficient on it.
+
+    For each coordinate only the powers that some monomial uses are kept,
+    built by repeated multiplication up to the largest of them; L takes the
+    pads top - |e_t|.  A full table of every power of every coordinate
+    would not do: for two terms of degree 128 at frequency-64 secant
+    points it held over a gigabyte for 256 points.
+    """
+    base = np.array(points, dtype=object).T
+    used: list[set[int]] = [set() for _ in base]
+    for expo in exponents:
+        used[0].add(top - sum(expo))
+        for wanted, e in zip(used[1:], expo):
+            wanted.add(e)
+    powers = []
+    for row, wanted in zip(base, used):
+        kept, power = {0: 1}, 1
+        for e in range(1, max(wanted, default=0) + 1):
+            power = power * row
+            if e in wanted:
+                kept[e] = power
+        powers.append(kept)
+    sums = np.zeros((len(vectors), len(points)), dtype=object)
+    for t, expo in enumerate(exponents):
+        value = powers[0][top - sum(expo)]
+        for kept, e in zip(powers[1:], expo):
+            if e:
+                value = value * kept[e]
+        for vec, total in zip(vectors, sums):
+            if vec[t]:
+                total += vec[t] * value
+    return sums
 
 
 def monomials_up_to_degree(nvars: int, max_degree: int) -> list[Exponent]:

@@ -22,7 +22,7 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from fractions import Fraction
 from math import comb
@@ -34,7 +34,7 @@ from .curve import (Representation, cleared_point, orbit_points,
                     rational_point)
 from .exactla import (canonical_basis, exact_rank, nullspace_exact,
                       sqrt_minus_one)
-from .poly import (CoeffMode, Exponent, SparsePoly, cleared_power_table,
+from .poly import (CoeffMode, Exponent, SparsePoly, cleared_values,
                    monomials_up_to_degree)
 
 SIGMA_NULL_FACTOR = 1e-9
@@ -89,13 +89,38 @@ def monomial_basis(nvars: int, max_degree: int) -> MonomialBasis:
     return MonomialBasis(nvars, max_degree, exps)
 
 
+class _LazyPoint:
+    """The ``point`` field of :class:`SecantSample`: kept when given, and
+    for an exact sample built from its ``cleared`` integers on first read,
+    one ``Fraction`` per coordinate."""
+
+    def __get__(self, sample, owner=None):
+        if sample is None:
+            return None  # the field's default
+        if sample.__dict__.get("point") is None:
+            lead, *nums = sample.cleared
+            sample.__dict__["point"] = tuple(Fraction(x, lead) for x in nums)
+        return sample.__dict__["point"]
+
+    def __set__(self, sample, value):
+        sample.__dict__["point"] = value
+
+
 @dataclass(frozen=True)
 class SecantSample:
-    """r curve parameters, convex weights, and the resulting ambient point."""
+    """r curve parameters, convex weights, and the resulting ambient point.
+
+    An exact sample is drawn as ``cleared``, its point as the integers
+    (L, L*x_1, ..., L*x_n) over their least common denominator L; its
+    ``point`` is built from them only where something reads it.  A float
+    sample has no ``cleared``.
+    """
 
     params: tuple
     weights: tuple
-    point: tuple
+    point: tuple = _LazyPoint()
+    cleared: tuple[int, ...] | None = field(default=None, repr=False,
+                                            compare=False)
 
 
 def secant_point(rep: Representation, params: Sequence, weights: Sequence,
@@ -144,16 +169,20 @@ def sample_secants(rep: Representation, r: int, count: int, seed: int,
 
     An exact draw is r parameters t = n/d, each d from ``randint(1, 30)``
     and then n from ``randint(-4d, 4d)``.  The sampler works on the cleared
-    integer curve points x_k / D_k of :func:`cleared_point`.  It rejects
-    repeated parameter tuples, compared as reduced (n, d) pairs, and tuples
-    of affinely dependent curve points: the rank of the integer rows
-    x_k D_0 - x_0 D_k, the differences scaled by D_0 D_k.  A kept tuple then
-    draws r weights from ``randint(1, 64)``, normalized to sum 1, and each
-    coordinate of the combination is one ``Fraction`` over the common
-    denominator.  It raises :class:`InsufficientSamplesError` when
-    ``count`` samples are not found in DRAWS_PER_SAMPLE * count draws.  It
-    draws each curve parameter from about 2225 rationals, so with r = 1 it
-    runs out."""
+    integer curve points x_k / D_k of :func:`cleared_point`, computed once
+    per reduced (n, d) and call: a parameter comes from about 2225
+    rationals, so the parameters of a large draw repeat often (and with
+    r = 1 the sampler runs out).  It rejects repeated parameter tuples,
+    compared as reduced (n, d) pairs, and tuples of affinely dependent
+    curve points: the rank of the integer rows x_k D_0 - x_0 D_k, the
+    differences scaled by D_0 D_k.  A kept tuple then draws r weights w_k
+    from ``randint(1, 64)``, normalized to sum W, and the sample stays in
+    integers: with D the lcm of the D_k, the combination is N_i / (W D),
+    N_i = sum_k w_k (D / D_k) x_k[i], and dividing W D and every N_i by
+    their gcd gives the sample's ``cleared`` point, the least common
+    denominator of the coordinates and their numerators over it.  It
+    raises :class:`InsufficientSamplesError` when ``count`` samples are
+    not found in DRAWS_PER_SAMPLE * count draws."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if r < 1 or r > rep.ambient_dim:
@@ -179,6 +208,7 @@ def sample_secants(rep: Representation, r: int, count: int, seed: int,
     out = []
     rng = random.Random(seed)
     seen: set[tuple] = set()
+    curve: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
     draws = DRAWS_PER_SAMPLE * count
     for _ in range(draws):
         key = []  # the reduced (n, d) of each parameter
@@ -190,7 +220,10 @@ def sample_secants(rep: Representation, r: int, count: int, seed: int,
         key = tuple(key)
         if len(set(key)) != r or key in seen:
             continue
-        pts = [cleared_point(rep, n, d) for n, d in key]
+        for n, d in key:
+            if (n, d) not in curve:
+                curve[n, d] = cleared_point(rep, n, d)
+        pts = [curve[k] for k in key]
         (x0, d0), rest = pts[0], pts[1:]
         if exact_rank([[a * d0 - b * dk for a, b in zip(x, x0)]
                        for x, dk in rest]) < r - 1:
@@ -200,12 +233,13 @@ def sample_secants(rep: Representation, r: int, count: int, seed: int,
         total = sum(raw)
         denom = math.lcm(*[dk for _, dk in pts])
         factors = [w * (denom // dk) for w, (_, dk) in zip(raw, pts)]
-        point = tuple(Fraction(sum(map(operator.mul, factors, column)),
-                               total * denom)
-                      for column in zip(*[x for x, _ in pts]))
+        nums = [sum(map(operator.mul, factors, column))
+                for column in zip(*[x for x, _ in pts])]
+        g = math.gcd(total * denom, *nums)
         params = tuple(Fraction(n, d) for n, d in key)
         weights = tuple(Fraction(w, total) for w in raw)
-        out.append(SecantSample(params, weights, point))
+        out.append(SecantSample(params, weights, cleared=tuple(
+            v // g for v in (total * denom, *nums))))
         if len(out) == count:
             return out
     raise InsufficientSamplesError(
@@ -441,45 +475,25 @@ def _float_poly(basis: MonomialBasis, coeffs: np.ndarray) -> SparsePoly:
     return SparsePoly(basis.nvars, terms, CoeffMode.FLOAT)
 
 
-# Points whose cleared powers :func:`_power_chunks` holds in one array:
-# enough for each numpy call on a monomial to pay off, few enough that a
-# failing chunk stops the exact test soon.
+# Points per call of :func:`cleared_values` in the exact test and the exact
+# verify: enough for each numpy call on a monomial to pay off, few enough
+# that a failing chunk stops the exact test soon.
 _VANISH_CHUNK = 256
 
 
-def _power_chunks(cleared: list[tuple[int, ...]], top: int) -> list[np.ndarray]:
-    """Powers 0..top of the cleared points' coordinates (L, L*x_1, ...,
-    L*x_n), as object arrays (Python ints) indexed by (coordinate, exponent,
-    point), one per chunk of ``_VANISH_CHUNK`` points."""
-    chunks = []
-    for start in range(0, len(cleared), _VANISH_CHUNK):
-        base = np.array(cleared[start:start + _VANISH_CHUNK], dtype=object).T
-        powers = np.empty((base.shape[0], top + 1, base.shape[1]), dtype=object)
-        powers[:, 0] = 1
-        for e in range(1, top + 1):
-            powers[:, e] = powers[:, e - 1] * base
-        chunks.append(powers)
-    return chunks
-
-
-def _block_rows(chunks: list[np.ndarray], basis: MonomialBasis,
+def _block_rows(cleared: list[tuple[int, ...]], basis: MonomialBasis,
                 block: WeightBlock) -> list[list[int]]:
     """The block's columns at the cleared points as exact integer rows.
 
     Entry j of a point's row is L^D times row j of :func:`_block_matrix`
-    there: the point's monomial row L^D x^e (row 0 of the powers at
-    D - |e| times row i at e_i) times the block's integer change of basis,
-    whose column j is :func:`_expand_block_vector` of the j-th unit vector.
-    Only Bareiss takes these rows; wider fits use :func:`_block_residues`.
+    there: the value, by :func:`cleared_values`, of the integer vector
+    :func:`_expand_block_vector` of the j-th unit vector.  Only Bareiss
+    takes these rows; wider fits use :func:`_block_residues`.
     """
-    powers = np.concatenate(chunks, axis=2)
-    exponents = np.array(basis.exponents)
-    monomials = powers[0, basis.max_degree - exponents.sum(axis=1)]
-    for i in range(basis.nvars):
-        monomials = monomials * powers[i + 1, exponents[:, i]]
-    change = np.array([_expand_block_vector(basis, block, unit)
-                       for unit in np.eye(block.size, dtype=int).astype(object)])
-    return (change @ monomials).T.tolist()
+    change = [_expand_block_vector(basis, block, unit)
+              for unit in np.eye(block.size, dtype=int).astype(object)]
+    return cleared_values(basis.exponents, change, basis.max_degree,
+                          cleared).T.tolist()
 
 
 def _residue_tables(cleared: list[tuple[int, ...]], top: int,
@@ -532,42 +546,28 @@ def _block_residues(powers: np.ndarray, block: WeightBlock,
     return matrix
 
 
-def _vanishes(chunks: list[np.ndarray], basis: MonomialBasis,
+def _vanishes(cleared: list[tuple[int, ...]], basis: MonomialBasis,
               vectors) -> bool:
     """Whether every coefficient vector on ``basis`` vanishes, exactly, at
-    every point: the exact kernel test of :func:`_fit_exact`.
+    every cleared point: the exact kernel test of :func:`_fit_exact`.
 
-    ``chunks`` holds the points' cleared powers (:func:`_power_chunks`).
-    Each vector is scaled to integers once.  Each monomial of the vectors'
-    union support is computed once per point, as the integer L^D x^e, and
-    multiplied into the integer dot product of every vector that has it; a
-    chunk whose dot products are not all zero ends the test.
+    Each vector is scaled to integers once, and :func:`cleared_values`
+    evaluates all of them on the vectors' union support, one chunk of
+    ``_VANISH_CHUNK`` points at a time; a chunk with a nonzero value ends
+    the test.
     """
-    top = basis.max_degree
     ints = []
     for vec in vectors:
         vec = [Fraction(c) for c in vec]
         denom = math.lcm(*[c.denominator for c in vec])
         ints.append([int(c * denom) for c in vec])
-    # per monomial of the union support: L's exponent, the nonzero
-    # (coordinate, exponent) pairs and the (vector, coefficient) pairs
-    columns = []
-    for col in sorted({i for vec in ints for i, c in enumerate(vec) if c}):
-        expo = basis.exponents[col]
-        columns.append((top - sum(expo),
-                        [(i, e) for i, e in enumerate(expo, 1) if e],
-                        [(k, vec[col]) for k, vec in enumerate(ints) if vec[col]]))
-    for powers in chunks:
-        sums = np.zeros((len(ints), powers.shape[2]), dtype=object)
-        for pad, factors, coeffs in columns:
-            value = powers[0, pad]
-            for i, e in factors:
-                value = value * powers[i, e]
-            for k, c in coeffs:
-                sums[k] += c * value
-        if sums.any():
-            return False
-    return True
+    support = sorted({i for vec in ints for i, c in enumerate(vec) if c})
+    exponents = [basis.exponents[i] for i in support]
+    ints = [[vec[i] for i in support] for vec in ints]
+    return not any(
+        cleared_values(exponents, ints, basis.max_degree,
+                       cleared[start:start + _VANISH_CHUNK]).any()
+        for start in range(0, len(cleared), _VANISH_CHUNK))
 
 
 def _fit_exact(rep: Representation, basis: MonomialBasis,
@@ -584,16 +584,15 @@ def _fit_exact(rep: Representation, basis: MonomialBasis,
     to monomials and put in the basis that a solver gives the whole
     evaluation matrix (:func:`exactla.canonical_basis`).
 
-    Each point is cleared to integers (L, L*x_1, ..., L*x_n) once; the
-    residue tables (per prime) and the exact test's powers (per chunk of
-    points) are built once per fit and shared by the blocks.
+    The fit works on the samples' cleared points (L, L*x_1, ..., L*x_n)
+    as the sampler drew them.  The residue tables are built once per prime
+    and fit and shared by the blocks; the Bareiss rows and the exact test
+    evaluate integer vectors at the cleared points (:func:`cleared_values`).
     """
     top = basis.max_degree
-    cleared = [tuple(row[1] for row in cleared_power_table(s.point, 1))
-               for s in samples]
+    cleared = [s.cleared for s in samples]
     blocks = weight_blocks(rep, top)
     tables = cache(partial(_residue_tables, cleared, top))
-    chunks = cache(partial(_power_chunks, cleared, top))
 
     def expand(j, vectors):
         return [_expand_block_vector(basis, blocks[j], np.array(v, dtype=object))
@@ -601,9 +600,9 @@ def _fit_exact(rep: Representation, basis: MonomialBasis,
 
     bases, info = nullspace_exact(
         [block.size for block in blocks],
-        lambda j: _block_rows(chunks(), basis, blocks[j]),
+        lambda j: _block_rows(cleared, basis, blocks[j]),
         lambda j, p: _block_residues(tables(p), blocks[j], p),
-        lambda j, vectors: _vanishes(chunks(), basis, expand(j, vectors)))
+        lambda j, vectors: _vanishes(cleared, basis, expand(j, vectors)))
     kernel = canonical_basis([vec for j, block_basis in enumerate(bases)
                               for vec in expand(j, block_basis)])
     report = {
@@ -656,8 +655,14 @@ def verify_vanishing(p: SparsePoly, rep: Representation, r: int, count: int,
                      seed: int, mode: CoeffMode = CoeffMode.FLOAT):
     """Max absolute value of p over fresh secant samples.
 
-    Float mode returns a float; rational mode evaluates exactly and returns
-    a Fraction.
+    Float mode returns a float.  Rational mode evaluates a polynomial with
+    float coefficients in floats at each exact sample, as
+    :meth:`SparsePoly.evaluate` does, and a rational one exactly, returning
+    a ``Fraction``: with M and the integer coefficients of
+    :meth:`SparsePoly.integer_form`, :func:`cleared_values` gives
+    V = M L^D p(x) at each cleared sample (L, L x), in chunks of
+    ``_VANISH_CHUNK``.  The largest |V| / L^D is found by cross-multiplying,
+    and only it becomes a ``Fraction``, over M L^D.
     """
     if p.nvars != rep.ambient_dim:
         raise ValueError(f"polynomial has {p.nvars} variables, "
@@ -667,10 +672,19 @@ def verify_vanishing(p: SparsePoly, rep: Representation, r: int, count: int,
         points = np.array([s.point for s in samples])
         values = evaluate_on_points(p, points)
         return float(np.max(np.abs(values)))
-    worst = Fraction(0)
-    for s in samples:
-        worst = max(worst, abs(p.evaluate(s.point)))
-    return worst
+    if p.mode is CoeffMode.FLOAT:  # float coefficients, float arithmetic
+        return max(abs(p.evaluate(s.point)) for s in samples)
+    top, denom, exponents, ints = p.integer_form()
+    worst, scale = 0, 1  # the largest |V| and its L^D
+    for start in range(0, count, _VANISH_CHUNK):
+        cleared = [s.cleared for s in samples[start:start + _VANISH_CHUNK]]
+        values = cleared_values(exponents, [ints], top, cleared)[0]
+        for value, (lead, *_) in zip(values, cleared):
+            if value:
+                power = lead ** top
+                if abs(value) * scale > worst * power:
+                    worst, scale = abs(value), power
+    return Fraction(worst, denom * scale)
 
 
 def rationalize(fit: SparsePoly, anchor: Sequence[int],

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -97,6 +98,29 @@ def test_verify_pass_and_fail(tmp_path, capsys):
                         "--count", "500", "--poly", str(path),
                         "--tol", "1e-30")
     assert code == 2
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_verify_refuses_coefficients_whose_sum_overflows(tmp_path, capsys,
+                                                         mode):
+    # |x_i| <= 1 on the secant varieties, so a residual is at most the sum
+    # of the absolute coefficients: a sum over half the largest float is a
+    # usage error, not an OverflowError or an inf in the JSON
+    huge, fits = tmp_path / "huge.poly", tmp_path / "fits.poly"
+    huge.write_text(f"17{'0' * 307}/1 0 0 0 0\n17{'0' * 307}/1 2 0 0 0\n")
+    fits.write_text(f"4{'0' * 307}/1 0 0 0 0\n-4{'0' * 307}/1 2 0 0 0\n")
+    argv = ["verify", "--rep", "1,3", "--r", "2", "--count", "50",
+            "--mode", mode, "--poly"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + [str(huge)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the absolute coefficients sum to more "
+                                "than the budget 8.988465674311579e+307\n")
+        code, out = run_cli(capsys, *argv, str(fits))
+    assert code == 2
+    assert 0 < json.loads(out)["max_residual"] <= 8e307
 
 
 def test_verify_with_more_points_than_dimensions_finishes(tmp_path, capsys):

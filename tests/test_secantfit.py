@@ -122,7 +122,7 @@ def exact_outcome(sampler, *args):
         return f"InsufficientSamplesError: {exc}"
 
 
-@pytest.mark.parametrize("indices,r,count,seed", [
+EXACT_SAMPLER_CASES = [
     ((1, 3), 2, 400, 0),
     ((1, 3), 1, 2503, 0),           # runs out
     ((1, 3), 1, 800, 1),            # r = 1
@@ -130,12 +130,32 @@ def exact_outcome(sampler, *args):
     ((1, 2, 3), 6, 100, 3),
     ((1, 64), 2, 100, 4),           # big integers
     ((1, 2, 3, 4), 3, 150, 5),
-])
+]
+
+
+@pytest.mark.parametrize("indices,r,count,seed", EXACT_SAMPLER_CASES)
 def test_exact_sampler_matches_fraction_reference(indices, r, count, seed):
     rep = Representation(indices)
     got = exact_outcome(sample_secants, rep, r, count, seed,
                         CoeffMode.RATIONAL)
     assert got == exact_outcome(sequential_exact_samples, rep, r, count, seed)
+
+
+@pytest.mark.parametrize("indices,r,count,seed", EXACT_SAMPLER_CASES)
+def test_exact_samples_carry_their_cleared_points(indices, r, count, seed):
+    # the exact fit and the exact verify read ``cleared``: the reference's
+    # point cleared to (L, L*x_1, ...).  ``point`` is built from it on
+    # first read, so it is read here after ``cleared``.
+    rep = Representation(indices)
+    try:
+        reference = sequential_exact_samples(rep, r, count, seed)
+    except InsufficientSamplesError:
+        with pytest.raises(InsufficientSamplesError):
+            sample_secants(rep, r, count, seed, CoeffMode.RATIONAL)
+        return
+    samples = sample_secants(rep, r, count, seed, CoeffMode.RATIONAL)
+    assert [s.cleared for s in samples] == cleared([s.point for s in reference])
+    assert [s.point for s in samples] == [s.point for s in reference]
 
 
 def every_third_candidate_rejected(calls):
@@ -172,10 +192,6 @@ def cleared(points):
     return [tuple(row[1] for row in cleared_power_table(x, 1)) for x in points]
 
 
-def power_chunks(points, degree):
-    return secantfit._power_chunks(cleared(points), degree)
-
-
 def test_exact_kernel_test_refuses_the_last_vector_at_the_last_point():
     # x2 and x1*x2/2 vanish at every point, x1^2 - x1 everywhere but at the
     # last point, which lies in the last chunk; its monomials are outside
@@ -190,9 +206,9 @@ def test_exact_kernel_test_refuses_the_last_vector_at_the_last_point():
 
     vectors = [vector({(0, 1): 1}), vector({(1, 1): Fraction(1, 2)}),
                vector({(2, 0): 1, (1, 0): -1})]
-    assert not secantfit._vanishes(power_chunks(points, 2), basis, vectors)
-    assert secantfit._vanishes(power_chunks(points[:-1], 2), basis, vectors)
-    assert secantfit._vanishes(power_chunks(points, 2), basis, vectors[:-1])
+    assert not secantfit._vanishes(cleared(points), basis, vectors)
+    assert secantfit._vanishes(cleared(points[:-1]), basis, vectors)
+    assert secantfit._vanishes(cleared(points), basis, vectors[:-1])
 
 
 def sequential_float_samples(rep, r, count, seed):
@@ -378,11 +394,10 @@ def test_exact_fit_residues_match_reduced_integer_rows(indices, r, degree):
     basis = monomial_basis(rep.ambient_dim, degree)
     points = cleared([s.point for s in sample_secants(
         rep, r, 40, seed=0, mode=CoeffMode.RATIONAL)])
-    chunks = secantfit._power_chunks(points, degree)
     tables = {p: secantfit._residue_tables(points, degree, p)
               for p in (exactla.PRIMES[0], exactla.PRIMES[-1], 13)}
     for block in weight_blocks(rep, degree):
-        rows = secantfit._block_rows(chunks, basis, block)
+        rows = secantfit._block_rows(points, basis, block)
         assert rows == [gaussian_block_row(x, block, degree) for x in points]
         for p, table in tables.items():
             residues = secantfit._block_residues(table, block, p)
@@ -396,9 +411,9 @@ def test_wide_exact_fit_forms_no_integer_rows(monkeypatch):
     calls = []
     block_rows = secantfit._block_rows
 
-    def spy(chunks, basis, block):
+    def spy(points, basis, block):
         calls.append(block)
-        return block_rows(chunks, basis, block)
+        return block_rows(points, basis, block)
 
     monkeypatch.setattr(secantfit, "_block_rows", spy)
     fit = fit_hypersurface(REP12, r=2, degree=3, seed=0,
@@ -464,10 +479,10 @@ def full_monomial_exact_fit(rep, r, degree, seed):
         info = {"method": "bareiss", "certified": True,
                 "nullity_upper_bound": len(kernel)}
     else:
-        chunks = power_chunks(points, degree)
         kernel, info = exactla.nullspace_modular(
             basis.size, lambda p: reference_residue_rows(points, basis, p),
-            lambda vectors: secantfit._vanishes(chunks, basis, vectors))
+            lambda vectors: secantfit._vanishes(cleared(points), basis,
+                                                vectors))
         info["method"] = "modular"
     report = {"mode": "exact", "basis_size": basis.size,
               "sample_count": count, "seed": seed, "nullity": len(kernel),
@@ -594,6 +609,63 @@ def test_verify_vanishing_exact_zero(f_stored):
     residual = verify_vanishing(f_stored, REP13, 2, 50, seed=25,
                                 mode=CoeffMode.RATIONAL)
     assert residual == 0
+
+
+def reference_evaluate(p, point):
+    """The rational evaluation of one point that ``SparsePoly.evaluate``
+    made before it shared ``cleared_values``: the integer coefficients
+    M * c times the point's cleared power table up to the degree D, over
+    M L^D."""
+    top = p.degree
+    denom = math.lcm(*[c.denominator for c in p.terms.values()])
+    lead, *rows = cleared_power_table(point, top)
+    total = 0
+    for expo, c in p.terms.items():
+        term = c.numerator * (denom // c.denominator) * lead[top - sum(expo)]
+        for row, e in zip(rows, expo):
+            term *= row[e]
+        total += term
+    return Fraction(total, denom * lead[top])
+
+
+def random_rational_poly(rng, nvars, degree, terms):
+    return SparsePoly(nvars, {
+        _random_exponent(rng, nvars, rng.randint(0, degree)):
+        Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+        for _ in range(terms)})
+
+
+def exact_verify_cases(f_stored):
+    """(polynomial, rep, r, count, seed) whose residual is not zero."""
+    rng = random.Random(29)
+    x1 = SparsePoly.variable(4, 0)
+    perturbed = f_stored + (x1 ** 3).scale(Fraction(1, 10 ** 6))
+    # the last sample y is the only point where 16 - |x - y|^2 reaches 16
+    # (each |x_i - y_i| <= 2), and it lies in the third chunk
+    count = 2 * secantfit._VANISH_CHUNK + 1
+    last = sample_secants(REP13, 2, count, 31, CoeffMode.RATIONAL)[-1].point
+    peak = SparsePoly.constant(4, 16)
+    for i, y in enumerate(last):
+        dx = SparsePoly.variable(4, i) - SparsePoly.constant(4, y)
+        peak = peak - dx * dx
+    return [(perturbed, REP13, 2, 300, 30),
+            (random_rational_poly(rng, 4, 8, 30), REP13, 2, 300, 31),
+            (random_rational_poly(rng, 4, 8, 30), Representation((1, 64)), 2,
+             60, 32),
+            (peak, REP13, 2, count, 31)]
+
+
+def test_exact_verify_matches_the_per_point_evaluation(f_stored):
+    for p, rep, r, count, seed in exact_verify_cases(f_stored):
+        samples = sample_secants(rep, r, count, seed, CoeffMode.RATIONAL)
+        values = [abs(reference_evaluate(p, s.point)) for s in samples]
+        residual = verify_vanishing(p, rep, r, count, seed,
+                                    mode=CoeffMode.RATIONAL)
+        assert type(residual) is Fraction and residual > 0
+        assert residual == max(values)
+        assert [abs(p.evaluate(s.point)) for s in samples[:20]] == values[:20]
+    # the peak polynomial is largest at the last sample only
+    assert values.index(max(values)) == count - 1 and max(values) == 16
 
 
 def test_verify_vanishing_circle_on_polygon_block():
