@@ -387,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of curve points per secant sample")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--count", type=_int_in(1, MAX_SAMPLES),
-                   help="sample count (default 2.5x basis)")
+                   help="sample count (default: 2.5x basis in float mode, "
+                        "2.5x the largest weight block in exact mode)")
     p.add_argument("--mode", choices=("float", "exact"), default="float")
     p.set_defaults(func=cmd_secant_fit)
 

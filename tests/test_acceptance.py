@@ -21,7 +21,8 @@ from orbitopes.curve import (DegenerateHyperplaneError, Representation,
 from orbitopes.faces4d import (boundary_components, closure_is_unit_interval,
                                is_basic_closed_4d, is_edge, pq_data)
 from orbitopes.poly import CoeffMode, SparsePoly
-from orbitopes.secantfit import monomial_basis, verify_vanishing
+from orbitopes.secantfit import (fit_hypersurface, monomial_basis,
+                                 verify_vanishing)
 from orbitopes.toeplitz import (Verdict, det_polynomial, eigenvalues,
                                 is_member, membership_report, numerical_rank)
 
@@ -91,6 +92,26 @@ def test_criterion_04_g_recovery_float(g_float_fit, g_recovered,
               f"{g_float_fit.report['gap_ratio']:.2e}); normalized generator "
               f"has 281 terms and matches all {g_printed_terms.num_terms} "
               f"independently known terms")
+
+
+def test_criterion_04_g_recovery_exact(g_recovered, g_printed_terms):
+    start = time.time()
+    fit = fit_hypersurface(Representation((1, 4)), r=2, degree=15, seed=0,
+                           mode=CoeffMode.RATIONAL)
+    elapsed = time.time() - start
+    assert fit.report["sample_count"] == 445
+    assert fit.nullity == 1 and fit.report["certified"]
+    p = fit.polynomials[0]
+    anchor = (12, 0, 3, 0)
+    g = p.scale(g_printed_terms.coefficient(anchor) / p.coefficient(anchor))
+    assert g.num_terms == 281
+    assert all(g.coefficient(e) == c for e, c in g_printed_terms.terms.items())
+    # the rounded float fit is a second, independent oracle
+    assert g == g_recovered[0]
+    report(4, f"exact fit at degree 15 from 445 samples has a certified "
+              f"1-dim kernel; its 281-term generator matches all "
+              f"{g_printed_terms.num_terms} known terms and the rounded "
+              f"float fit ({elapsed:.2f}s)")
 
 
 def test_criterion_05_universal_secant_determinant():

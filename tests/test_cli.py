@@ -374,10 +374,11 @@ def test_usage_error_exit_code(capsys):
 
 def test_exhausted_exact_sampler_exits_2(tmp_path, capsys):
     # with r = 1, 2503 or 3000 samples exceed the ~2225 distinct exact
-    # curve parameters
+    # curve parameters (2503 is 2.5 x the degree-10 basis; the exact
+    # default, 2.5 x the largest weight block, draws far fewer)
     start = time.monotonic()
     code = main(["secant-fit", "--rep", "1,3", "--r", "1", "--degree", "10",
-                 "--mode", "exact"])
+                 "--mode", "exact", "--count", "2503"])
     assert code == 2
     assert time.monotonic() - start < 30.0
     assert "secant samples" in capsys.readouterr().err
@@ -447,6 +448,18 @@ def test_ambiguous_rank_emits_fit_report(monkeypatch, capsys):
     assert len(report["fit"]["sigma_tail"]) == 5
     assert report["fit"]["gap_ratio"] < 1e300
     assert report["tolerances"]["gap_ratio_required"] == 1e300
+
+
+def test_exact_verify_of_float_coefficients_is_exact(tmp_path, capsys):
+    # each float coefficient is taken as the binary fraction it stores, so
+    # the float form of the 47-term equation vanishes exactly, not to 3.6e-15
+    from orbitopes import fixtures
+    path = tmp_path / "f.poly"
+    path.write_text(fixtures.secant_surface_13().to_float().dumps())
+    code, out = run_cli(capsys, "verify", "--rep", "1,3", "--r", "2",
+                        "--count", "30", "--mode", "exact", "--poly", str(path))
+    assert code == 0
+    assert json.loads(out)["max_residual"] == 0.0
 
 
 @pytest.mark.parametrize("coefficient", ["nan", "inf", "-inf", "1e400", "1/0"])

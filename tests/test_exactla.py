@@ -103,8 +103,8 @@ def test_bareiss_falls_back_when_the_prefix_repeats_one_row():
 
 def test_degree_8_fit_eliminates_one_prefix(monkeypatch):
     # one rref_mod_p call per weight block for the one prime, each of which
-    # eliminates the block's columns + margin of the 1238 rows and needs no
-    # fallback
+    # eliminates the block's columns + margin of the 130 rows (2.5 x the
+    # largest block) and needs no fallback
     shapes = []
     rref_mod_p = exactla.rref_mod_p
 
@@ -119,7 +119,7 @@ def test_degree_8_fit_eliminates_one_prefix(monkeypatch):
     assert fit.report["primes"] == [PRIMES[0]] and fit.report["certified"]
     widths = [block.size for block in weight_blocks(rep, 8)]
     assert sum(widths) == 495 and len(widths) == 24
-    assert shapes == [(1238, w) for w in widths]
+    assert shapes == [(130, w) for w in widths]
     assert eliminated == [w + exactla._PREFIX_MARGIN for w in widths]
 
 

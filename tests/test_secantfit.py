@@ -511,14 +511,25 @@ def test_block_fit_matches_full_monomial_fit(monkeypatch, indices, r, degree,
         monkeypatch.setattr(exactla, "_BAREISS_MAX_COLS", bareiss_max_cols)
     rep = Representation(indices)
     terms, report = full_monomial_exact_fit(rep, r, degree, seed)
+
+    def fit(count=None):
+        return fit_hypersurface(rep, r, degree, count=count, seed=seed,
+                                mode=CoeffMode.RATIONAL)
+
+    # on the oracle's samples, 2.5 x the basis, the whole report matches
     try:
-        fit = fit_hypersurface(rep, r, degree, seed=seed,
-                               mode=CoeffMode.RATIONAL)
+        full = fit(secantfit.default_sample_count(report["basis_size"]))
     except NoVanishingPolynomialError as exc:
         assert terms == [] and exc.report == report
-        return
-    assert fit.report == report and report["certified"]
-    assert [list(p.terms.items()) for p in fit.polynomials] == terms
+    else:
+        assert full.report == report and report["certified"]
+        assert [list(p.terms.items()) for p in full.polynomials] == terms
+    # the default count, 2.5 x the largest weight block, finds the same kernel
+    try:
+        default = fit().polynomials
+    except NoVanishingPolynomialError:
+        default = ()
+    assert [list(p.terms.items()) for p in default] == terms
 
 
 def test_mid_width_exact_fit_is_modular():
@@ -533,6 +544,28 @@ def test_mid_width_exact_fit_is_modular():
 def test_fit_insufficient_samples():
     with pytest.raises(InsufficientSamplesError):
         fit_hypersurface(REP13, r=2, degree=8, count=100, seed=0)
+
+
+def test_float_fit_needs_a_sample_per_monomial(g_float_fit):
+    # the float default stays 2.5 x the basis: 9690 for the 3876
+    # monomials of degree 15
+    assert g_float_fit.report["sample_count"] == 9690
+    with pytest.raises(InsufficientSamplesError,
+                       match="need at least 495 samples for 495 monomials, "
+                             "got 494"):
+        fit_hypersurface(REP13, r=2, degree=8, count=494, seed=0)
+
+
+def test_exact_fit_needs_a_sample_per_column_of_the_largest_block():
+    # the exact blocks are solved one at a time, so the widest one sets
+    # the floor
+    widest = max(block.size for block in weight_blocks(REP13, 8))
+    assert widest == 52
+    with pytest.raises(InsufficientSamplesError,
+                       match="need at least 52 samples for a weight block of "
+                             "52 columns, got 51"):
+        fit_hypersurface(REP13, r=2, degree=8, count=51, seed=0,
+                         mode=CoeffMode.RATIONAL)
 
 
 def test_fit_no_vanishing_polynomial_below_true_degree():
