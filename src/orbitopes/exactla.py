@@ -26,10 +26,13 @@ margin; a prefix of lower rank always fails it.
 
 :func:`nullspace_exact` solves a matrix given as column blocks, each block
 on its own, and picks one solver for all of them by the total column
-count.  :func:`canonical_basis` puts kernel vectors in the basis both
-solvers give a whole matrix.  Every prime of ``PRIMES`` is 1 modulo 4, so
--1 has a square root modulo it (:func:`sqrt_minus_one`), which lets a
-caller reduce Gaussian integers modulo the prime.
+count.  Both solvers return the same basis of a kernel, as coprime
+integer vectors: per free column in increasing order, the kernel vector
+that is nonzero there and zero on the other free columns, that is the
+reduced echelon form of the kernel with its columns in reverse order.
+Every prime of ``PRIMES`` is 1 modulo 4, so -1 has a square root modulo it
+(:func:`sqrt_minus_one`), which lets a caller reduce Gaussian integers
+modulo the prime.
 """
 
 from __future__ import annotations
@@ -110,7 +113,7 @@ def bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return m[:r], pivots
 
 
-def nullspace_bareiss(rows: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
+def nullspace_bareiss(rows: Sequence[Sequence]) -> list[tuple[int, ...]]:
     """Exact kernel basis via fraction-free elimination; small matrices only.
 
     A matrix with more than ``ncols + _PREFIX_MARGIN`` rows is eliminated
@@ -132,13 +135,13 @@ def nullspace_bareiss(rows: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
     return _bareiss_kernel(int_rows)
 
 
-def _bareiss_kernel(int_rows: list[Sequence[int]]) -> list[tuple[Fraction, ...]]:
+def _bareiss_kernel(int_rows: list[Sequence[int]]) -> list[tuple[int, ...]]:
     """Kernel basis of nonempty integer rows: Bareiss, then exact rational
     back-substitution for each free column."""
     ncols = len(int_rows[0])
     echelon, pivots = bareiss_echelon(int_rows)
     free = [c for c in range(ncols) if c not in pivots]
-    basis: list[tuple[Fraction, ...]] = []
+    basis: list[tuple[int, ...]] = []
     for fc in free:
         v: list[Fraction] = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
@@ -154,8 +157,8 @@ def _bareiss_kernel(int_rows: list[Sequence[int]]) -> list[tuple[Fraction, ...]]
     return basis
 
 
-def _clear_vector(v: list[Fraction]) -> list[Fraction]:
-    """Rescale so entries are coprime integers with positive leading entry."""
+def _clear_vector(v: list[Fraction]) -> list[int]:
+    """Rescale to coprime integers with a positive leading entry."""
     denom = 1
     for x in v:
         denom = denom * x.denominator // gcd(denom, x.denominator)
@@ -168,7 +171,7 @@ def _clear_vector(v: list[Fraction]) -> list[Fraction]:
     lead = next((x for x in ints if x != 0), 1)
     if lead < 0:
         ints = [-x for x in ints]
-    return [Fraction(x) for x in ints]
+    return ints
 
 
 def sqrt_minus_one(p: int) -> int:
@@ -298,20 +301,19 @@ def rational_reconstruction(a: int, m: int) -> Fraction | None:
 
 
 def nullspace_modular(ncols: int, residues: Callable[[int], np.ndarray],
-                      is_kernel: Callable[[list[tuple[Fraction, ...]]], bool]
-                      ) -> tuple[list[tuple[Fraction, ...]], dict]:
+                      is_kernel: Callable[[list[tuple[int, ...]]], bool]
+                      ) -> tuple[list[tuple[int, ...]], dict]:
     """Certified kernel basis of an integer matrix with ``ncols`` columns.
 
     ``residues(p)`` gives the matrix modulo the prime p as an int64 array,
     and ``is_kernel(basis)`` tells, in exact arithmetic, whether every
-    integer vector of the candidate basis (``Fraction`` entries with
-    denominator 1) is in the kernel.  For each prime of PRIMES in turn, the
-    loop takes the reduced row echelon form modulo p.  The primes whose
-    nullity and pivot columns match the best seen so far (least nullity,
-    then least pivot columns) are combined by Chinese remaindering, each
-    kernel entry is reconstructed as a rational and each vector is cleared
-    to coprime integers.  The loop stops at the first prime whose
-    reconstruction passes ``is_kernel``.
+    integer vector of the candidate basis is in the kernel.  For each prime
+    of PRIMES in turn, the loop takes the reduced row echelon form modulo
+    p.  The primes whose nullity and pivot columns match the best seen so
+    far (least nullity, then least pivot columns) are combined by Chinese
+    remaindering, each kernel entry is reconstructed as a rational and
+    each vector is cleared to coprime integers.  The loop stops at the
+    first prime whose reconstruction passes ``is_kernel``.
 
     :func:`rref_mod_p` eliminates only a prefix of the rows, but it returns
     the whole matrix's reduced form: it checks the prefix kernel against
@@ -360,7 +362,7 @@ def nullspace_modular(ncols: int, residues: Callable[[int], np.ndarray],
         f"matrix may be degenerate")
 
 
-def _try_finish(mods, is_kernel) -> list[tuple[Fraction, ...]] | None:
+def _try_finish(mods, is_kernel) -> list[tuple[int, ...]] | None:
     """CRT-combine the prime kernels, reconstruct, and verify exactly."""
     modulus = 1
     combined: list[list[int]] = []
@@ -377,7 +379,7 @@ def _try_finish(mods, is_kernel) -> list[tuple[Fraction, ...]] | None:
             ]
         modulus *= p
 
-    basis: list[tuple[Fraction, ...]] = []
+    basis: list[tuple[int, ...]] = []
     for residues in combined:
         vec: list[Fraction] = []
         for a in residues:
@@ -392,20 +394,18 @@ def _try_finish(mods, is_kernel) -> list[tuple[Fraction, ...]] | None:
 
 
 def _verify_kernel(int_rows: Sequence[Sequence[int]],
-                   basis: Sequence[Sequence[Fraction]]) -> bool:
+                   basis: Sequence[Sequence[int]]) -> bool:
     """Whether every integer vector of ``basis`` is in the kernel of the
     integer rows."""
-    assert all(x.denominator == 1 for v in basis for x in v)
-    vectors = [[x.numerator for x in v] for v in basis]
     return all(sum(a * b for a, b in zip(row, ints) if b) == 0
-               for row in int_rows for ints in vectors)
+               for row in int_rows for ints in basis)
 
 
 def nullspace_exact(widths: Sequence[int],
                     rows: Callable[[int], Sequence[Sequence]],
                     residues: Callable[[int, int], np.ndarray],
-                    is_kernel: Callable[[int, list[tuple[Fraction, ...]]], bool]
-                    ) -> tuple[list[list[tuple[Fraction, ...]]], dict]:
+                    is_kernel: Callable[[int, list[tuple[int, ...]]], bool]
+                    ) -> tuple[list[list[tuple[int, ...]]], dict]:
     """Exact kernel basis of each column block of a matrix, the block j
     being ``widths[j]`` columns wide; the one place that picks the solver
     by width.
@@ -435,46 +435,6 @@ def nullspace_exact(widths: Sequence[int],
     return bases, {"primes": [p for p in PRIMES if p in primes],
                    "nullity_upper_bound": bound, "certified": certified,
                    "method": "modular"}
-
-
-def canonical_basis(vectors: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
-    """The basis of the span of independent vectors that both solvers give
-    a matrix with that kernel, and its order.
-
-    The solvers return, per free column fc in increasing order, the kernel
-    vector that is 1 at fc and 0 on the other free columns, cleared by
-    :func:`_clear_vector`.  Its last nonzero entry is at fc, so these are
-    the rows of the reduced echelon form taken with the columns in reverse
-    order, listed by increasing pivot column.  The elimination runs on the
-    rows' nonzero entries only.
-    """
-    rows = [{c: Fraction(x) for c, x in enumerate(v) if x} for v in vectors]
-    ncols = len(vectors[0]) if rows else 0
-    done = 0
-    for col in range(ncols - 1, -1, -1):
-        if done == len(rows):
-            break
-        hit = next((i for i in range(done, len(rows)) if col in rows[i]), None)
-        if hit is None:
-            continue
-        rows[done], rows[hit] = rows[hit], rows[done]
-        inv = 1 / rows[done][col]
-        pivot = {c: x * inv for c, x in rows[done].items()}
-        rows[done] = pivot
-        for i, row in enumerate(rows):
-            factor = row.get(col) if i != done else None
-            if factor:
-                for c, x in pivot.items():
-                    value = row.get(c, 0) - factor * x
-                    if value:
-                        row[c] = value
-                    else:
-                        row.pop(c, None)
-        done += 1
-    assert done == len(rows), "the vectors are not independent"
-    return [tuple(_clear_vector([row.get(c, Fraction(0))
-                                 for c in range(ncols)]))
-            for row in reversed(rows)]
 
 
 def exact_rank(rows: Sequence[Sequence]) -> int:

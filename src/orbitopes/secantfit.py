@@ -10,10 +10,10 @@ points, clears their denominators once, and computes a certified integer
 kernel of each weight block (:mod:`orbitopes.exactla`): over GF(p), p = 1
 (mod 4), the block columns 2 Re and 2 Im of a complex monomial are int64
 residues of z_k = X_k + i_p Y_k, the cleared u_k = x_k + i y_k with i_p a
-square root of -1 modulo p.  The block kernels are expanded back to
-monomials and printed in the basis a solver gives the whole evaluation
-matrix.  A continued-fraction rounding step converts float fits to exact
-candidates for comparison.
+square root of -1 modulo p.  Both paths print one basis: each weight
+block's kernel in its reduced echelon form with the columns reversed,
+blocks in weight order, expanded to monomials.  A continued-fraction
+rounding step converts float fits to exact candidates for comparison.
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ import numpy as np
 
 from .curve import (Representation, cleared_point, orbit_points,
                     rational_point)
-from .exactla import (canonical_basis, exact_rank, nullspace_exact,
-                      sqrt_minus_one)
+from .exactla import exact_rank, nullspace_exact, sqrt_minus_one
 from .poly import (CoeffMode, Exponent, SparsePoly, cleared_values,
-                   monomials_up_to_degree)
+                   grlex_key, monomials_up_to_degree)
 
 SIGMA_NULL_FACTOR = 1e-9
 GAP_RATIO_REQUIRED = 1e4
@@ -395,8 +394,8 @@ def _pair_terms(a: Exponent, b: Exponent):
 def _expand_block_vector(basis: MonomialBasis, block: WeightBlock,
                          vec: np.ndarray) -> np.ndarray:
     """Coefficients on the real monomials of a block's null vector, of the
-    vector's dtype: floats for the float fit, Python ints and ``Fraction``s
-    (dtype object) for the exact one.
+    vector's dtype: floats for the float fit, Python ints (dtype object)
+    for the exact one.
 
     With alpha on Re(m) and beta on Im(m), the term c * i^q * x^e of m
     contributes c * (alpha, beta, -alpha, -beta)[q] to x^e.
@@ -471,23 +470,53 @@ def _fit_float(rep: Representation, basis: MonomialBasis,
             f"{GAP_RATIO_REQUIRED:.0e}", report)
     polys = []
     for block, scale, block_sigma, vh in solved:
-        for row in vh[block_sigma < threshold]:
-            coeffs = _expand_block_vector(basis, block, row / scale)
+        echelon = _reversed_echelon(vh[block_sigma < threshold] / scale)
+        if echelon is None:
+            raise AmbiguousRankError(
+                "the null vectors of a weight block are dependent at "
+                f"{SIGMA_NULL_FACTOR:.0e} of their largest entry", report)
+        for row in echelon:
+            coeffs = _expand_block_vector(basis, block, row)
             polys.append(_float_poly(basis, coeffs))
     return FitResult(tuple(polys), report)
 
 
+def _reversed_echelon(vectors: np.ndarray) -> np.ndarray | None:
+    """The float form of the basis the exact solvers give a block kernel:
+    the reduced echelon form of the rows with the columns in reverse
+    order, by increasing pivot column, each row zero on the other rows'
+    pivots and left unnormalized (the printing scales it).
+
+    Elimination runs from the last column with partial pivoting; a column
+    is a pivot only where its largest remaining entry is above
+    SIGMA_NULL_FACTOR of the largest entry of ``vectors``.  Returns None if
+    some row finds no pivot.
+    """
+    rows = vectors.copy()
+    tol = SIGMA_NULL_FACTOR * np.abs(rows).max(initial=0.0)
+    done = 0
+    for col in range(rows.shape[1] - 1, -1, -1):
+        if done == len(rows):
+            break
+        i = done + int(np.argmax(np.abs(rows[done:, col])))
+        if abs(rows[i, col]) <= tol:
+            continue
+        rows[[done, i]] = rows[[i, done]]
+        others = np.arange(len(rows)) != done
+        rows[others] -= np.outer(rows[others, col] / rows[done, col], rows[done])
+        rows[others, col] = 0.0
+        done += 1
+    return rows[::-1] if done == len(rows) else None
+
+
 def _float_poly(basis: MonomialBasis, coeffs: np.ndarray) -> SparsePoly:
-    # deterministic normalization: unit max coefficient, positive leading term
-    top = float(np.max(np.abs(coeffs)))
-    coeffs = coeffs / top
-    lead = max(
-        (expo for expo, c in zip(basis.exponents, coeffs) if abs(c) > 1e-12),
-        key=lambda e: (sum(e), e))
-    if coeffs[basis.index[lead]] < 0:
-        coeffs = -coeffs
+    """Deterministic normalization: unit max coefficient, positive leading
+    term; coefficients at or below SIGMA_NULL_FACTOR are dropped as noise."""
+    coeffs = coeffs / float(np.max(np.abs(coeffs)))
     terms = {expo: float(c) for expo, c in zip(basis.exponents, coeffs)
-             if abs(c) > 0.0}
+             if abs(c) > SIGMA_NULL_FACTOR}
+    if terms[max(terms, key=grlex_key)] < 0:
+        terms = {expo: -c for expo, c in terms.items()}
     return SparsePoly(basis.nvars, terms, CoeffMode.FLOAT)
 
 
@@ -567,19 +596,13 @@ def _vanishes(cleared: list[tuple[int, ...]], basis: MonomialBasis,
     """Whether every coefficient vector on ``basis`` vanishes, exactly, at
     every cleared point: the exact kernel test of :func:`_fit_exact`.
 
-    Each vector is scaled to integers once, and :func:`cleared_values`
-    evaluates all of them on the vectors' union support, one chunk of
-    ``_VANISH_CHUNK`` points at a time; a chunk with a nonzero value ends
-    the test.
+    The vectors are integer, and :func:`cleared_values` evaluates all of
+    them on their union support, one chunk of ``_VANISH_CHUNK`` points at a
+    time; a chunk with a nonzero value ends the test.
     """
-    ints = []
-    for vec in vectors:
-        vec = [Fraction(c) for c in vec]
-        denom = math.lcm(*[c.denominator for c in vec])
-        ints.append([int(c * denom) for c in vec])
-    support = sorted({i for vec in ints for i, c in enumerate(vec) if c})
+    support = sorted({i for vec in vectors for i, c in enumerate(vec) if c})
     exponents = [basis.exponents[i] for i in support]
-    ints = [[vec[i] for i in support] for vec in ints]
+    ints = [[vec[i] for i in support] for vec in vectors]
     return not any(
         cleared_values(exponents, ints, basis.max_degree,
                        cleared[start:start + _VANISH_CHUNK]).any()
@@ -597,9 +620,12 @@ def _fit_exact(basis: MonomialBasis, blocks: list[WeightBlock],
     which need only match the widest block's columns in number.  Per
     block, the prime-field nullity bounds the block's kernel from above
     and the exact test of its expanded vectors bounds it from below, so
-    the fit is certified when every block is.  The block vectors are
-    expanded to monomials and put in the basis that a solver gives the
-    whole evaluation matrix (:func:`exactla.canonical_basis`).
+    the fit is certified when every block is.  Each solver returns a
+    block's kernel in its reduced echelon form with the columns reversed
+    (:mod:`orbitopes.exactla`), and that is the printed basis: blocks in
+    weight order, each block vector expanded to integer monomial
+    coefficients and divided by their gcd, its first nonzero coefficient
+    made positive.
 
     The fit works on the samples' cleared points (L, L*x_1, ..., L*x_n)
     as the sampler drew them.  The residue tables are built once per prime
@@ -619,24 +645,26 @@ def _fit_exact(basis: MonomialBasis, blocks: list[WeightBlock],
         lambda j: _block_rows(cleared, basis, blocks[j]),
         lambda j, p: _block_residues(tables(p), blocks[j], p),
         lambda j, vectors: _vanishes(cleared, basis, expand(j, vectors)))
-    kernel = canonical_basis([vec for j, block_basis in enumerate(bases)
-                              for vec in expand(j, block_basis)])
+    polys = []
+    for j, block_basis in enumerate(bases):
+        for vec in expand(j, block_basis):
+            terms = {expo: c for expo, c in zip(basis.exponents, vec) if c}
+            lead = next(iter(terms.values()))
+            g = math.gcd(*terms.values()) * (1 if lead > 0 else -1)
+            polys.append(SparsePoly(basis.nvars, {
+                expo: c // g for expo, c in terms.items()}, CoeffMode.RATIONAL))
     report = {
         "mode": "exact",
         "basis_size": basis.size,
         "sample_count": count,
         "seed": seed,
-        "nullity": len(kernel),
+        "nullity": len(polys),
         **info,
     }
-    if not kernel:
+    if not polys:
         raise NoVanishingPolynomialError(
             f"no degree-{basis.max_degree} equation vanishes on the exact "
             f"samples", report)
-    polys = []
-    for vec in kernel:
-        terms = {expo: c for expo, c in zip(basis.exponents, vec) if c != 0}
-        polys.append(SparsePoly(basis.nvars, terms, CoeffMode.RATIONAL))
     return FitResult(tuple(polys), report)
 
 

@@ -82,6 +82,9 @@ def test_criterion_04_g_recovery_float(g_float_fit, g_recovered,
                                        g_printed_terms):
     assert g_float_fit.nullity == 1
     assert g_float_fit.report["gap_ratio"] >= 1e4
+    # coefficients at or below SIGMA_NULL_FACTOR are rounding noise and
+    # are not printed
+    assert g_float_fit.polynomials[0].num_terms == 281
     g, _ = g_recovered
     assert g.num_terms == 281
     assert g.degree == 15

@@ -12,7 +12,7 @@ from orbitopes import exactla
 from orbitopes.curve import Representation
 from orbitopes.exactla import (PRIMES, _to_integer_rows,
                                _verify_kernel, bareiss_echelon,
-                               canonical_basis, exact_rank, nullspace_bareiss,
+                               exact_rank, nullspace_bareiss,
                                nullspace_exact, nullspace_modular,
                                rational_reconstruction, rref_mod_p,
                                sqrt_minus_one)
@@ -218,27 +218,6 @@ def test_primes_are_one_mod_four_with_a_square_root_of_minus_one():
     for p in (3, 7, 1073741783):
         with pytest.raises(ValueError):
             sqrt_minus_one(p)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_canonical_basis_is_the_solvers_basis(seed):
-    # any basis of a kernel, mixed by an invertible matrix, is put back in
-    # the basis and order that the solvers return
-    rng = random.Random(seed)
-    rows, cols = rng.randint(3, 8), rng.randint(4, 10)
-    matrix = random_low_rank(rng, rows, cols, rng.randint(1, min(rows, cols) - 1))
-    kernel = nullspace_bareiss(matrix)
-    assert sorted(kernel) == sorted(modular(matrix)[0])
-    k = len(kernel)
-    while True:
-        mix = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
-        if exact_rank(mix) == k:
-            break
-    mixed = [[sum(m * v[c] for m, v in zip(row, kernel)) for c in range(cols)]
-             for row in mix]
-    assert canonical_basis(mixed) == kernel
-    assert canonical_basis([[Fraction(x, 3) for x in v] for v in mixed]) == kernel
-    assert canonical_basis([]) == []
 
 
 def test_modular_certifies_from_the_first_prime_that_reconstructs():

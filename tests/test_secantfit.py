@@ -193,7 +193,7 @@ def cleared(points):
 
 
 def test_exact_kernel_test_refuses_the_last_vector_at_the_last_point():
-    # x2 and x1*x2/2 vanish at every point, x1^2 - x1 everywhere but at the
+    # x2 and 2*x1*x2 vanish at every point, x1^2 - x1 everywhere but at the
     # last point, which lies in the last chunk; its monomials are outside
     # the support of the other two vectors
     basis = monomial_basis(2, 2)
@@ -202,9 +202,9 @@ def test_exact_kernel_test_refuses_the_last_vector_at_the_last_point():
     points.append((Fraction(1, 3), Fraction(0)))
 
     def vector(terms):
-        return tuple(Fraction(terms.get(e, 0)) for e in basis.exponents)
+        return tuple(terms.get(e, 0) for e in basis.exponents)
 
-    vectors = [vector({(0, 1): 1}), vector({(1, 1): Fraction(1, 2)}),
+    vectors = [vector({(0, 1): 1}), vector({(1, 1): 2}),
                vector({(2, 0): 1, (1, 0): -1})]
     assert not secantfit._vanishes(cleared(points), basis, vectors)
     assert secantfit._vanishes(cleared(points[:-1]), basis, vectors)
@@ -468,7 +468,7 @@ def full_monomial_exact_fit(rep, r, degree, seed):
     """The exact fit on the whole sample-by-monomial matrix, without the
     weight blocks: Bareiss on its integer rows up to _BAREISS_MAX_COLS
     columns, the modular solver on its residues beyond.  Returns the
-    kernel's terms and the report."""
+    kernel's coefficient vectors on the monomials and the report."""
     basis = monomial_basis(rep.ambient_dim, degree)
     count = secantfit.default_sample_count(basis.size)
     points = [s.point for s in sample_secants(rep, r, count, seed,
@@ -487,9 +487,7 @@ def full_monomial_exact_fit(rep, r, degree, seed):
     report = {"mode": "exact", "basis_size": basis.size,
               "sample_count": count, "seed": seed, "nullity": len(kernel),
               **info}
-    terms = [[(e, c) for e, c in zip(basis.exponents, vec) if c]
-             for vec in kernel]
-    return terms, report
+    return kernel, report
 
 
 @pytest.mark.parametrize("indices,r,degree,seed,bareiss_max_cols", [
@@ -510,26 +508,35 @@ def test_block_fit_matches_full_monomial_fit(monkeypatch, indices, r, degree,
     if bareiss_max_cols is not None:
         monkeypatch.setattr(exactla, "_BAREISS_MAX_COLS", bareiss_max_cols)
     rep = Representation(indices)
-    terms, report = full_monomial_exact_fit(rep, r, degree, seed)
+    kernel, report = full_monomial_exact_fit(rep, r, degree, seed)
+    exponents = monomial_basis(rep.ambient_dim, degree).exponents
 
     def fit(count=None):
         return fit_hypersurface(rep, r, degree, count=count, seed=seed,
                                 mode=CoeffMode.RATIONAL)
 
+    def spans_the_kernel(polys):
+        # the block fit prints each block's kernel in its own echelon form,
+        # not the whole matrix's, so the two bases are compared as spans
+        vectors = [[p.coefficient(e) for e in exponents] for p in polys]
+        return (len(vectors) == len(kernel)
+                == exactla.exact_rank(vectors)
+                == exactla.exact_rank(kernel + vectors))
+
     # on the oracle's samples, 2.5 x the basis, the whole report matches
     try:
         full = fit(secantfit.default_sample_count(report["basis_size"]))
     except NoVanishingPolynomialError as exc:
-        assert terms == [] and exc.report == report
+        assert kernel == [] and exc.report == report
     else:
         assert full.report == report and report["certified"]
-        assert [list(p.terms.items()) for p in full.polynomials] == terms
+        assert spans_the_kernel(full.polynomials)
     # the default count, 2.5 x the largest weight block, finds the same kernel
     try:
         default = fit().polynomials
     except NoVanishingPolynomialError:
         default = ()
-    assert [list(p.terms.items()) for p in default] == terms
+    assert spans_the_kernel(default)
 
 
 def test_mid_width_exact_fit_is_modular():
@@ -596,6 +603,9 @@ def test_float_fit_12_matches_determinant_up_to_scale():
 
 def test_float_f_fit_recovers_stored_polynomial(f_float_fit, f_stored):
     assert f_float_fit.nullity == 1
+    # coefficients at or below SIGMA_NULL_FACTOR are rounding noise and
+    # are not printed
+    assert f_float_fit.polynomials[0].num_terms == 47
     assert f_float_fit.report["gap_ratio"] >= 1e4
     rounded, dist = rationalize(f_float_fit.polynomials[0], (0, 0, 4, 0), 1)
     assert rounded == f_stored
@@ -622,6 +632,42 @@ def test_float_and_exact_paths_agree_for_f(f_float_fit, f_exact_fit, f_stored):
     exact = f_exact_fit.polynomials[0]
     exact = exact.scale(1 / exact.coefficient((0, 0, 4, 0)))
     assert rounded == exact == f_stored
+
+
+@pytest.mark.parametrize("indices,r,degree", [
+    ((1, 3), 2, 9),     # nullity 5
+    ((1, 2), 2, 4),     # nullity 5
+    ((1, 2), 2, 5),     # nullity 15
+    ((1, 2), 1, 3),     # nullity 22
+])
+def test_float_and_exact_fits_print_the_same_basis(indices, r, degree):
+    # both paths print each weight block's kernel in its reduced echelon
+    # form with the columns reversed, block by block in weight order, so
+    # the two lists split into the same blocks and the i-th polynomials
+    # are partners: the same support, and equal up to scale
+    rep = Representation(indices)
+    exact = fit_hypersurface(rep, r, degree, mode=CoeffMode.RATIONAL)
+    floats = fit_hypersurface(rep, r, degree)
+    assert floats.nullity == exact.nullity > 1
+    for f, e in zip(floats.polynomials, exact.polynomials):
+        assert f.terms.keys() == e.terms.keys()
+        top = max(e.terms, key=lambda expo: abs(e.terms[expo]))
+        scale = f.terms[top] / float(e.terms[top])
+        # the float polynomial has unit max coefficient
+        assert max(abs(c - scale * float(e.terms[expo]))
+                   for expo, c in f.terms.items()) <= 1e-9
+
+
+def test_reversed_echelon_recovers_a_kernel_basis_up_to_scale():
+    # per pivot column 1 and 3, the vector that ends there and is zero on
+    # the other pivot: the exact solvers' basis of this span
+    basis = np.array([[2.0, -1.0, 0.0, 0.0], [1.0, 0.0, 3.0, 1.0]])
+    echelon = secantfit._reversed_echelon(np.array([[1.0, 1.0], [1.0, -2.0]])
+                                          @ basis)
+    for row, vec in zip(echelon, basis):
+        k = np.flatnonzero(vec)[-1]
+        assert np.allclose(row / row[k], vec / vec[k], rtol=0, atol=1e-15)
+    assert secantfit._reversed_echelon(np.array([[1.0, 2.0], [2.0, 4.0]])) is None
 
 
 def test_verify_vanishing_float_and_control(f_stored):
