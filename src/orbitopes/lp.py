@@ -223,10 +223,14 @@ def gauge(points: np.ndarray, target: np.ndarray) -> float:
     Solves min sum(mu) over mu >= 0 with points^T mu = target; the optimum
     is < 1 strictly inside the hull, 1 on its boundary, > 1 outside (valid
     whenever the origin is interior to the hull).  Returns ``inf`` when the
-    target is outside the conic span.
+    target is outside the conic span, and raises ``ArithmeticError`` when
+    the simplex stalls, which gives no gauge at all.
     """
     P = np.asarray(points, dtype=float)
     t = np.asarray(target, dtype=float)
     if np.allclose(t, 0.0):
         return 0.0
-    return simplex_minimize(P.T, t, np.ones(P.shape[0])).objective
+    result = simplex_minimize(P.T, t, np.ones(P.shape[0]))
+    if result.status == "stalled":
+        raise ArithmeticError(f"the simplex stalled on the gauge of {t!r}")
+    return result.objective

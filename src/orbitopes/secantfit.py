@@ -4,13 +4,15 @@ Points on the chord variety of a frequency curve are cheap to sample: pick
 r curve parameters and convex weights and form the combination.  Every
 polynomial of degree at most D vanishing on the variety is then a null
 vector of the sample-by-monomial evaluation matrix.  The float path splits
-that matrix by rotation weight and finds the null space by singular values
-with an explicit rank-gap policy.  The exact path samples rational curve
-points, clears their denominators once, and computes a certified integer
-kernel of each weight block (:mod:`orbitopes.exactla`): over GF(p), p = 1
-(mod 4), the block columns 2 Re and 2 Im of a complex monomial are int64
-residues of z_k = X_k + i_p Y_k, the cleared u_k = x_k + i y_k with i_p a
-square root of -1 modulo p.  Both paths print one basis: each weight
+that matrix by rotation weight, and each weight block by parity under the
+reflection t -> -t into its even Re and odd Im columns, and finds the null
+space of each half by singular values with an explicit rank-gap policy.
+The exact path samples rational curve points, clears their denominators
+once, and computes a certified integer kernel of each weight block
+(:mod:`orbitopes.exactla`): over GF(p), p = 1 (mod 4), the block columns
+2 Re and 2 Im of a complex monomial are int64 residues of
+z_k = X_k + i_p Y_k, the cleared u_k = x_k + i y_k with i_p a square root
+of -1 modulo p.  Both paths print one basis: each weight
 block's kernel in its reduced echelon form with the columns reversed,
 blocks in weight order, expanded to monomials.  A continued-fraction
 rounding step converts float fits to exact candidates for comparison.
@@ -164,7 +166,11 @@ def sample_secants(rep: Representation, r: int, count: int, seed: int,
 
     A float sample is one draw: r angles from ``rng.uniform(0, 2 pi,
     size=r)``, then weights from ``rng.dirichlet(ones(r))``, and every draw
-    is kept.  Affinely dependent curve points need no rejection: their
+    is kept.  The weights are drawn in the form numpy's ``dirichlet`` gives
+    them for unit ``alpha``: r draws of ``rng.standard_exponential``, times
+    the reciprocal of their sum taken left to right, normalized for a chunk
+    at once; the stream, the samples and the generator's final state are
+    the same.  Affinely dependent curve points need no rejection: their
     combination lies on a lower secant variety, which the r-th one contains.
     The curve points and the combinations are computed in chunks of draws
     whose curve points stay under ``_CHUNK_BYTES``.
@@ -193,7 +199,6 @@ def sample_secants(rep: Representation, r: int, count: int, seed: int,
         raise ValueError("frequency set must be reduced")
     if mode is CoeffMode.FLOAT:
         rng = np.random.default_rng(seed)
-        ones = np.ones(r)
         rows = max(1, _CHUNK_BYTES // (8 * r * rep.ambient_dim))
         out: list[SecantSample] = []
         for start in range(0, count, rows):
@@ -201,7 +206,10 @@ def sample_secants(rep: Representation, r: int, count: int, seed: int,
             params, weights = np.empty((n, r)), np.empty((n, r))
             for i in range(n):
                 params[i] = rng.uniform(0.0, 2 * math.pi, size=r)
-                weights[i] = rng.dirichlet(ones)
+                rng.standard_exponential(out=weights[i])
+            # dirichlet's normalization: the running sum, left to right,
+            # and a product with its reciprocal
+            weights *= 1.0 / np.cumsum(weights, axis=1)[:, -1:]
             points = np.matmul(weights[:, None, :], orbit_points(rep, params))
             out += map(SecantSample, map(tuple, params.tolist()),
                        map(tuple, weights.tolist()),
@@ -269,10 +277,18 @@ def fit_hypersurface(rep: Representation, r: int, degree: int,
 
     Float mode: singular-value null spaces of the column-equilibrated
     evaluation matrices of the rotation-weight blocks (:func:`weight_blocks`),
-    expanded back to monomials.  Over the singular values of all blocks,
-    directions below SIGMA_NULL_FACTOR * sigma_max are null, and the cut
-    must be witnessed by a singular-value gap of at least
-    GAP_RATIO_REQUIRED, otherwise :class:`AmbiguousRankError` is raised.
+    expanded back to monomials.  The reflection t -> -t maps u_k to ubar_k
+    and every secant variety to itself, so the Re columns of a block are
+    even and its Im columns odd, and the block's kernel is the direct sum
+    of the kernels of its Re half and its Im half.  Each half is factored
+    on its own: QR of its unscaled columns, whose R factor keeps their
+    norms, then the SVD of R with its columns divided by those norms.  The
+    norm cut that leaves a rounding-noise column unscaled is taken over
+    the whole block.  Over the singular values of all halves, directions
+    below SIGMA_NULL_FACTOR * sigma_max are null, and the cut must be
+    witnessed by a singular-value gap of at least GAP_RATIO_REQUIRED,
+    otherwise :class:`AmbiguousRankError` is raised.  A block prints its
+    Re half's null vectors, then its Im half's.
     Exact mode: certified integer kernels of the cleared-denominator
     evaluation matrices of the weight blocks (:func:`_fit_exact`).  Raises
     :class:`NoVanishingPolynomialError` when the kernel is
@@ -427,20 +443,28 @@ def _fit_float(rep: Representation, basis: MonomialBasis,
     solved = []
     for block in blocks:
         matrix = _block_matrix(u_pow, conj_pow, block)
-        norms = np.linalg.norm(matrix, axis=1)
+        # the Re half and the Im half of the block, factored one at a time;
+        # half.T is its evaluation matrix in column-major order, as LAPACK
+        # takes it
+        n = len(block.pairs)
+        r_factors = [np.linalg.qr(half.T, mode="r")
+                     for half in (matrix[:n], matrix[n:])]
+        # R keeps the column norms of the half it factors
+        norms = np.concatenate([np.linalg.norm(r, axis=0) for r in r_factors])
         # A basis function can vanish on the variety (Im(u1^2 ubar2) on
         # {1,2}); scaling its rounding-noise column up to unit norm would
-        # hide that null direction.
+        # hide that null direction.  The cut is taken over the whole block.
         scale = np.where(norms > 1e-12 * norms.max(), norms, 1.0)
-        matrix /= scale[:, None]
-        # the SVD of the R factor has the block's singular values and right
-        # vectors, without the tall left factor; matrix.T is the block's
-        # evaluation matrix in column-major order, as LAPACK takes it
-        r_factor = np.linalg.qr(matrix.T, mode="r")
-        _, sigma, vh = np.linalg.svd(r_factor)
-        solved.append((block, scale, sigma, vh))
+        halves = []
+        for r_factor, part in zip(r_factors, (scale[:n], scale[n:])):
+            # the SVD of the scaled R factor has the scaled half's singular
+            # values and right vectors, without the tall left factor
+            _, sigma, vh = np.linalg.svd(r_factor / part)
+            halves.append((sigma, vh / part))
+        solved.append((block, halves))
 
-    sigma = np.sort(np.concatenate([s for _, _, s, _ in solved]))[::-1]
+    sigma = np.sort(np.concatenate(
+        [s for _, halves in solved for s, _ in halves]))[::-1]
     threshold = SIGMA_NULL_FACTOR * sigma[0]
     nullity = int(np.sum(sigma < threshold))
     report = {
@@ -469,8 +493,14 @@ def _fit_float(rep: Representation, basis: MonomialBasis,
             f"singular-value gap ratio {gap_ratio:.2e} below required "
             f"{GAP_RATIO_REQUIRED:.0e}", report)
     polys = []
-    for block, scale, block_sigma, vh in solved:
-        echelon = _reversed_echelon(vh[block_sigma < threshold] / scale)
+    for block, ((re_sigma, re_vh), (im_sigma, im_vh)) in solved:
+        # the block's null vectors: the Re half's, then the Im half's
+        re, im = re_vh[re_sigma < threshold], im_vh[im_sigma < threshold]
+        n = len(block.pairs)
+        null = np.zeros((len(re) + len(im), block.size))
+        null[:len(re), :n] = re
+        null[len(re):, n:] = im
+        echelon = _reversed_echelon(null)
         if echelon is None:
             raise AmbiguousRankError(
                 "the null vectors of a weight block are dependent at "
@@ -636,6 +666,8 @@ def _fit_exact(basis: MonomialBasis, blocks: list[WeightBlock],
     cleared = [s.cleared for s in samples]
     tables = cache(partial(_residue_tables, cleared, top))
 
+    # the exact test and the printing share each block kernel's expansion
+    @cache
     def expand(j, vectors):
         return [_expand_block_vector(basis, blocks[j], np.array(v, dtype=object))
                 for v in vectors]
@@ -644,10 +676,11 @@ def _fit_exact(basis: MonomialBasis, blocks: list[WeightBlock],
         [block.size for block in blocks],
         lambda j: _block_rows(cleared, basis, blocks[j]),
         lambda j, p: _block_residues(tables(p), blocks[j], p),
-        lambda j, vectors: _vanishes(cleared, basis, expand(j, vectors)))
+        lambda j, vectors: _vanishes(cleared, basis,
+                                     expand(j, tuple(vectors))))
     polys = []
     for j, block_basis in enumerate(bases):
-        for vec in expand(j, block_basis):
+        for vec in expand(j, tuple(block_basis)):
             terms = {expo: c for expo, c in zip(basis.exponents, vec) if c}
             lead = next(iter(terms.values()))
             g = math.gcd(*terms.values()) * (1 if lead > 0 else -1)

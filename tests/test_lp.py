@@ -1,8 +1,10 @@
 import math
 
 import numpy as np
+import pytest
 
 from orbitopes import lp
+from orbitopes.curve import Representation, orbit_points
 from orbitopes.lp import gauge, max_min_slack, simplex_minimize
 
 
@@ -99,6 +101,19 @@ def test_gauge_square():
 def test_gauge_outside_conic_span_is_inf():
     ray = np.array([[1.0, 0.0]])
     assert gauge(ray, np.array([0.0, 1.0])) == math.inf
+
+
+def test_gauge_raises_when_the_simplex_stalls():
+    # a point strictly inside the universal body of order 3, at gauge 0.75
+    # (HiGHS agrees), on which phase two runs out of pivots over 4096
+    # curve points: no gauge, rather than inf for "outside"
+    rep = Representation((1, 2, 3))
+    hull = orbit_points(rep, np.arange(4096) * (2 * math.pi / 4096))
+    thetas = np.array([0.7420342946275719, 0.7420342946275719, 0.732421875])
+    weights = np.array([0.7421875, 0.7421875, 0.73046875])
+    point = 0.75 * ((weights / weights.sum()) @ orbit_points(rep, thetas))
+    with pytest.raises(ArithmeticError, match="stalled"):
+        gauge(hull, point)
 
 
 def test_max_min_slack_circle_single_contact():

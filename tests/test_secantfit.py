@@ -634,12 +634,15 @@ def test_float_and_exact_paths_agree_for_f(f_float_fit, f_exact_fit, f_stored):
     assert rounded == exact == f_stored
 
 
-@pytest.mark.parametrize("indices,r,degree", [
+SAME_BASIS_FITS = [
     ((1, 3), 2, 9),     # nullity 5
     ((1, 2), 2, 4),     # nullity 5
     ((1, 2), 2, 5),     # nullity 15
     ((1, 2), 1, 3),     # nullity 22
-])
+]
+
+
+@pytest.mark.parametrize("indices,r,degree", SAME_BASIS_FITS)
 def test_float_and_exact_fits_print_the_same_basis(indices, r, degree):
     # both paths print each weight block's kernel in its reduced echelon
     # form with the columns reversed, block by block in weight order, so
@@ -656,6 +659,21 @@ def test_float_and_exact_fits_print_the_same_basis(indices, r, degree):
         # the float polynomial has unit max coefficient
         assert max(abs(c - scale * float(e.terms[expo]))
                    for expo, c in f.terms.items()) <= 1e-9
+
+
+@pytest.mark.parametrize("indices,r,degree", SAME_BASIS_FITS)
+def test_exact_fits_print_even_or_odd_polynomials(indices, r, degree):
+    # t -> -t maps each curve point to its reflection y_k -> -y_k, so the
+    # secant varieties are invariant under it and every printed equation
+    # is even or odd in the y_k: the invariance that lets the float fit
+    # factor the Re (even) and Im (odd) columns of a weight block apart
+    fit = fit_hypersurface(Representation(indices), r, degree,
+                           mode=CoeffMode.RATIONAL)
+    parities = [{sum(expo[1::2]) % 2 for expo in p.terms}
+                for p in fit.polynomials]
+    assert all(len(parity) == 1 for parity in parities)
+    # these fits have polynomials of both parities
+    assert {0} in parities and {1} in parities
 
 
 def test_reversed_echelon_recovers_a_kernel_basis_up_to_scale():

@@ -1,14 +1,12 @@
-import functools
 import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitopes.curve import Representation, orbit_points
-from orbitopes.lp import gauge
 from orbitopes.toeplitz import (Verdict, det_polynomial, eigenvalues, embed,
                                 is_member, membership_report, numerical_rank)
 
@@ -161,27 +159,36 @@ def test_rank_tolerance_policy_floors_scale_at_one():
     assert numerical_rank(eigs, 1e-9) == 0
 
 
-@functools.cache
-def hull_points(n, grid=4096):
-    return orbit_points(universal(n), np.arange(grid) * (2 * math.pi / grid))
+# A convex combination of at most n curve points lies on the boundary of
+# the universal body (Toeplitz rank below n+1), and the origin is interior,
+# so scaling it by s puts it inside for s < 1 and outside for s > 1.
+@st.composite
+def scaled_boundary_points(draw):
+    """(n, thetas, weights, s) for such a combination, the weights before
+    normalization."""
+    n = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(1, n))
+    thetas = draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=m,
+                           max_size=m))
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=m, max_size=m))
+    return n, thetas, weights, draw(st.floats(0.6, 0.95) | st.floats(1.05, 1.4))
+
+
+def scaled_boundary_point(n, thetas, weights, scale):
+    weights = np.array(weights)
+    return scale * ((weights / weights.sum())
+                    @ orbit_points(universal(n), np.array(thetas)))
+
+
+# where the LP gauge over 4096 curve points stalled (tests/test_lp.py)
+STALLED_GAUGE_CASE = (3, [0.7420342946275719, 0.7420342946275719, 0.732421875],
+                      [0.7421875, 0.7421875, 0.73046875], 0.75)
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.sampled_from([2, 3]), st.data())
-def test_membership_agrees_with_the_lp_gauge(n, data):
-    # A convex combination of at most n curve points lies on the boundary of
-    # the universal body (Toeplitz rank below n+1); scaling it by s moves it
-    # to gauge s.  The LP gauge over 4096 curve points is an independent
-    # description of the same body.
-    m = data.draw(st.integers(1, n))
-    thetas = data.draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=m,
-                                max_size=m))
-    weights = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=m,
-                                          max_size=m)))
-    scale = data.draw(st.floats(0.6, 0.95) | st.floats(1.05, 1.4))
-    boundary = (weights / weights.sum()) @ orbit_points(universal(n),
-                                                        np.array(thetas))
-    point = scale * boundary
-    verdict = is_member(point)
+@given(scaled_boundary_points())
+@example(STALLED_GAUGE_CASE)
+def test_membership_agrees_with_the_construction(case):
+    verdict = is_member(scaled_boundary_point(*case))
     assert verdict is not Verdict.BOUNDARY
-    assert (verdict is Verdict.INTERIOR) == (gauge(hull_points(n), point) < 1.0)
+    assert (verdict is Verdict.INTERIOR) == (case[-1] < 1.0)
