@@ -174,12 +174,6 @@ def scaled_boundary_points(draw):
     return n, thetas, weights, draw(st.floats(0.6, 0.95) | st.floats(1.05, 1.4))
 
 
-def scaled_boundary_point(n, thetas, weights, scale):
-    weights = np.array(weights)
-    return scale * ((weights / weights.sum())
-                    @ orbit_points(universal(n), np.array(thetas)))
-
-
 # where the LP gauge over 4096 curve points stalled (tests/test_lp.py)
 STALLED_GAUGE_CASE = (3, [0.7420342946275719, 0.7420342946275719, 0.732421875],
                       [0.7421875, 0.7421875, 0.73046875], 0.75)
@@ -189,6 +183,10 @@ STALLED_GAUGE_CASE = (3, [0.7420342946275719, 0.7420342946275719, 0.732421875],
 @given(scaled_boundary_points())
 @example(STALLED_GAUGE_CASE)
 def test_membership_agrees_with_the_construction(case):
-    verdict = is_member(scaled_boundary_point(*case))
+    n, thetas, weights, scale = case
+    weights = np.array(weights)
+    boundary = (weights / weights.sum()) @ orbit_points(universal(n),
+                                                        np.array(thetas))
+    verdict = is_member(scale * boundary)
     assert verdict is not Verdict.BOUNDARY
-    assert (verdict is Verdict.INTERIOR) == (case[-1] < 1.0)
+    assert (verdict is Verdict.INTERIOR) == (scale < 1.0)
