@@ -367,6 +367,19 @@ def cleared_power_table(point: Sequence[Fraction], degree: int) -> list[list[int
     return table
 
 
+def kept_exponents(exponents: Sequence[Exponent], top: int,
+                   factors: int) -> list[set[int]]:
+    """The powers :func:`cleared_values` keeps of each of the ``factors``
+    entries (L, L*x_1, ..., L*x_n) of a cleared point: L^(top - |e|) and
+    (L*x_i)^(e_i) for every exponent e."""
+    used: list[set[int]] = [set() for _ in range(factors)]
+    for expo in exponents:
+        used[0].add(top - sum(expo))
+        for wanted, e in zip(used[1:], expo):
+            wanted.add(e)
+    return used
+
+
 def cleared_values(exponents: Sequence[Exponent], vectors: Sequence[Sequence[int]],
                    top: int, points: Sequence[Sequence[int]]) -> np.ndarray:
     """Exact values of integer coefficient vectors at cleared points.
@@ -389,13 +402,8 @@ def cleared_values(exponents: Sequence[Exponent], vectors: Sequence[Sequence[int
     points it held over a gigabyte for 256 points.
     """
     base = np.array(points, dtype=object).T
-    used: list[set[int]] = [set() for _ in base]
-    for expo in exponents:
-        used[0].add(top - sum(expo))
-        for wanted, e in zip(used[1:], expo):
-            wanted.add(e)
     powers = []
-    for row, wanted in zip(base, used):
+    for row, wanted in zip(base, kept_exponents(exponents, top, len(base))):
         kept, power = {0: 1}, 1
         for e in range(1, max(wanted, default=0) + 1):
             power = power * row

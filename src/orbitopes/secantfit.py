@@ -36,7 +36,7 @@ from .curve import (Representation, cleared_point, orbit_points,
                     rational_point)
 from .exactla import exact_rank, nullspace_exact, sqrt_minus_one
 from .poly import (CoeffMode, Exponent, SparsePoly, cleared_values,
-                   grlex_key, monomials_up_to_degree)
+                   grlex_key, kept_exponents, monomials_up_to_degree)
 
 SIGMA_NULL_FACTOR = 1e-9
 GAP_RATIO_REQUIRED = 1e4
@@ -370,19 +370,28 @@ def _block_matrix(u_pow: np.ndarray, conj_pow: np.ndarray,
     the Im rows).  ``u_pow[k, e]`` holds u_k^e over the samples and
     ``conj_pow`` its conjugate.
 
-    Each factor u_k^(a_k) ubar_k^(b_k) is a product of two gathered rows,
-    so every operand is contiguous along the samples, and the Re and Im
-    parts are written straight into the real result.
+    The block is evaluated pair by pair into two reused sample-long
+    complex rows, u^a ubar^b and the factor u_k^(a_k) ubar_k^(b_k), whose
+    Re and Im parts are copied straight into the real result.  Gathering
+    the whole block at once held block-sized complex temporaries, about
+    three times the result, and set the peak memory of the fit; the
+    products are taken in the same order, so the matrix is the same to
+    the bit.
     """
-    pairs = np.array(block.pairs)
-    a, b = pairs[:, 0], pairs[:, 1]
-    values = u_pow[0, a[:, 0]] * conj_pow[0, b[:, 0]]
-    for k in range(1, u_pow.shape[0]):
-        values *= u_pow[k, a[:, k]] * conj_pow[k, b[:, k]]
     n = len(block.pairs)
-    matrix = np.empty((block.size, values.shape[1]))
-    matrix[:n] = values.real
-    matrix[n:] = values.imag[block.imaginary]
+    matrix = np.empty((block.size, u_pow.shape[2]))
+    value = np.empty(u_pow.shape[2], dtype=complex)
+    factor = np.empty_like(value)
+    im_row = n
+    for j, (a, b) in enumerate(block.pairs):
+        np.multiply(u_pow[0, a[0]], conj_pow[0, b[0]], out=value)
+        for k in range(1, len(a)):
+            np.multiply(u_pow[k, a[k]], conj_pow[k, b[k]], out=factor)
+            value *= factor
+        matrix[j] = value.real
+        if a != b:
+            matrix[im_row] = value.imag
+            im_row += 1
     return matrix
 
 
@@ -554,6 +563,11 @@ def _float_poly(basis: MonomialBasis, coeffs: np.ndarray) -> SparsePoly:
 # verify: enough for each numpy call on a monomial to pay off, few enough
 # that a failing chunk stops the exact test soon.
 _VANISH_CHUNK = 256
+# Bits the kept powers of one chunk of the exact verify may hold together.
+# At degree 128 a frequency-64 point keeps powers of 10^5 bits and more,
+# and 256 of them set the peak memory; the 47-term degree-8 equation keeps
+# at most about 5500 bits a point, so its chunks stay at 256 points.
+_VANISH_CHUNK_BITS = 1 << 22
 
 
 def _block_rows(cleared: list[tuple[int, ...]], basis: MonomialBasis,
@@ -637,6 +651,26 @@ def _vanishes(cleared: list[tuple[int, ...]], basis: MonomialBasis,
         cleared_values(exponents, ints, basis.max_degree,
                        cleared[start:start + _VANISH_CHUNK]).any()
         for start in range(0, len(cleared), _VANISH_CHUNK))
+
+
+def _verify_chunks(cleared: list[tuple[int, ...]], top: int,
+                   exponents: list[Exponent]):
+    """Split the cleared points, in order, into runs of at most
+    ``_VANISH_CHUNK`` points whose kept powers (:func:`kept_exponents`)
+    hold at most ``_VANISH_CHUNK_BITS`` bits together; a point that holds
+    more makes a run of its own.  A power e of an entry of b bits holds
+    about e * b bits."""
+    weights = [sum(kept) for kept in
+               kept_exponents(exponents, top, len(cleared[0]))]
+    start, bits = 0, 0
+    for j, point in enumerate(cleared):
+        size = sum(w * x.bit_length() for w, x in zip(weights, point))
+        if j > start and (j - start == _VANISH_CHUNK
+                          or bits + size > _VANISH_CHUNK_BITS):
+            yield cleared[start:j]
+            start, bits = j, 0
+        bits += size
+    yield cleared[start:]
 
 
 def _fit_exact(basis: MonomialBasis, blocks: list[WeightBlock],
@@ -736,8 +770,9 @@ def verify_vanishing(p: SparsePoly, rep: Representation, r: int, count: int,
     returns a ``Fraction``, a float coefficient taken as the binary
     fraction it stores: with M and the integer coefficients of
     :meth:`SparsePoly.integer_form`, :func:`cleared_values` gives
-    V = M L^D p(x) at each cleared sample (L, L x), in chunks of
-    ``_VANISH_CHUNK``.  The largest |V| / L^D is found by cross-multiplying,
+    V = M L^D p(x) at each cleared sample (L, L x), in the chunks of
+    :func:`_verify_chunks`, which bound the bits of the powers a chunk
+    keeps.  The largest |V| / L^D is found by cross-multiplying,
     and only it becomes a ``Fraction``, over M L^D.
     """
     if p.nvars != rep.ambient_dim:
@@ -752,8 +787,8 @@ def verify_vanishing(p: SparsePoly, rep: Representation, r: int, count: int,
         p = SparsePoly(p.nvars, {e: Fraction(c) for e, c in p.terms.items()})
     top, denom, exponents, ints = p.integer_form()
     worst, scale = 0, 1  # the largest |V| and its L^D
-    for start in range(0, count, _VANISH_CHUNK):
-        cleared = [s.cleared for s in samples[start:start + _VANISH_CHUNK]]
+    for cleared in _verify_chunks([s.cleared for s in samples], top,
+                                  exponents):
         values = cleared_values(exponents, [ints], top, cleared)[0]
         for value, (lead, *_) in zip(values, cleared):
             if value:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -765,6 +766,42 @@ def test_exact_verify_matches_the_per_point_evaluation(f_stored):
     assert values.index(max(values)) == count - 1 and max(values) == 16
 
 
+def test_exact_verify_chunks_bound_the_bits_of_their_kept_powers():
+    # x1^128 - x4^128 keeps the 128th powers of x1 and x4: 256 bits per
+    # bit of a cleared entry; the points run from light to heavy and back
+    exponents = [(128, 0, 0, 0), (0, 0, 0, 128)]
+    weight = 2 * 128
+    cleared = [(1, 2 ** (b - 1), 3, 5, 2 ** (b - 1))
+               for b in [1] * 600 + [1024] * 40 + [20000] * 3 + [1] * 10]
+    chunks = list(secantfit._verify_chunks(cleared, 128, exponents))
+    assert [p for chunk in chunks for p in chunk] == cleared
+    bits = [weight * point[1].bit_length() for point in cleared]
+    start = 0
+    for chunk in chunks:
+        stop = start + len(chunk)
+        held = sum(bits[start:stop])
+        assert 1 <= len(chunk) <= secantfit._VANISH_CHUNK
+        assert held <= secantfit._VANISH_CHUNK_BITS or len(chunk) == 1
+        # each chunk is as long as the two limits let it be
+        if stop < len(cleared) and len(chunk) < secantfit._VANISH_CHUNK:
+            assert held + bits[stop] > secantfit._VANISH_CHUNK_BITS
+        start = stop
+    assert [len(chunk) for chunk in chunks] == [256, 256, 88 + 15, 16, 9,
+                                                1, 1, 1, 10]
+
+
+def test_exact_verify_does_not_depend_on_its_chunks(monkeypatch, f_stored):
+    # the worst value is taken in point order, so one point per chunk finds
+    # the same residual as the default chunks
+    for p, rep, r, count, seed in exact_verify_cases(f_stored)[:3]:
+        default = verify_vanishing(p, rep, r, count, seed,
+                                   mode=CoeffMode.RATIONAL)
+        with monkeypatch.context() as patch:
+            patch.setattr(secantfit, "_VANISH_CHUNK_BITS", 0)
+            assert verify_vanishing(p, rep, r, count, seed,
+                                    mode=CoeffMode.RATIONAL) == default
+
+
 def test_verify_vanishing_circle_on_polygon_block():
     # every convex combination of q-gon vertices keeps the shared last block
     # on the unit circle; with the rational circle parametrization the
@@ -820,6 +857,69 @@ def test_block_columns_match_their_monomial_expansion(indices, degree):
             expected = evaluate_on_points(poly, pts)
             assert np.all(np.abs(row - expected)
                           <= 1e-12 * _magnitude(poly, pts))
+
+
+def _u_powers(u: np.ndarray, degree: int) -> np.ndarray:
+    """u_k^e over the samples as the float fit builds them, an array
+    indexed by (k, e, sample)."""
+    u_pow = np.ones((u.shape[1], degree + 1, u.shape[0]), dtype=complex)
+    for e in range(1, degree + 1):
+        u_pow[:, e] = u_pow[:, e - 1] * u.T
+    return u_pow
+
+
+def _gathered_block_matrix(u_pow, conj_pow, block):
+    """The block evaluation that whole-block gathers gave before the
+    pair-by-pair loop: the reference of its operation order."""
+    pairs = np.array(block.pairs)
+    a, b = pairs[:, 0], pairs[:, 1]
+    values = u_pow[0, a[:, 0]] * conj_pow[0, b[:, 0]]
+    for k in range(1, u_pow.shape[0]):
+        values *= u_pow[k, a[:, k]] * conj_pow[k, b[:, k]]
+    n = len(block.pairs)
+    matrix = np.empty((block.size, values.shape[1]))
+    matrix[:n] = values.real
+    matrix[n:] = values.imag[block.imaginary]
+    return matrix
+
+
+@pytest.mark.parametrize("indices,degree", [((1, 4), 15), ((1, 2, 3), 5)])
+def test_block_matrix_is_bit_identical_to_the_gathered_product(indices,
+                                                               degree):
+    # on the samples of the default float fit, so LAPACK sees the matrices
+    # it saw before; {1,2,3} runs the coordinate loop twice
+    rep = Representation(indices)
+    count = secantfit.default_sample_count(
+        monomial_basis(rep.ambient_dim, degree).size)
+    pts = np.array([s.point for s in sample_secants(rep, 2, count, seed=20)])
+    u_pow = _u_powers(pts[:, 0::2] + 1j * pts[:, 1::2], degree)
+    conj_pow = u_pow.conj()
+    for block in weight_blocks(rep, degree):
+        assert np.array_equal(
+            secantfit._block_matrix(u_pow, conj_pow, block),
+            _gathered_block_matrix(u_pow, conj_pow, block))
+
+
+def test_block_matrix_holds_no_block_sized_temporaries():
+    # the widest {1,4} degree-15 block at random unit-disk values: the peak
+    # is the result and a few sample-long complex rows, not the three
+    # result-sized arrays of the whole-block gathers
+    rng = np.random.default_rng(33)
+    count = 2000
+    u = (np.sqrt(rng.uniform(size=(count, 2)))
+         * np.exp(2j * np.pi * rng.uniform(size=(count, 2))))
+    u_pow = _u_powers(u, 15)
+    conj_pow = u_pow.conj()
+    block = max(weight_blocks(Representation((1, 4)), 15),
+                key=lambda block: block.size)
+    assert block.size == 178
+    tracemalloc.start()
+    try:
+        matrix = secantfit._block_matrix(u_pow, conj_pow, block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= matrix.nbytes + 4 * count * 16
 
 
 def _random_exponent(rng: random.Random, nvars: int, total: int):
