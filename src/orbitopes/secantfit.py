@@ -370,13 +370,14 @@ def _block_matrix(u_pow: np.ndarray, conj_pow: np.ndarray,
     the Im rows).  ``u_pow[k, e]`` holds u_k^e over the samples and
     ``conj_pow`` its conjugate.
 
-    The block is evaluated pair by pair into two reused sample-long
-    complex rows, u^a ubar^b and the factor u_k^(a_k) ubar_k^(b_k), whose
-    Re and Im parts are copied straight into the real result.  Gathering
-    the whole block at once held block-sized complex temporaries, about
-    three times the result, and set the peak memory of the fit; the
-    products are taken in the same order, so the matrix is the same to
-    the bit.
+    The block is evaluated pair by pair: u^a ubar^b and each factor
+    u_k^(a_k) ubar_k^(b_k) go through two reused sample-long complex rows,
+    and the Re and Im parts are copied straight into the real result.  So
+    the result is the only block-sized array; gathering the factors of the
+    whole block at once holds two more complex arrays of its size, and on
+    the degree-15 {1,4} fit they set the peak memory.  The factors are
+    multiplied in from k = 0 up, the order of the gathered form, so the
+    matrix is the same to the bit.
     """
     n = len(block.pairs)
     matrix = np.empty((block.size, u_pow.shape[2]))
