@@ -252,8 +252,7 @@ def cmd_secant_fit(args) -> Outcome:
     fit = secantfit.fit_hypersurface(rep, r=args.r, degree=args.degree,
                                      count=args.count, seed=args.seed, mode=mode)
     # one held-out draw serves every polynomial of the fit
-    held_out = secantfit.sample_secants(rep, args.r, 2000, args.seed + 1)
-    points = np.array([s.point for s in held_out])
+    points = secantfit.sample_secants(rep, args.r, 2000, args.seed + 1)
     residuals = []
     for p in fit.polynomials:
         scaled = p.to_float()

@@ -24,7 +24,7 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from fractions import Fraction
 from math import comb
@@ -90,43 +90,6 @@ def monomial_basis(nvars: int, max_degree: int) -> MonomialBasis:
     return MonomialBasis(nvars, max_degree, exps)
 
 
-class _LazyPoint:
-    """The ``point`` field of :class:`SecantSample`: kept when given, and
-    for an exact sample built from its ``cleared`` integers on first read,
-    one ``Fraction`` per coordinate."""
-
-    def __get__(self, sample, owner=None):
-        if sample is None:
-            return None  # the field's default
-        if sample._point is None:
-            lead, *nums = sample.cleared
-            self.__set__(sample, tuple(Fraction(x, lead) for x in nums))
-        return sample._point
-
-    def __set__(self, sample, value):
-        # an attribute in the instance's inline values: a write to
-        # __dict__ makes a dict per sample, 72 more bytes for each of the
-        # 9690 float samples of the degree-15 fit under Python 3.11
-        object.__setattr__(sample, "_point", value)
-
-
-@dataclass(frozen=True)
-class SecantSample:
-    """r curve parameters, convex weights, and the resulting ambient point.
-
-    An exact sample is drawn as ``cleared``, its point as the integers
-    (L, L*x_1, ..., L*x_n) over their least common denominator L; its
-    ``point`` is built from them only where something reads it.  A float
-    sample has no ``cleared``.
-    """
-
-    params: tuple
-    weights: tuple
-    point: tuple = _LazyPoint()
-    cleared: tuple[int, ...] | None = field(default=None, repr=False,
-                                            compare=False)
-
-
 def secant_point(rep: Representation, params: Sequence, weights: Sequence,
                  mode: CoeffMode = CoeffMode.FLOAT):
     """Convex combination of curve points; exact when mode is RATIONAL.
@@ -153,44 +116,45 @@ def secant_point(rep: Representation, params: Sequence, weights: Sequence,
 
 
 # The curve points of one chunk of float draws, a (rows, r, 2R) float
-# array, stay under this many bytes.  The budget is small because a chunk's
-# samples are built from lists of its rows: turning the 9690 draws of a
-# degree-15 {1,4} fit into samples in one chunk raised the peak RSS of the
-# fit by about 2 MB.
+# array, stay under this many bytes.  At the command-line budgets (r up to
+# 128 at frequency 64, 10 000 draws) a single chunk would hold about 1.3 GB.
 _CHUNK_BYTES = 2 ** 18
 
 
 def sample_secants(rep: Representation, r: int, count: int, seed: int,
-                   mode: CoeffMode = CoeffMode.FLOAT) -> list[SecantSample]:
-    """Draw secant samples, a function of ``(rep, r, count, seed)``.
+                   mode: CoeffMode = CoeffMode.FLOAT
+                   ) -> np.ndarray | list[tuple[int, ...]]:
+    """Draw secant points, a function of ``(rep, r, count, seed)``.
 
-    A float sample is one draw: r angles from ``rng.uniform(0, 2 pi,
-    size=r)``, then weights from ``rng.dirichlet(ones(r))``, and every draw
-    is kept.  The weights are drawn in the form numpy's ``dirichlet`` gives
-    them for unit ``alpha``: r draws of ``rng.standard_exponential``, times
-    the reciprocal of their sum taken left to right, normalized for a chunk
-    at once; the stream, the samples and the generator's final state are
-    the same.  Affinely dependent curve points need no rejection: their
-    combination lies on a lower secant variety, which the r-th one contains.
-    The curve points and the combinations are computed in chunks of draws
-    whose curve points stay under ``_CHUNK_BYTES``.
+    Float mode returns a ``(count, 2R)`` float64 array, one row per draw:
+    r angles from ``rng.uniform(0, 2 pi, size=r)``, then weights from
+    ``rng.dirichlet(ones(r))``, and every draw is kept.  The weights are
+    drawn in the form numpy's ``dirichlet`` gives them for unit ``alpha``:
+    r draws of ``rng.standard_exponential``, times the reciprocal of their
+    sum taken left to right, normalized for a chunk at once; the stream,
+    the points and the generator's final state are the same.  Affinely
+    dependent curve points need no rejection: their combination lies on a
+    lower secant variety, which the r-th one contains.  The curve points
+    and the combinations are computed in chunks of draws whose curve
+    points stay under ``_CHUNK_BYTES``.
 
-    An exact draw is r parameters t = n/d, each d from ``randint(1, 30)``
-    and then n from ``randint(-4d, 4d)``.  The sampler works on the cleared
-    integer curve points x_k / D_k of :func:`cleared_point`, computed once
-    per reduced (n, d) and call: a parameter comes from about 2225
-    rationals, so the parameters of a large draw repeat often (and with
-    r = 1 the sampler runs out).  It rejects repeated parameter tuples,
-    compared as reduced (n, d) pairs, and tuples of affinely dependent
-    curve points: the rank of the integer rows x_k D_0 - x_0 D_k, the
-    differences scaled by D_0 D_k.  A kept tuple then draws r weights w_k
-    from ``randint(1, 64)``, normalized to sum W, and the sample stays in
-    integers: with D the lcm of the D_k, the combination is N_i / (W D),
-    N_i = sum_k w_k (D / D_k) x_k[i], and dividing W D and every N_i by
-    their gcd gives the sample's ``cleared`` point, the least common
-    denominator of the coordinates and their numerators over it.  It
-    raises :class:`InsufficientSamplesError` when ``count`` samples are
-    not found in DRAWS_PER_SAMPLE * count draws."""
+    Rational mode returns a list of cleared points: each point as the
+    integers (L, L*x_1, ..., L*x_n) over the least common denominator L of
+    its coordinates.  An exact draw is r parameters t = n/d, each d from
+    ``randint(1, 30)`` and then n from ``randint(-4d, 4d)``.  The sampler
+    works on the cleared integer curve points x_k / D_k of
+    :func:`cleared_point`, computed once per reduced (n, d) and call: a
+    parameter comes from about 2225 rationals, so the parameters of a
+    large draw repeat often (and with r = 1 the sampler runs out).  It
+    rejects repeated parameter tuples, compared as reduced (n, d) pairs,
+    and tuples of affinely dependent curve points: the rank of the integer
+    rows x_k D_0 - x_0 D_k, the differences scaled by D_0 D_k.  A kept
+    tuple then draws r weights w_k from ``randint(1, 64)``, normalized to
+    sum W, and the point stays in integers: with D the lcm of the D_k, the
+    combination is N_i / (W D), N_i = sum_k w_k (D / D_k) x_k[i], and
+    dividing W D and every N_i by their gcd clears it.  It raises
+    :class:`InsufficientSamplesError` when ``count`` points are not found
+    in DRAWS_PER_SAMPLE * count draws."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if r < 1 or r > rep.ambient_dim:
@@ -200,7 +164,7 @@ def sample_secants(rep: Representation, r: int, count: int, seed: int,
     if mode is CoeffMode.FLOAT:
         rng = np.random.default_rng(seed)
         rows = max(1, _CHUNK_BYTES // (8 * r * rep.ambient_dim))
-        out: list[SecantSample] = []
+        points = np.empty((count, rep.ambient_dim))
         for start in range(0, count, rows):
             n = min(rows, count - start)
             params, weights = np.empty((n, r)), np.empty((n, r))
@@ -210,11 +174,9 @@ def sample_secants(rep: Representation, r: int, count: int, seed: int,
             # dirichlet's normalization: the running sum, left to right,
             # and a product with its reciprocal
             weights *= 1.0 / np.cumsum(weights, axis=1)[:, -1:]
-            points = np.matmul(weights[:, None, :], orbit_points(rep, params))
-            out += map(SecantSample, map(tuple, params.tolist()),
-                       map(tuple, weights.tolist()),
-                       map(tuple, points[:, 0].tolist()))
-        return out
+            points[start:start + n] = np.matmul(
+                weights[:, None, :], orbit_points(rep, params))[:, 0]
+        return points
     out = []
     rng = random.Random(seed)
     seen: set[tuple] = set()
@@ -246,10 +208,7 @@ def sample_secants(rep: Representation, r: int, count: int, seed: int,
         nums = [sum(map(operator.mul, factors, column))
                 for column in zip(*[x for x, _ in pts])]
         g = math.gcd(total * denom, *nums)
-        params = tuple(Fraction(n, d) for n, d in key)
-        weights = tuple(Fraction(w, total) for w in raw)
-        out.append(SecantSample(params, weights, cleared=tuple(
-            v // g for v in (total * denom, *nums))))
+        out.append(tuple(v // g for v in (total * denom, *nums)))
         if len(out) == count:
             return out
     raise InsufficientSamplesError(
@@ -316,10 +275,10 @@ def fit_hypersurface(rep: Representation, r: int, degree: int,
     if count < need:
         raise InsufficientSamplesError(
             f"need at least {need} samples for {columns}, got {count}")
-    samples = sample_secants(rep, r, count, seed, mode)
+    points = sample_secants(rep, r, count, seed, mode)
     if mode is CoeffMode.FLOAT:
-        return _fit_float(rep, basis, blocks, samples, count, seed)
-    return _fit_exact(basis, blocks, samples, count, seed)
+        return _fit_float(rep, basis, blocks, points, seed)
+    return _fit_exact(basis, blocks, points, seed)
 
 
 @dataclass(frozen=True)
@@ -440,11 +399,10 @@ def _expand_block_vector(basis: MonomialBasis, block: WeightBlock,
 
 
 def _fit_float(rep: Representation, basis: MonomialBasis,
-               blocks: list[WeightBlock], samples: list[SecantSample],
-               count: int, seed: int) -> FitResult:
-    points = np.array([s.point for s in samples])
+               blocks: list[WeightBlock], points: np.ndarray,
+               seed: int) -> FitResult:
     u = points[:, 0::2] + 1j * points[:, 1::2]
-    u_pow = np.ones((rep.r, basis.max_degree + 1, count), dtype=complex)
+    u_pow = np.ones((rep.r, basis.max_degree + 1, len(points)), dtype=complex)
     for e in range(1, basis.max_degree + 1):
         u_pow[:, e] = u_pow[:, e - 1] * u.T
     conj_pow = u_pow.conj()
@@ -480,7 +438,7 @@ def _fit_float(rep: Representation, basis: MonomialBasis,
     report = {
         "mode": "float",
         "basis_size": basis.size,
-        "sample_count": count,
+        "sample_count": len(points),
         "seed": seed,
         "sigma_max": float(sigma[0]),
         "sigma_tail": [float(s) for s in sigma[-min(5, len(sigma)):]],
@@ -675,7 +633,7 @@ def _verify_chunks(cleared: list[tuple[int, ...]], top: int,
 
 
 def _fit_exact(basis: MonomialBasis, blocks: list[WeightBlock],
-               samples: list[SecantSample], count: int, seed: int) -> FitResult:
+               cleared: list[tuple[int, ...]], seed: int) -> FitResult:
     """The certified exact fit, one weight block at a time.
 
     Why the split is sound: the secant varieties are invariant under the
@@ -692,14 +650,12 @@ def _fit_exact(basis: MonomialBasis, blocks: list[WeightBlock],
     coefficients and divided by their gcd, its first nonzero coefficient
     made positive.
 
-    The fit works on the samples' cleared points (L, L*x_1, ..., L*x_n)
-    as the sampler drew them.  The residue tables are built once per prime
+    The fit works on the cleared points (L, L*x_1, ..., L*x_n) as the
+    sampler drew them.  The residue tables are built once per prime
     and fit and shared by the blocks; the Bareiss rows and the exact test
     evaluate integer vectors at the cleared points (:func:`cleared_values`).
     """
-    top = basis.max_degree
-    cleared = [s.cleared for s in samples]
-    tables = cache(partial(_residue_tables, cleared, top))
+    tables = cache(partial(_residue_tables, cleared, basis.max_degree))
 
     # the exact test and the printing share each block kernel's expansion
     @cache
@@ -724,7 +680,7 @@ def _fit_exact(basis: MonomialBasis, blocks: list[WeightBlock],
     report = {
         "mode": "exact",
         "basis_size": basis.size,
-        "sample_count": count,
+        "sample_count": len(cleared),
         "seed": seed,
         "nullity": len(polys),
         **info,
@@ -767,11 +723,12 @@ def verify_vanishing(p: SparsePoly, rep: Representation, r: int, count: int,
                      seed: int, mode: CoeffMode = CoeffMode.FLOAT):
     """Max absolute value of p over fresh secant samples.
 
-    Float mode returns a float.  Rational mode evaluates exactly and
-    returns a ``Fraction``, a float coefficient taken as the binary
-    fraction it stores: with M and the integer coefficients of
-    :meth:`SparsePoly.integer_form`, :func:`cleared_values` gives
-    V = M L^D p(x) at each cleared sample (L, L x), in the chunks of
+    Float mode evaluates p on the sampler's point array and returns a
+    float.  Rational mode evaluates exactly and returns a ``Fraction``, a
+    float coefficient taken as the binary fraction it stores: with M and
+    the integer coefficients of :meth:`SparsePoly.integer_form`,
+    :func:`cleared_values` gives V = M L^D p(x) at each cleared point
+    (L, L x) the sampler draws, in the chunks of
     :func:`_verify_chunks`, which bound the bits of the powers a chunk
     keeps.  The largest |V| / L^D is found by cross-multiplying,
     and only it becomes a ``Fraction``, over M L^D.
@@ -779,17 +736,14 @@ def verify_vanishing(p: SparsePoly, rep: Representation, r: int, count: int,
     if p.nvars != rep.ambient_dim:
         raise ValueError(f"polynomial has {p.nvars} variables, "
                          f"curve lives in R^{rep.ambient_dim}")
-    samples = sample_secants(rep, r, count, seed, mode)
+    points = sample_secants(rep, r, count, seed, mode)
     if mode is CoeffMode.FLOAT:
-        points = np.array([s.point for s in samples])
-        values = evaluate_on_points(p, points)
-        return float(np.max(np.abs(values)))
+        return float(np.max(np.abs(evaluate_on_points(p, points))))
     if p.mode is CoeffMode.FLOAT:
         p = SparsePoly(p.nvars, {e: Fraction(c) for e, c in p.terms.items()})
     top, denom, exponents, ints = p.integer_form()
     worst, scale = 0, 1  # the largest |V| and its L^D
-    for cleared in _verify_chunks([s.cleared for s in samples], top,
-                                  exponents):
+    for cleared in _verify_chunks(points, top, exponents):
         values = cleared_values(exponents, [ints], top, cleared)[0]
         for value, (lead, *_) in zip(values, cleared):
             if value:

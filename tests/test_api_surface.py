@@ -11,8 +11,8 @@ reached by any name, attribute name or imported name; a method or field
 only by an attribute read (``x.name``) or a keyword argument
 (``f(name=...)``), so a local variable or a parameter of the same name does
 not hide it.  Reads on ``args``, the argparse namespace of the command
-handlers, do not count either: ``args.params`` is a command-line option,
-not ``SecantSample.params``.
+handlers, do not count either: ``args.degree`` is a command-line option,
+not ``CurveInfo.degree``.
 
 The benchmark harness wraps the functions it names in ``TRACE_TARGETS``,
 looked up by name, so each of those names must resolve in the package.
@@ -31,10 +31,6 @@ ALLOWED = {
                                      "degree-15 equation",
     "max_min_slack": "a benchmark trace target, which perfbench names only "
                      "in a string",
-    "SecantSample.params": "the sampler tests check s.point against "
-                           "secant_point(rep, s.params, s.weights)",
-    "SecantSample.weights": "the sampler tests check s.point against "
-                            "secant_point(rep, s.params, s.weights)",
 }
 
 

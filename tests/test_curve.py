@@ -100,7 +100,10 @@ def per_coordinate_rational_point(rep, t):
 def test_rational_point_matches_per_coordinate_formula(indices, t):
     rep = Representation(tuple(indices))
     expected = per_coordinate_rational_point(rep, t)
-    assert repr(rational_point(rep, t)) == repr(expected)
+    # the coordinates and their types; repr would print integers past
+    # Python's 4300-digit limit for large t at frequency 63
+    assert [(type(c), c) for c in rational_point(rep, t)] == \
+        [(type(c), c) for c in expected]
     n, d = t.numerator, t.denominator
     coords, denom = cleared_point(rep, n, d)
     assert denom == (d * d + n * n) ** rep.max_index

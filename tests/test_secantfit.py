@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from orbitopes.curve import (Representation, antipodal_point, orbit_points,
                             rational_point)
 from orbitopes.poly import CoeffMode, SparsePoly, cleared_power_table
 from orbitopes.secantfit import (InsufficientSamplesError,
-                                 NoVanishingPolynomialError, SecantSample,
+                                 NoVanishingPolynomialError,
                                  evaluate_on_points,
                                  fit_hypersurface, monomial_basis,
                                  rationalize, sample_secants, secant_point,
@@ -58,21 +59,25 @@ def test_secant_point_weight_validation():
 
 
 def test_sample_secants_float_shape_and_weights():
-    samples = sample_secants(REP13, 2, 50, seed=1)
-    assert len(samples) == 50
-    for s in samples:
-        assert len(s.params) == 2 and len(s.point) == 4
-        assert abs(sum(s.weights) - 1) < 1e-12
-        assert secant_point(REP13, s.params, s.weights) == s.point
+    points = sample_secants(REP13, 2, 50, seed=1)
+    assert points.shape == (50, 4) and points.dtype == np.float64
+    draws, _ = sequential_float_samples(REP13, 2, 50, 1)
+    for point, (params, weights, _) in zip(points, draws):
+        assert len(params) == 2 and abs(sum(weights) - 1) < 1e-12
+        assert secant_point(REP13, params, weights) == tuple(point)
 
 
 def test_sample_secants_rational_exactness():
-    samples = sample_secants(REP13, 2, 20, seed=2, mode=CoeffMode.RATIONAL)
-    for s in samples:
-        assert sum(s.weights) == 1
-        assert all(isinstance(v, Fraction) for v in s.point)
-        expected = secant_point(REP13, s.params, s.weights, CoeffMode.RATIONAL)
-        assert expected == s.point
+    points = sample_secants(REP13, 2, 20, seed=2, mode=CoeffMode.RATIONAL)
+    draws = sequential_exact_samples(REP13, 2, 20, 2)
+    # each point is Python ints over the least common denominator
+    for lead, *nums in points:
+        assert all(type(v) is int for v in (lead, *nums))
+        assert lead > 0 and math.gcd(lead, *nums) == 1
+    for point, (params, weights, _) in zip(rational_points(points), draws):
+        assert sum(weights) == 1
+        assert secant_point(REP13, params, weights,
+                            CoeffMode.RATIONAL) == point
 
 
 def test_sample_secants_requires_reduced():
@@ -87,8 +92,10 @@ def test_sample_secants_exact_pool_exhausted():
 
 def sequential_exact_samples(rep, r, count, seed):
     """The exact sampler in Fraction arithmetic, the definition that the
-    cleared-integer sampler must equal sample for sample: the same
-    generator calls, the same rejections and the same error."""
+    cleared-integer sampler must equal point for point: the same
+    generator calls, the same rejections and the same error.
+
+    Returns the draws as (params, weights, point), in Fractions."""
     rng = random.Random(seed)
     seen = set()
     out = []
@@ -106,9 +113,8 @@ def sequential_exact_samples(rep, r, count, seed):
         raw = [rng.randint(1, 64) for _ in range(r)]
         total = sum(raw)
         weights = tuple(Fraction(w, total) for w in raw)
-        point = tuple(sum(w * p[i] for w, p in zip(weights, pts))
-                      for i in range(rep.ambient_dim))
-        out.append(SecantSample(params, weights, point))
+        out.append((params, weights,
+                    secant_point(rep, params, weights, CoeffMode.RATIONAL)))
         if len(out) == count:
             return out
     raise InsufficientSamplesError(
@@ -116,11 +122,23 @@ def sequential_exact_samples(rep, r, count, seed):
 
 
 def exact_outcome(sampler, *args):
-    """The repr of each sample, or the message of the sampler's error."""
+    """The sampler's points, or the message of its error."""
     try:
-        return [repr(s) for s in sampler(*args)]
+        return sampler(*args)
     except InsufficientSamplesError as exc:
         return f"InsufficientSamplesError: {exc}"
+
+
+def reference_cleared(rep, r, count, seed):
+    """The points of :func:`sequential_exact_samples`, cleared."""
+    return cleared([point for *_, point in
+                    sequential_exact_samples(rep, r, count, seed)])
+
+
+def rational_points(points):
+    """Each cleared point (L, L*x_1, ..., L*x_n) as its Fraction
+    coordinates."""
+    return [tuple(Fraction(x, lead) for x in nums) for lead, *nums in points]
 
 
 EXACT_SAMPLER_CASES = [
@@ -139,14 +157,14 @@ def test_exact_sampler_matches_fraction_reference(indices, r, count, seed):
     rep = Representation(indices)
     got = exact_outcome(sample_secants, rep, r, count, seed,
                         CoeffMode.RATIONAL)
-    assert got == exact_outcome(sequential_exact_samples, rep, r, count, seed)
+    assert got == exact_outcome(reference_cleared, rep, r, count, seed)
 
 
 @pytest.mark.parametrize("indices,r,count,seed", EXACT_SAMPLER_CASES)
 def test_exact_samples_carry_their_cleared_points(indices, r, count, seed):
-    # the exact fit and the exact verify read ``cleared``: the reference's
-    # point cleared to (L, L*x_1, ...).  ``point`` is built from it on
-    # first read, so it is read here after ``cleared``.
+    # the exact fit and the exact verify read the cleared points as Python
+    # ints (L, L*x_1, ...) over the least common denominator L; as
+    # rationals they are the reference's points
     rep = Representation(indices)
     try:
         reference = sequential_exact_samples(rep, r, count, seed)
@@ -154,9 +172,11 @@ def test_exact_samples_carry_their_cleared_points(indices, r, count, seed):
         with pytest.raises(InsufficientSamplesError):
             sample_secants(rep, r, count, seed, CoeffMode.RATIONAL)
         return
-    samples = sample_secants(rep, r, count, seed, CoeffMode.RATIONAL)
-    assert [s.cleared for s in samples] == cleared([s.point for s in reference])
-    assert [s.point for s in samples] == [s.point for s in reference]
+    points = sample_secants(rep, r, count, seed, CoeffMode.RATIONAL)
+    assert all(type(v) is int for point in points for v in point)
+    assert all(lead > 0 and math.gcd(lead, *nums) == 1
+               for lead, *nums in points)
+    assert rational_points(points) == [point for *_, point in reference]
 
 
 def every_third_candidate_rejected(calls):
@@ -182,10 +202,45 @@ def test_exact_sampler_matches_reference_with_rejections(monkeypatch, r,
                         CoeffMode.RATIONAL)
     monkeypatch.setattr(exactla, "exact_rank",
                         every_third_candidate_rejected(reference_calls))
-    assert got == exact_outcome(sequential_exact_samples, REP13, r, count, 11)
+    assert got == exact_outcome(reference_cleared, REP13, r, count, 11)
     assert new_calls == reference_calls and len(new_calls) >= count
     # with r = 1 there are about 2225 distinct parameters
     assert isinstance(got, str) == (count > 2225)
+
+
+@pytest.mark.parametrize("indices,r,count,seed", [((1, 3), 4, 100, 0),
+                                                  ((1, 64), 2, 50, 4)])
+def test_exact_rank_rows_are_scaled_curve_differences(monkeypatch, indices,
+                                                      r, count, seed):
+    # the rank test sees row k - 1 as a positive rational multiple of
+    # x(t_k) - x(t_0); the draw's parameters are the last 2r integers the
+    # generator gave before the call, as (d, n) pairs
+    rep = Representation(indices)
+    drawn, checked = [], []
+
+    class Recording(random.Random):
+        def randint(self, a, b):
+            drawn.append(super().randint(a, b))
+            return drawn[-1]
+
+    def spy(rows):
+        ds, ns = drawn[-2 * r::2], drawn[-2 * r + 1::2]
+        x = [rational_point(rep, Fraction(n, d)) for n, d in zip(ns, ds)]
+        assert len(rows) == r - 1
+        for row, xk in zip(rows, x[1:]):
+            diff = [a - b for a, b in zip(xk, x[0])]
+            i = next(i for i, v in enumerate(diff) if v)
+            scale = Fraction(row[i], diff[i])
+            assert scale > 0 and list(row) == [scale * v for v in diff]
+        checked.append(rows)
+        return exactla.exact_rank(rows)
+
+    monkeypatch.setattr(secantfit, "random", SimpleNamespace(Random=Recording))
+    monkeypatch.setattr(secantfit, "exact_rank", spy)
+    points = sample_secants(rep, r, count, seed, CoeffMode.RATIONAL)
+    monkeypatch.undo()
+    assert len(checked) >= count
+    assert points == sample_secants(rep, r, count, seed, CoeffMode.RATIONAL)
 
 
 def cleared(points):
@@ -216,20 +271,15 @@ def sequential_float_samples(rep, r, count, seed):
     """The float sampler one draw at a time, the definition that the
     chunked sampler must equal bit for bit.
 
-    Returns the samples and the generator in its final state."""
+    Returns the draws as (params, weights, point) and the generator in its
+    final state."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
-        params = tuple(float(t) for t in rng.uniform(0.0, 2 * math.pi, size=r))
-        weights = tuple(float(w) for w in rng.dirichlet(np.ones(r)))
-        pts = orbit_points(rep, np.array(params))
-        point = tuple(float(v) for v in np.asarray(weights) @ pts)
-        out.append(SecantSample(params, weights, point))
+        params = rng.uniform(0.0, 2 * math.pi, size=r)
+        weights = rng.dirichlet(np.ones(r))
+        out.append((params, weights, secant_point(rep, params, weights)))
     return out, rng
-
-
-def sample_bits(samples) -> bytes:
-    return np.array([s.params + s.weights + s.point for s in samples]).tobytes()
 
 
 def assert_matches_reference(monkeypatch, rep, r, count, seed):
@@ -242,8 +292,8 @@ def assert_matches_reference(monkeypatch, rep, r, count, seed):
                       lambda seed: generators.append(make(seed)) or generators[-1])
         got = sample_secants(rep, r, count, seed)
     expected, reference = sequential_float_samples(rep, r, count, seed)
-    assert len(got) == count
-    assert sample_bits(got) == sample_bits(expected)
+    assert got.dtype == np.float64 and got.shape == (count, rep.ambient_dim)
+    assert got.tobytes() == np.array([point for *_, point in expected]).tobytes()
     # no RNG call more or less than the one-at-a-time loop
     assert generators[0].bit_generator.state == reference.bit_generator.state
 
@@ -266,18 +316,19 @@ def test_float_sampler_keeps_affinely_dependent_draws():
     # draw of 16 curve points that are numerically affinely dependent
     # still gives a point of it, and a sample
     rep = Representation(tuple(range(1, 9)))
-    samples = sample_secants(rep, 16, 200, 17)
+    draws, _ = sequential_float_samples(rep, 16, 200, 17)
     ratios = []
-    for s in samples:
-        pts = orbit_points(rep, np.array(s.params))
+    for params, _, _ in draws:
+        pts = orbit_points(rep, params)
         sigma = np.linalg.svd(pts[1:] - pts[0], compute_uv=False)
         ratios.append(sigma[-1] / sigma[0])
-    assert len(samples) == 200 and min(ratios) < 1e-9
+    assert len(sample_secants(rep, 16, 200, 17)) == 200 and min(ratios) < 1e-9
 
 
 def test_float_sampler_windows_stay_within_the_byte_budget(monkeypatch):
     # 128 points of a 64-frequency curve: one draw is 128 KiB of curve
-    # points, so the 300 draws take 150 chunks of 2 draws
+    # points, so the 300 draws take 150 chunks of 2 draws (and the
+    # reference, through secant_point, then one call per draw)
     shapes = []
 
     def spy(rep, thetas):
@@ -289,7 +340,7 @@ def test_float_sampler_windows_stay_within_the_byte_budget(monkeypatch):
     monkeypatch.setattr(secantfit, "orbit_points", spy)
     assert_matches_reference(monkeypatch, Representation(tuple(range(1, 65))),
                              128, 300, 0)
-    assert shapes == [(2, 128, 128)] * 150
+    assert shapes == [(2, 128, 128)] * 150 + [(128, 128)] * 300
 
 
 @pytest.mark.parametrize("indices,degree", [((1, 2), 3), ((1, 4), 6),
@@ -393,8 +444,7 @@ def test_exact_fit_residues_match_reduced_integer_rows(indices, r, degree):
     # those against Gaussian-integer arithmetic
     rep = Representation(indices)
     basis = monomial_basis(rep.ambient_dim, degree)
-    points = cleared([s.point for s in sample_secants(
-        rep, r, 40, seed=0, mode=CoeffMode.RATIONAL)])
+    points = sample_secants(rep, r, 40, seed=0, mode=CoeffMode.RATIONAL)
     tables = {p: secantfit._residue_tables(points, degree, p)
               for p in (exactla.PRIMES[0], exactla.PRIMES[-1], 13)}
     for block in weight_blocks(rep, degree):
@@ -472,8 +522,8 @@ def full_monomial_exact_fit(rep, r, degree, seed):
     kernel's coefficient vectors on the monomials and the report."""
     basis = monomial_basis(rep.ambient_dim, degree)
     count = secantfit.default_sample_count(basis.size)
-    points = [s.point for s in sample_secants(rep, r, count, seed,
-                                              CoeffMode.RATIONAL)]
+    points = rational_points(sample_secants(rep, r, count, seed,
+                                            CoeffMode.RATIONAL))
     if basis.size <= exactla._BAREISS_MAX_COLS:
         kernel = exactla.nullspace_bareiss(
             [reference_integer_row(x, basis) for x in points])
@@ -741,7 +791,8 @@ def exact_verify_cases(f_stored):
     # the last sample y is the only point where 16 - |x - y|^2 reaches 16
     # (each |x_i - y_i| <= 2), and it lies in the third chunk
     count = 2 * secantfit._VANISH_CHUNK + 1
-    last = sample_secants(REP13, 2, count, 31, CoeffMode.RATIONAL)[-1].point
+    last, = rational_points(
+        sample_secants(REP13, 2, count, 31, CoeffMode.RATIONAL)[-1:])
     peak = SparsePoly.constant(4, 16)
     for i, y in enumerate(last):
         dx = SparsePoly.variable(4, i) - SparsePoly.constant(4, y)
@@ -755,13 +806,14 @@ def exact_verify_cases(f_stored):
 
 def test_exact_verify_matches_the_per_point_evaluation(f_stored):
     for p, rep, r, count, seed in exact_verify_cases(f_stored):
-        samples = sample_secants(rep, r, count, seed, CoeffMode.RATIONAL)
-        values = [abs(reference_evaluate(p, s.point)) for s in samples]
+        points = rational_points(
+            sample_secants(rep, r, count, seed, CoeffMode.RATIONAL))
+        values = [abs(reference_evaluate(p, x)) for x in points]
         residual = verify_vanishing(p, rep, r, count, seed,
                                     mode=CoeffMode.RATIONAL)
         assert type(residual) is Fraction and residual > 0
         assert residual == max(values)
-        assert [abs(p.evaluate(s.point)) for s in samples[:20]] == values[:20]
+        assert [abs(p.evaluate(x)) for x in points[:20]] == values[:20]
     # the peak polynomial is largest at the last sample only
     assert values.index(max(values)) == count - 1 and max(values) == 16
 
@@ -840,7 +892,7 @@ def test_block_columns_match_their_monomial_expansion(indices, degree):
     # powers, and from the column's exact expansion into real monomials.
     rep = Representation(indices)
     basis = monomial_basis(rep.ambient_dim, degree)
-    pts = np.array([s.point for s in sample_secants(rep, 2, 4, seed=degree)])
+    pts = sample_secants(rep, 2, 4, seed=degree)
     u = pts[:, 0::2] + 1j * pts[:, 1::2]
     u_pow = u.T[:, None, :] ** np.arange(degree + 1)[None, :, None]
     for block in weight_blocks(rep, degree):
@@ -891,7 +943,7 @@ def test_block_matrix_is_bit_identical_to_the_gathered_product(indices,
     rep = Representation(indices)
     count = secantfit.default_sample_count(
         monomial_basis(rep.ambient_dim, degree).size)
-    pts = np.array([s.point for s in sample_secants(rep, 2, count, seed=20)])
+    pts = sample_secants(rep, 2, count, seed=20)
     u_pow = _u_powers(pts[:, 0::2] + 1j * pts[:, 1::2], degree)
     conj_pow = u_pow.conj()
     for block in weight_blocks(rep, degree):
@@ -931,8 +983,8 @@ def test_evaluate_on_points_matches_exact_evaluation():
     # The float power table against exact rational evaluation at rational
     # secant points, up to the degree budget of a .poly file (128).
     rng = random.Random(27)
-    exact_pts = [s.point for s in sample_secants(REP13, 2, 6, seed=28,
-                                                 mode=CoeffMode.RATIONAL)]
+    exact_pts = rational_points(sample_secants(REP13, 2, 6, seed=28,
+                                               mode=CoeffMode.RATIONAL))
     cases = []
     for degree in (1, 8, 15, 40, 128):
         terms = {_random_exponent(rng, 4, rng.randint(0, degree)):
