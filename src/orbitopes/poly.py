@@ -396,19 +396,20 @@ def cleared_values(exponents: Sequence[Exponent], vectors: Sequence[Sequence[int
     with a nonzero coefficient on it.
 
     For each coordinate only the powers that some monomial uses are kept,
-    built by repeated multiplication up to the largest of them; L takes the
-    pads top - |e_t|.  A full table of every power of every coordinate
+    in increasing order, each the previous kept power e' times the entry
+    to the power e - e' (a plain product when e - e' = 1): a lone 128th
+    power is one ``**``, not 128 products.  L takes the pads
+    top - |e_t|.  A full table of every power of every coordinate
     would not do: for two terms of degree 128 at frequency-64 secant
     points it held over a gigabyte for 256 points.
     """
     base = np.array(points, dtype=object).T
     powers = []
     for row, wanted in zip(base, kept_exponents(exponents, top, len(base))):
-        kept, power = {0: 1}, 1
-        for e in range(1, max(wanted, default=0) + 1):
-            power = power * row
-            if e in wanted:
-                kept[e] = power
+        kept, power, last = {0: 1}, 1, 0
+        for e in sorted(wanted - {0}):
+            power = power * (row if e - last == 1 else row ** (e - last))
+            kept[e], last = power, e
         powers.append(kept)
     sums = np.zeros((len(vectors), len(points)), dtype=object)
     for t, expo in enumerate(exponents):

@@ -248,6 +248,19 @@ def fit_hypersurface(rep: Representation, r: int, degree: int,
     witnessed by a singular-value gap of at least GAP_RATIO_REQUIRED,
     otherwise :class:`AmbiguousRankError` is raised.  A block prints its
     Re half's null vectors, then its Im half's.
+    The rank is found on a prefix of the sample rows: every half is
+    factored first on the first m rows, m the :func:`default_sample_count`
+    of the largest block's columns (445 of the 9690 rows at degree 15 on
+    {1,4}).  Fewer rows can only make a half look more singular, so only
+    a block with a prefix singular value below SIGMA_NULL_FACTOR times the
+    largest prefix one can hold a null direction.  Those blocks are
+    factored again on all rows, so every null vector comes from all rows.
+    The threshold and the gap test then run over this mixed pool, in which
+    the other blocks keep their prefix singular values.  If the pool finds
+    no null direction, fails the gap, or puts a null direction in a block
+    factored on the prefix only, every block is factored on all rows, and
+    that fit's report or error stands.  With m rows or fewer, the one pass
+    is on all rows.
     Exact mode: certified integer kernels of the cleared-denominator
     evaluation matrices of the weight blocks (:func:`_fit_exact`).  Raises
     :class:`NoVanishingPolynomialError` when the kernel is
@@ -398,6 +411,32 @@ def _expand_block_vector(basis: MonomialBasis, block: WeightBlock,
     return coeffs
 
 
+def _factor_block(u_pow: np.ndarray, conj_pow: np.ndarray,
+                  block: WeightBlock) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The singular values and scaled right vectors of the block's Re half
+    and Im half, on the samples of ``u_pow`` (see :func:`fit_hypersurface`)."""
+    matrix = _block_matrix(u_pow, conj_pow, block)
+    # the Re half and the Im half of the block, factored one at a time;
+    # half.T is its evaluation matrix in column-major order, as LAPACK
+    # takes it
+    n = len(block.pairs)
+    r_factors = [np.linalg.qr(half.T, mode="r")
+                 for half in (matrix[:n], matrix[n:])]
+    # R keeps the column norms of the half it factors
+    norms = np.concatenate([np.linalg.norm(r, axis=0) for r in r_factors])
+    # A basis function can vanish on the variety (Im(u1^2 ubar2) on
+    # {1,2}); scaling its rounding-noise column up to unit norm would
+    # hide that null direction.  The cut is taken over the whole block.
+    scale = np.where(norms > 1e-12 * norms.max(), norms, 1.0)
+    halves = []
+    for r_factor, part in zip(r_factors, (scale[:n], scale[n:])):
+        # the SVD of the scaled R factor has the scaled half's singular
+        # values and right vectors, without the tall left factor
+        _, sigma, vh = np.linalg.svd(r_factor / part)
+        halves.append((sigma, vh / part))
+    return halves
+
+
 def _fit_float(rep: Representation, basis: MonomialBasis,
                blocks: list[WeightBlock], points: np.ndarray,
                seed: int) -> FitResult:
@@ -408,37 +447,45 @@ def _fit_float(rep: Representation, basis: MonomialBasis,
     conj_pow = u_pow.conj()
 
     assert sum(block.size for block in blocks) == basis.size
-    solved = []
-    for block in blocks:
-        matrix = _block_matrix(u_pow, conj_pow, block)
-        # the Re half and the Im half of the block, factored one at a time;
-        # half.T is its evaluation matrix in column-major order, as LAPACK
-        # takes it
-        n = len(block.pairs)
-        r_factors = [np.linalg.qr(half.T, mode="r")
-                     for half in (matrix[:n], matrix[n:])]
-        # R keeps the column norms of the half it factors
-        norms = np.concatenate([np.linalg.norm(r, axis=0) for r in r_factors])
-        # A basis function can vanish on the variety (Im(u1^2 ubar2) on
-        # {1,2}); scaling its rounding-noise column up to unit norm would
-        # hide that null direction.  The cut is taken over the whole block.
-        scale = np.where(norms > 1e-12 * norms.max(), norms, 1.0)
-        halves = []
-        for r_factor, part in zip(r_factors, (scale[:n], scale[n:])):
-            # the SVD of the scaled R factor has the scaled half's singular
-            # values and right vectors, without the tall left factor
-            _, sigma, vh = np.linalg.svd(r_factor / part)
-            halves.append((sigma, vh / part))
-        solved.append((block, halves))
+    count = len(points)
 
+    def on_all_rows(block):
+        return block, _factor_block(u_pow, conj_pow, block), count
+
+    # every block on the prefix rows, then on all rows the blocks with a
+    # prefix singular value that could be null
+    prefix = min(count, default_sample_count(max(b.size for b in blocks)))
+    solved = [(block, _factor_block(u_pow[:, :, :prefix],
+                                    conj_pow[:, :, :prefix], block), prefix)
+              for block in blocks]
+    if prefix < count:
+        cut = SIGMA_NULL_FACTOR * max(
+            s.max(initial=0.0) for _, halves, _ in solved for s, _ in halves)
+        solved = [on_all_rows(entry[0])
+                  if any((s < cut).any() for s, _ in entry[1]) else entry
+                  for entry in solved]
+        try:
+            return _float_null_space(basis, solved, count, seed)
+        except FitError:
+            # the mixed pool does not decide: the fit on all rows does
+            solved = [entry if entry[2] == count else on_all_rows(entry[0])
+                      for entry in solved]
+    return _float_null_space(basis, solved, count, seed)
+
+
+def _float_null_space(basis: MonomialBasis, solved: list, count: int,
+                      seed: int) -> FitResult:
+    """The rank decision and the null vectors over the factored halves of
+    every block, each entry ``(block, halves, rows)`` with the number of
+    sample rows it was factored on."""
     sigma = np.sort(np.concatenate(
-        [s for _, halves in solved for s, _ in halves]))[::-1]
+        [s for _, halves, _ in solved for s, _ in halves]))[::-1]
     threshold = SIGMA_NULL_FACTOR * sigma[0]
     nullity = int(np.sum(sigma < threshold))
     report = {
         "mode": "float",
         "basis_size": basis.size,
-        "sample_count": len(points),
+        "sample_count": count,
         "seed": seed,
         "sigma_max": float(sigma[0]),
         "sigma_tail": [float(s) for s in sigma[-min(5, len(sigma)):]],
@@ -461,9 +508,13 @@ def _fit_float(rep: Representation, basis: MonomialBasis,
             f"singular-value gap ratio {gap_ratio:.2e} below required "
             f"{GAP_RATIO_REQUIRED:.0e}", report)
     polys = []
-    for block, ((re_sigma, re_vh), (im_sigma, im_vh)) in solved:
+    for block, halves, rows in solved:
+        if rows < count and any((s < threshold).any() for s, _ in halves):
+            raise AmbiguousRankError(
+                f"a weight block factored on {rows} of the {count} samples "
+                "has a null direction", report)
         # the block's null vectors: the Re half's, then the Im half's
-        re, im = re_vh[re_sigma < threshold], im_vh[im_sigma < threshold]
+        re, im = (vh[s < threshold] for s, vh in halves)
         n = len(block.pairs)
         null = np.zeros((len(re) + len(im), block.size))
         null[:len(re), :n] = re

@@ -1,11 +1,21 @@
-"""Shared fixtures; the expensive interpolation fits run once per session."""
+"""Shared fixtures; the expensive interpolation fits run once per session.
+
+Every property test draws the same examples on every run: the profile
+loaded here derandomizes Hypothesis and keeps no example database, so a
+Tier-1 run neither draws new inputs nor replays a failure stored by an
+earlier one.  Tests set only ``max_examples`` and ``deadline`` of their own.
+"""
 
 import pytest
+from hypothesis import settings
 
 from orbitopes import fixtures
 from orbitopes.curve import Representation
 from orbitopes.poly import CoeffMode
 from orbitopes.secantfit import fit_hypersurface, rationalize
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orbitopes.poly import CoeffMode, SparsePoly, monomials_up_to_degree
+from orbitopes.poly import (CoeffMode, SparsePoly, cleared_values,
+                            monomials_up_to_degree)
 
 
 def var(i, nvars=2):
@@ -212,6 +213,24 @@ def poly_and_point(draw):
     point = draw(st.lists(fractions | st.integers(-9, 9), min_size=nvars,
                           max_size=nvars))
     return SparsePoly(nvars, terms), point
+
+
+def test_cleared_values_of_sparse_powers_match_direct_powers():
+    # kept powers {0, 1, 5, 128} of x1, {0, 1, 2, 128} of x2 and pads
+    # {1, 2, 123, 129, 130} of L: steps of one and jumps between kept powers
+    rng = random.Random(7)
+    exponents = [(0, 0), (1, 0), (5, 2), (128, 1), (0, 128)]
+    top = 130
+    points = [(rng.randrange(1, 2 ** 40), *(rng.randrange(-2 ** 60, 2 ** 60)
+                                            for _ in range(2)))
+              for _ in range(4)]
+    vectors = [[rng.randrange(-9, 10) for _ in exponents] for _ in range(2)]
+    values = cleared_values(exponents, vectors, top, points)
+    for j, (lead, x1, x2) in enumerate(points):
+        for k, vec in enumerate(vectors):
+            assert values[k, j] == sum(
+                c * lead ** (top - a - b) * x1 ** a * x2 ** b
+                for c, (a, b) in zip(vec, exponents))
 
 
 @settings(max_examples=200, deadline=None)

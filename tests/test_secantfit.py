@@ -1,14 +1,16 @@
 import itertools
+import json
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from orbitopes import exactla, secantfit
+from orbitopes import cli, exactla, secantfit
 from orbitopes.curve import (Representation, antipodal_point, orbit_points,
                             rational_point)
 from orbitopes.poly import CoeffMode, SparsePoly, cleared_power_table
@@ -968,6 +970,174 @@ def test_block_matrix_holds_no_block_sized_temporaries():
     finally:
         tracemalloc.stop()
     assert peak <= matrix.nbytes + 4 * count * 16
+
+
+def all_rows_fit_float(rep, basis, blocks, points, seed):
+    """The float fit with every parity half of every block factored on all
+    sample rows: the fit before the row prefix, kept as the reference the
+    prefix fit must reproduce."""
+    u_pow = _u_powers(points[:, 0::2] + 1j * points[:, 1::2], basis.max_degree)
+    conj_pow = u_pow.conj()
+    solved = []
+    for block in blocks:
+        matrix = secantfit._block_matrix(u_pow, conj_pow, block)
+        n = len(block.pairs)
+        r_factors = [np.linalg.qr(half.T, mode="r")
+                     for half in (matrix[:n], matrix[n:])]
+        norms = np.concatenate([np.linalg.norm(r, axis=0) for r in r_factors])
+        scale = np.where(norms > 1e-12 * norms.max(), norms, 1.0)
+        halves = []
+        for r_factor, part in zip(r_factors, (scale[:n], scale[n:])):
+            _, sigma, vh = np.linalg.svd(r_factor / part)
+            halves.append((sigma, vh / part))
+        solved.append((block, halves))
+    sigma = np.sort(np.concatenate(
+        [s for _, halves in solved for s, _ in halves]))[::-1]
+    threshold = secantfit.SIGMA_NULL_FACTOR * sigma[0]
+    nullity = int(np.sum(sigma < threshold))
+    report = {"mode": "float", "basis_size": basis.size,
+              "sample_count": len(points), "seed": seed,
+              "sigma_max": float(sigma[0]),
+              "sigma_tail": [float(s) for s in sigma[-min(5, len(sigma)):]],
+              "null_threshold": float(threshold), "nullity": nullity}
+    if nullity == 0:
+        raise NoVanishingPolynomialError(
+            f"no degree-{basis.max_degree} equation vanishes on the samples "
+            f"(smallest singular value {sigma[-1]:.3e} vs threshold "
+            f"{threshold:.3e})", report)
+    report["smallest_kept"] = float(sigma[len(sigma) - nullity - 1])
+    report["largest_dropped"] = float(sigma[len(sigma) - nullity])
+    report["gap_ratio"] = (report["smallest_kept"]
+                           / max(report["largest_dropped"], 1e-300))
+    assert report["gap_ratio"] >= secantfit.GAP_RATIO_REQUIRED
+    polys = []
+    for block, ((re_sigma, re_vh), (im_sigma, im_vh)) in solved:
+        re, im = re_vh[re_sigma < threshold], im_vh[im_sigma < threshold]
+        n = len(block.pairs)
+        null = np.zeros((len(re) + len(im), block.size))
+        null[:len(re), :n] = re
+        null[len(re):, n:] = im
+        for row in secantfit._reversed_echelon(null):
+            coeffs = secantfit._expand_block_vector(basis, block, row)
+            polys.append(secantfit._float_poly(basis, coeffs))
+    return secantfit.FitResult(tuple(polys), report)
+
+
+def float_fit_cli(monkeypatch, capsys, reference, indices, r, degree, seed,
+                  *extra):
+    """Exit code and stdout of ``secant-fit --mode float``, with the fit on
+    all rows when ``reference`` is set.  The float basis budget of the CLI
+    is raised so that degree 16 on {1,4} (4845 monomials) runs too."""
+    with monkeypatch.context() as patch:
+        patch.setitem(cli.MAX_BASIS_SIZE, "float", 5000)
+        if reference:
+            patch.setattr(secantfit, "_fit_float", all_rows_fit_float)
+        code = cli.main(["secant-fit", "--rep", ",".join(map(str, indices)),
+                         "--r", str(r), "--degree", str(degree), "--mode",
+                         "float", "--seed", str(seed), *extra])
+    return code, capsys.readouterr().out
+
+
+# The singular values of the blocks without a null candidate come from the
+# prefix rows, so only these fields of a fit's report may move.
+PREFIX_FIELDS = {"sigma_max", "sigma_tail", "null_threshold", "smallest_kept",
+                 "gap_ratio"}
+
+
+@pytest.mark.parametrize("indices,r,degree,seeds", [
+    ((1, 4), 2, 15, (0, 20, 1384307085)),
+    ((1, 4), 2, 16, (0,)),          # nullity 5
+    ((1, 3), 2, 8, (0,)),
+    ((1, 3), 2, 9, (0,)),           # nullity 5
+    ((1, 2), 1, 8, (0,)),           # nullity 462
+    ((1, 2, 3), 3, 4, (0,)),
+    ((1, 2), 2, 5, (0,)),           # nullity 15
+])
+def test_prefix_float_fit_prints_the_all_rows_fit(monkeypatch, capsys,
+                                                  indices, r, degree, seeds):
+    for seed in seeds:
+        code, out = float_fit_cli(monkeypatch, capsys, False, indices, r,
+                                  degree, seed)
+        ref_code, ref_out = float_fit_cli(monkeypatch, capsys, True, indices,
+                                          r, degree, seed)
+        assert code == ref_code == 0
+        fit, ref = json.loads(out), json.loads(ref_out)
+        assert fit["polynomials"] == ref["polynomials"]
+        assert fit["held_out_residuals"] == ref["held_out_residuals"]
+        assert fit["fit"]["nullity"] == ref["fit"]["nullity"] > 0
+        moved = {key for key in ref["fit"] if fit["fit"][key] != ref["fit"][key]}
+        assert fit["fit"].keys() == ref["fit"].keys()
+        assert moved <= PREFIX_FIELDS
+
+
+def spy_on_qr(monkeypatch):
+    """Record the shape of every matrix given to ``np.linalg.qr``."""
+    shapes = []
+    qr = np.linalg.qr
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    return shapes
+
+
+def test_degree_15_fit_factors_only_its_null_block_on_all_rows(monkeypatch):
+    # every one of the 118 halves once on the 445 prefix rows, 2.5 x the
+    # 178 columns of the largest block; then only the Re and Im halves of
+    # the block that holds the null vector on all 9690
+    shapes = spy_on_qr(monkeypatch)
+    fit = fit_hypersurface(Representation((1, 4)), r=2, degree=15, seed=20)
+    assert fit.nullity == 1
+    assert [m for m, _ in shapes] == [445] * 118 + [9690] * 2
+    halves = {(len(block.pairs), len(block.imaginary))
+              for block in weight_blocks(Representation((1, 4)), 15)}
+    assert (shapes[-2][1], shapes[-1][1]) in halves
+
+
+def test_float_fit_falls_back_to_all_rows(monkeypatch, capsys):
+    # On 3 prefix rows every half has 3 singular values, none near zero, so
+    # the mixed pool has no null direction, and every block is factored
+    # again on all rows: the fit on all rows, report and all.  The count
+    # is given, so the patched default sets only the prefix.
+    args = ((1, 3), 2, 8, 11, "--count", "1238")
+    _, ref_out = float_fit_cli(monkeypatch, capsys, True, *args)
+    shapes = spy_on_qr(monkeypatch)
+    monkeypatch.setattr(secantfit, "default_sample_count", lambda size: 3)
+    code, out = float_fit_cli(monkeypatch, capsys, False, *args)
+    assert code == 0 and json.loads(out)["fit"]["nullity"] == 1
+    assert out == ref_out
+    assert Counter(m for m, _ in shapes) == {3: 48, 1238: 48}
+
+
+def test_prefix_rows_give_no_printed_null_vector():
+    # the pool of the degree-8 {1,3} fit with every block factored on the
+    # 130 prefix rows only finds its null direction, and refuses to print
+    # it: the fit then factors every block on all rows
+    basis, blocks = monomial_basis(4, 8), weight_blocks(REP13, 8)
+    pts = sample_secants(REP13, 2, 1238, seed=11)
+    u_pow = _u_powers(pts[:, 0::2] + 1j * pts[:, 1::2], 8)
+    conj_pow = u_pow.conj()
+    solved = [(block, secantfit._factor_block(u_pow[:, :, :130],
+                                              conj_pow[:, :, :130], block), 130)
+              for block in blocks]
+    with pytest.raises(secantfit.AmbiguousRankError,
+                       match="factored on 130 of the 1238 samples") as info:
+        secantfit._float_null_space(basis, solved, 1238, 11)
+    assert info.value.report["nullity"] == 1
+
+
+@pytest.mark.parametrize("indices,degree", [((1, 3), 3), ((2, 3), 6)])
+def test_float_fit_without_an_equation_reports_the_all_rows_error(
+        monkeypatch, capsys, indices, degree):
+    code, out = float_fit_cli(monkeypatch, capsys, False, indices, 2, degree, 0)
+    ref_code, ref_out = float_fit_cli(monkeypatch, capsys, True, indices, 2,
+                                      degree, 0)
+    assert code == ref_code == 2
+    assert out == ref_out
+    assert json.loads(out)["error"].startswith(
+        f"no degree-{degree} equation vanishes")
 
 
 def _random_exponent(rng: random.Random, nvars: int, total: int):
