@@ -128,11 +128,14 @@ def sample_secants(rep: Representation, r: int, count: int, seed: int,
 
     Float mode returns a ``(count, 2R)`` float64 array, one row per draw:
     r angles from ``rng.uniform(0, 2 pi, size=r)``, then weights from
-    ``rng.dirichlet(ones(r))``, and every draw is kept.  The weights are
-    drawn in the form numpy's ``dirichlet`` gives them for unit ``alpha``:
-    r draws of ``rng.standard_exponential``, times the reciprocal of their
-    sum taken left to right, normalized for a chunk at once; the stream,
-    the points and the generator's final state are the same.  Affinely
+    ``rng.dirichlet(ones(r))``, and every draw is kept.  The angles are
+    2 pi * ``rng.random()``, r draws scaled for a chunk at once: ``uniform``
+    computes 0.0 + 2 pi * random(), the same float for a random() of at
+    least 0.  The weights are drawn in the form numpy's ``dirichlet`` gives
+    them for unit ``alpha``: r draws of ``rng.standard_exponential``, times
+    the reciprocal of their sum taken left to right, normalized for a chunk
+    at once.  So the stream, the points and the generator's final state
+    are those of ``uniform`` and ``dirichlet`` bit for bit.  Affinely
     dependent curve points need no rejection: their combination lies on a
     lower secant variety, which the r-th one contains.  The curve points
     and the combinations are computed in chunks of draws whose curve
@@ -169,8 +172,10 @@ def sample_secants(rep: Representation, r: int, count: int, seed: int,
             n = min(rows, count - start)
             params, weights = np.empty((n, r)), np.empty((n, r))
             for i in range(n):
-                params[i] = rng.uniform(0.0, 2 * math.pi, size=r)
+                rng.random(out=params[i])
                 rng.standard_exponential(out=weights[i])
+            # uniform(0, 2 pi) is 0.0 + 2 pi * random(), the same float
+            params *= 2 * math.pi
             # dirichlet's normalization: the running sum, left to right,
             # and a product with its reciprocal
             weights *= 1.0 / np.cumsum(weights, axis=1)[:, -1:]
@@ -251,10 +256,11 @@ def fit_hypersurface(rep: Representation, r: int, degree: int,
     The rank is found on a prefix of the sample rows: every half is
     factored first on the first m rows, m the :func:`default_sample_count`
     of the largest block's columns (445 of the 9690 rows at degree 15 on
-    {1,4}).  Fewer rows can only make a half look more singular, so only
-    a block with a prefix singular value below SIGMA_NULL_FACTOR times the
-    largest prefix one can hold a null direction.  Those blocks are
-    factored again on all rows, so every null vector comes from all rows.
+    {1,4}), and that SVD gives singular values only.  Fewer rows can only
+    make a half look more singular, so only a block with a prefix singular
+    value below SIGMA_NULL_FACTOR times the largest prefix one can hold a
+    null direction.  Those blocks are factored again on all rows, with
+    vectors, so every null vector comes from all rows.
     The threshold and the gap test then run over this mixed pool, in which
     the other blocks keep their prefix singular values.  If the pool finds
     no null direction, fails the gap, or puts a null direction in a block
@@ -411,10 +417,11 @@ def _expand_block_vector(basis: MonomialBasis, block: WeightBlock,
     return coeffs
 
 
-def _factor_block(u_pow: np.ndarray, conj_pow: np.ndarray,
-                  block: WeightBlock) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The singular values and scaled right vectors of the block's Re half
-    and Im half, on the samples of ``u_pow`` (see :func:`fit_hypersurface`)."""
+def _factor_block(u_pow: np.ndarray, conj_pow: np.ndarray, block: WeightBlock,
+                  vectors: bool) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """The singular values of the block's Re half and Im half, on the
+    samples of ``u_pow`` (see :func:`fit_hypersurface`), each with its
+    scaled right vectors if ``vectors`` is set and None otherwise."""
     matrix = _block_matrix(u_pow, conj_pow, block)
     # the Re half and the Im half of the block, factored one at a time;
     # half.T is its evaluation matrix in column-major order, as LAPACK
@@ -432,8 +439,12 @@ def _factor_block(u_pow: np.ndarray, conj_pow: np.ndarray,
     for r_factor, part in zip(r_factors, (scale[:n], scale[n:])):
         # the SVD of the scaled R factor has the scaled half's singular
         # values and right vectors, without the tall left factor
-        _, sigma, vh = np.linalg.svd(r_factor / part)
-        halves.append((sigma, vh / part))
+        if vectors:
+            _, sigma, vh = np.linalg.svd(r_factor / part)
+            halves.append((sigma, vh / part))
+        else:
+            halves.append((np.linalg.svd(r_factor / part, compute_uv=False),
+                           None))
     return halves
 
 
@@ -450,13 +461,15 @@ def _fit_float(rep: Representation, basis: MonomialBasis,
     count = len(points)
 
     def on_all_rows(block):
-        return block, _factor_block(u_pow, conj_pow, block), count
+        return block, _factor_block(u_pow, conj_pow, block, True), count
 
-    # every block on the prefix rows, then on all rows the blocks with a
-    # prefix singular value that could be null
+    # every block on the prefix rows, singular values only unless the
+    # prefix is all rows, then on all rows the blocks with a prefix
+    # singular value that could be null
     prefix = min(count, default_sample_count(max(b.size for b in blocks)))
     solved = [(block, _factor_block(u_pow[:, :, :prefix],
-                                    conj_pow[:, :, :prefix], block), prefix)
+                                    conj_pow[:, :, :prefix], block,
+                                    prefix == count), prefix)
               for block in blocks]
     if prefix < count:
         cut = SIGMA_NULL_FACTOR * max(
@@ -477,7 +490,9 @@ def _float_null_space(basis: MonomialBasis, solved: list, count: int,
                       seed: int) -> FitResult:
     """The rank decision and the null vectors over the factored halves of
     every block, each entry ``(block, halves, rows)`` with the number of
-    sample rows it was factored on."""
+    sample rows it was factored on.  An entry factored on fewer than
+    ``count`` rows gives singular values only, and may hold no null
+    direction."""
     sigma = np.sort(np.concatenate(
         [s for _, halves, _ in solved for s, _ in halves]))[::-1]
     threshold = SIGMA_NULL_FACTOR * sigma[0]
@@ -509,10 +524,12 @@ def _float_null_space(basis: MonomialBasis, solved: list, count: int,
             f"{GAP_RATIO_REQUIRED:.0e}", report)
     polys = []
     for block, halves, rows in solved:
-        if rows < count and any((s < threshold).any() for s, _ in halves):
-            raise AmbiguousRankError(
-                f"a weight block factored on {rows} of the {count} samples "
-                "has a null direction", report)
+        if rows < count:
+            if any((s < threshold).any() for s, _ in halves):
+                raise AmbiguousRankError(
+                    f"a weight block factored on {rows} of the {count} "
+                    "samples has a null direction", report)
+            continue
         # the block's null vectors: the Re half's, then the Im half's
         re, im = (vh[s < threshold] for s, vh in halves)
         n = len(block.pairs)
@@ -781,8 +798,15 @@ def verify_vanishing(p: SparsePoly, rep: Representation, r: int, count: int,
     :func:`cleared_values` gives V = M L^D p(x) at each cleared point
     (L, L x) the sampler draws, in the chunks of
     :func:`_verify_chunks`, which bound the bits of the powers a chunk
-    keeps.  The largest |V| / L^D is found by cross-multiplying,
-    and only it becomes a ``Fraction``, over M L^D.
+    keeps.  The largest |V| / L^D is found by its estimate
+    log2 |V| - D log2 L, and only it builds its L^D and becomes a
+    ``Fraction``, over M L^D.  ``math.log2`` of an integer of b bits is
+    within about 2^-52 (b + 4) of the true value, so an estimate is off by
+    at most about 2^-51 B, B the bits of |V| and of L^D together.  A
+    degree-128 value at frequency 64 has about 2 * 10^5 bits; below
+    2^29 bits two estimates more than 1e-6 apart are in the order of
+    their ratios, and only closer ones are compared exactly, by
+    cross-multiplying (:func:`_exceeds`).
     """
     if p.nvars != rep.ambient_dim:
         raise ValueError(f"polynomial has {p.nvars} variables, "
@@ -793,15 +817,26 @@ def verify_vanishing(p: SparsePoly, rep: Representation, r: int, count: int,
     if p.mode is CoeffMode.FLOAT:
         p = SparsePoly(p.nvars, {e: Fraction(c) for e, c in p.terms.items()})
     top, denom, exponents, ints = p.integer_form()
-    worst, scale = 0, 1  # the largest |V| and its L^D
+    # the largest |V|, its L and its estimate
+    worst, worst_lead, worst_bits = 0, 1, -math.inf
     for cleared in _verify_chunks(points, top, exponents):
         values = cleared_values(exponents, [ints], top, cleared)[0]
         for value, (lead, *_) in zip(values, cleared):
-            if value:
-                power = lead ** top
-                if abs(value) * scale > worst * power:
-                    worst, scale = abs(value), power
-    return Fraction(worst, denom * scale)
+            if not value:
+                continue
+            value = abs(value)
+            bits = math.log2(value) - top * math.log2(lead)
+            if bits > worst_bits + 1e-6 or (
+                    bits >= worst_bits - 1e-6
+                    and _exceeds(value, lead, worst, worst_lead, top)):
+                worst, worst_lead, worst_bits = value, lead, bits
+    return Fraction(worst, denom * worst_lead ** top)
+
+
+def _exceeds(value: int, lead: int, worst: int, worst_lead: int,
+             top: int) -> bool:
+    """Whether value / lead^top > worst / worst_lead^top, exactly."""
+    return value * worst_lead ** top > worst * lead ** top
 
 
 def rationalize(fit: SparsePoly, anchor: Sequence[int],

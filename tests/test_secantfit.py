@@ -302,6 +302,7 @@ def assert_matches_reference(monkeypatch, rep, r, count, seed):
     ((1, 2, 3), 3, 50),
     ((1, 3), 4, 60),                # r = 2R
     (tuple(range(1, 9)), 16, 200),
+    ((1, 4), 2, 9000),              # the degree-15 fit's shape, 3 chunks
 ])
 def test_float_sampler_matches_one_draw_at_a_time(monkeypatch, indices, r,
                                                   count):
@@ -852,6 +853,31 @@ def test_exact_verify_does_not_depend_on_its_chunks(monkeypatch, f_stored):
                                     mode=CoeffMode.RATIONAL) == default
 
 
+def test_exact_verify_decides_near_ties_exactly(monkeypatch):
+    # The same rational point as (L, L x) and as (2L, 2L x), then a point
+    # whose |p| is larger by a relative 1e-40 and whose log2 estimate
+    # comes out 1.4e-13 bits lower: only the exact cross-multiplication
+    # orders these, the first tie as not larger, the second as larger.
+    x1, x4 = SparsePoly.variable(4, 0), SparsePoly.variable(4, 3)
+    p = x1 ** 8 - x4 ** 8 + SparsePoly.constant(4, Fraction(1, 7))
+    point = (Fraction(2, 3), Fraction(1, 5), Fraction(-3, 7), Fraction(1, 11))
+    near = (point[0] + Fraction(1, 10 ** 40 + 2), *point[1:])
+    first, = cleared([point])
+    points = [first, tuple(2 * v for v in first), *cleared([near])]
+    monkeypatch.setattr(secantfit, "sample_secants",
+                        lambda *args: list(points))
+    outcomes = []
+    exceeds = secantfit._exceeds
+    monkeypatch.setattr(secantfit, "_exceeds",
+                        lambda *args: outcomes.append(exceeds(*args))
+                        or outcomes[-1])
+    residual = verify_vanishing(p, REP13, 2, 3, 0, mode=CoeffMode.RATIONAL)
+    values = [abs(p.evaluate(x)) for x in rational_points(points)]
+    assert values[0] == values[1] < values[2]
+    assert type(residual) is Fraction and residual == values[2]
+    assert outcomes == [False, True]
+
+
 def test_verify_vanishing_circle_on_polygon_block():
     # every convex combination of q-gon vertices keeps the shared last block
     # on the unit circle; with the rational circle parametrization the
@@ -1083,14 +1109,31 @@ def spy_on_qr(monkeypatch):
     return shapes
 
 
+def spy_on_svd(monkeypatch):
+    """Record the shape of every matrix given to ``np.linalg.svd`` and
+    whether the call computes singular vectors."""
+    calls = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, compute_uv=True, **kwargs):
+        calls.append((a.shape, compute_uv))
+        return svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return calls
+
+
 def test_degree_15_fit_factors_only_its_null_block_on_all_rows(monkeypatch):
     # every one of the 118 halves once on the 445 prefix rows, 2.5 x the
-    # 178 columns of the largest block; then only the Re and Im halves of
-    # the block that holds the null vector on all 9690
-    shapes = spy_on_qr(monkeypatch)
+    # 178 columns of the largest block, for its singular values only; then
+    # only the Re and Im halves of the block that holds the null vector on
+    # all 9690, with their vectors
+    shapes, svds = spy_on_qr(monkeypatch), spy_on_svd(monkeypatch)
     fit = fit_hypersurface(Representation((1, 4)), r=2, degree=15, seed=20)
     assert fit.nullity == 1
     assert [m for m, _ in shapes] == [445] * 118 + [9690] * 2
+    # the k-th SVD takes the square R factor of the k-th QR
+    assert svds == [((n, n), m == 9690) for m, n in shapes]
     halves = {(len(block.pairs), len(block.imaginary))
               for block in weight_blocks(Representation((1, 4)), 15)}
     assert (shapes[-2][1], shapes[-1][1]) in halves
@@ -1103,24 +1146,40 @@ def test_float_fit_falls_back_to_all_rows(monkeypatch, capsys):
     # is given, so the patched default sets only the prefix.
     args = ((1, 3), 2, 8, 11, "--count", "1238")
     _, ref_out = float_fit_cli(monkeypatch, capsys, True, *args)
-    shapes = spy_on_qr(monkeypatch)
+    shapes, svds = spy_on_qr(monkeypatch), spy_on_svd(monkeypatch)
     monkeypatch.setattr(secantfit, "default_sample_count", lambda size: 3)
     code, out = float_fit_cli(monkeypatch, capsys, False, *args)
     assert code == 0 and json.loads(out)["fit"]["nullity"] == 1
     assert out == ref_out
     assert Counter(m for m, _ in shapes) == {3: 48, 1238: 48}
+    # vectors on all rows, and on the prefix rows singular values only
+    assert [uv for _, uv in svds] == [m == 1238 for m, _ in shapes]
+
+
+def test_float_fit_with_a_prefix_of_all_rows_is_one_pass(monkeypatch, capsys):
+    # a prefix as long as the samples is all rows: each half is factored
+    # once, with its vectors, and the fit is the fit on all rows
+    args = ((1, 3), 2, 8, 11, "--count", "1238")
+    _, ref_out = float_fit_cli(monkeypatch, capsys, True, *args)
+    shapes, svds = spy_on_qr(monkeypatch), spy_on_svd(monkeypatch)
+    monkeypatch.setattr(secantfit, "default_sample_count", lambda size: 1238)
+    code, out = float_fit_cli(monkeypatch, capsys, False, *args)
+    assert code == 0 and out == ref_out
+    assert [m for m, _ in shapes] == [1238] * 48
+    assert [uv for _, uv in svds] == [True] * 48
 
 
 def test_prefix_rows_give_no_printed_null_vector():
     # the pool of the degree-8 {1,3} fit with every block factored on the
-    # 130 prefix rows only finds its null direction, and refuses to print
-    # it: the fit then factors every block on all rows
+    # 130 prefix rows only, singular values only, finds its null direction,
+    # and refuses to print it: the fit then factors every block on all rows
     basis, blocks = monomial_basis(4, 8), weight_blocks(REP13, 8)
     pts = sample_secants(REP13, 2, 1238, seed=11)
     u_pow = _u_powers(pts[:, 0::2] + 1j * pts[:, 1::2], 8)
     conj_pow = u_pow.conj()
     solved = [(block, secantfit._factor_block(u_pow[:, :, :130],
-                                              conj_pow[:, :, :130], block), 130)
+                                              conj_pow[:, :, :130], block,
+                                              False), 130)
               for block in blocks]
     with pytest.raises(secantfit.AmbiguousRankError,
                        match="factored on 130 of the 1238 samples") as info:
