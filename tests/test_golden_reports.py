@@ -71,6 +71,13 @@ COMMANDS = [
      "--mode", "exact"],
     ["secant-fit", "--rep", "1,2", "--r", "2", "--degree", "5",
      "--mode", "exact"],
+    # nullity 53 over many blocks; its held-out residuals are summed in
+    # the printed term order
+    ["secant-fit", "--rep", "1,2", "--r", "1", "--degree", "4",
+     "--mode", "exact"],
+    # the modular solve finds no equation: exit 2
+    ["secant-fit", "--rep", "1,4", "--r", "2", "--degree", "9",
+     "--mode", "exact"],
     ["face-dim", "--point", "2,0,0,0"],
     ["faces", "--rep", "1,3,5"],
     ["membership"],
