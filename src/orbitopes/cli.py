@@ -8,7 +8,9 @@ success; 2 when a verification fails (residual above tolerance, no
 certificate found, witness rejected, point outside the body, interpolation
 failure), always with a JSON report; 1 on usage errors (bad arguments,
 unreadable files, inputs over a budget), with a message on stderr and
-nothing on stdout.
+nothing on stdout.  A ``verify --mode exact`` whose sampler cannot draw
+``--count`` distinct points computes no residual, so that is a usage error
+too.
 """
 
 from __future__ import annotations
@@ -280,8 +282,11 @@ def cmd_verify(args) -> Outcome:
     mode = CoeffMode.RATIONAL if args.mode == "exact" else CoeffMode.FLOAT
     if mode is CoeffMode.FLOAT:
         poly = poly.to_float()
-    residual = float(secantfit.verify_vanishing(
-        poly, rep, r=args.r, count=args.count, seed=args.seed, mode=mode))
+    try:
+        residual = float(secantfit.verify_vanishing(
+            poly, rep, r=args.r, count=args.count, seed=args.seed, mode=mode))
+    except secantfit.InsufficientSamplesError as exc:  # no residual
+        raise ValueError(f"{exc}; lower --count") from None
     ok = residual <= args.tol
     return Outcome({"max_residual": residual, "passed": ok},
                    {"residual_tol": args.tol}, ok)

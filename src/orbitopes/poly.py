@@ -223,9 +223,11 @@ class SparsePoly:
         if not self.terms:
             return Fraction(0)
         top, denom, exponents, ints = self.integer_form()
-        cleared = [row[1] for row in cleared_power_table(values, 1)]
+        lead = lcm(*[v.denominator for v in values])
+        cleared = [lead] + [v.numerator * (lead // v.denominator)
+                            for v in values]
         value = cleared_values(exponents, [ints], top, [cleared])[0, 0]
-        return Fraction(value, denom * cleared[0] ** top)
+        return Fraction(value, denom * lead ** top)
 
     def integer_form(self) -> tuple[int, int, list[Exponent], list[int]]:
         """The degree D of a rational polynomial, the least common
@@ -348,23 +350,6 @@ class SparsePoly:
     def load_file(cls, path) -> "SparsePoly":
         with open(path, "r", encoding="ascii") as fh:
             return cls.loads(fh.read())
-
-
-def cleared_power_table(point: Sequence[Fraction], degree: int) -> list[list[int]]:
-    """Integer powers 0..degree of the cleared point (L, L*x_1, ..., L*x_n).
-
-    L is the least common denominator of the point.  Row 0 holds the powers
-    of L and row i those of the integer L*x_i, so L^degree * x^e for
-    |e| <= degree is row 0 at degree - |e| times row i at e_i over all i.
-    """
-    denom = lcm(*[v.denominator for v in point])
-    table = []
-    for base in [denom] + [v.numerator * (denom // v.denominator) for v in point]:
-        powers = [1]
-        for _ in range(degree):
-            powers.append(powers[-1] * base)
-        table.append(powers)
-    return table
 
 
 def kept_exponents(exponents: Sequence[Exponent], top: int,

@@ -14,8 +14,10 @@ once, and computes a certified integer kernel of each weight block
 z_k = X_k + i_p Y_k, the cleared u_k = x_k + i y_k with i_p a square root
 of -1 modulo p.  Both paths print one basis: each weight
 block's kernel in its reduced echelon form with the columns reversed,
-blocks in weight order, expanded to monomials.  A continued-fraction
-rounding step converts float fits to exact candidates for comparison.
+blocks in weight order, each block vector expanded straight to a term map
+{exponent: coefficient} (:func:`_expand_block_vector`), which the exact
+test evaluates and the printing normalizes.  A continued-fraction rounding
+step converts float fits to exact candidates for comparison.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, partial
 from fractions import Fraction
 from math import comb
 from typing import Sequence
@@ -64,30 +66,6 @@ class NoVanishingPolynomialError(FitError):
 
 class AmbiguousRankError(FitError):
     """The singular-value gap policy could not separate the null space."""
-
-
-@dataclass(frozen=True)
-class MonomialBasis:
-    """All exponent tuples of total degree <= max_degree, graded-lex order."""
-
-    nvars: int
-    max_degree: int
-    exponents: tuple[Exponent, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.exponents)
-
-    @cached_property
-    def index(self) -> dict[Exponent, int]:
-        """Position of each exponent tuple in ``exponents``."""
-        return {e: i for i, e in enumerate(self.exponents)}
-
-
-def monomial_basis(nvars: int, max_degree: int) -> MonomialBasis:
-    exps = tuple(monomials_up_to_degree(nvars, max_degree))
-    assert len(exps) == comb(nvars + max_degree, nvars)
-    return MonomialBasis(nvars, max_degree, exps)
 
 
 def secant_point(rep: Representation, params: Sequence, weights: Sequence,
@@ -241,7 +219,7 @@ def fit_hypersurface(rep: Representation, r: int, degree: int,
 
     Float mode: singular-value null spaces of the column-equilibrated
     evaluation matrices of the rotation-weight blocks (:func:`weight_blocks`),
-    expanded back to monomials.  The reflection t -> -t maps u_k to ubar_k
+    expanded to term maps.  The reflection t -> -t maps u_k to ubar_k
     and every secant variety to itself, so the Re columns of a block are
     even and its Im columns odd, and the block's kernel is the direct sum
     of the kernels of its Re half and its Im half.  Each half is factored
@@ -274,18 +252,19 @@ def fit_hypersurface(rep: Representation, r: int, degree: int,
 
     ``count`` defaults to :func:`default_sample_count` of, and may not be
     below, the columns of the largest weight block in exact mode and of
-    the whole basis in float mode.  The float fit solves block by block
-    too, but its null vectors are rounded to rationals afterwards, and the
-    rounding needs the samples of the whole basis: at 445 samples, 2.5
-    times the largest degree-15 {1,4} block, the rounded float fit got 3
-    to 13 of the 88 known terms wrong on 11 of 22 seeds.
+    the whole basis, the sum of the block sizes, in float mode.  The float
+    fit solves block by block too, but its null vectors are rounded to
+    rationals afterwards, and the rounding needs the samples of the whole
+    basis: at 445 samples, 2.5 times the largest degree-15 {1,4} block,
+    the rounded float fit got 3 to 13 of the 88 known terms wrong on 11 of
+    22 seeds.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    basis = monomial_basis(rep.ambient_dim, degree)
     blocks = weight_blocks(rep, degree)
     if mode is CoeffMode.FLOAT:
-        need, columns = basis.size, f"{basis.size} monomials"
+        need = sum(block.size for block in blocks)
+        columns = f"{need} monomials"
     else:
         need = max(block.size for block in blocks)
         columns = f"a weight block of {need} columns"
@@ -296,8 +275,8 @@ def fit_hypersurface(rep: Representation, r: int, degree: int,
             f"need at least {need} samples for {columns}, got {count}")
     points = sample_secants(rep, r, count, seed, mode)
     if mode is CoeffMode.FLOAT:
-        return _fit_float(rep, basis, blocks, points, seed)
-    return _fit_exact(basis, blocks, points, seed)
+        return _fit_float(rep, degree, blocks, points, seed)
+    return _fit_exact(rep, degree, blocks, points, seed)
 
 
 @dataclass(frozen=True)
@@ -328,8 +307,8 @@ def weight_blocks(rep: Representation, max_degree: int) -> list[WeightBlock]:
     w = sum_k j_k (a_k - b_k).  The secant varieties are invariant under
     these rotations, so a polynomial vanishes on one exactly when each of
     its weight components does.  Weights w and -w span the same real
-    functions; only w >= 0 is listed.  The block sizes add up to the size
-    of :func:`monomial_basis`.
+    functions; only w >= 0 is listed.  The block sizes add up to the
+    number of monomials of degree <= max_degree, the fit's basis size.
     """
     r = rep.r
     by_weight: dict[int, list[tuple[Exponent, Exponent]]] = {}
@@ -395,26 +374,42 @@ def _pair_terms(a: Exponent, b: Exponent):
                    sum(f[1] for f in choice) % 4)
 
 
-def _expand_block_vector(basis: MonomialBasis, block: WeightBlock,
-                         vec: np.ndarray) -> np.ndarray:
-    """Coefficients on the real monomials of a block's null vector, of the
-    vector's dtype: floats for the float fit, Python ints (dtype object)
-    for the exact one.
+def _basis_order(expo: Exponent) -> tuple:
+    """Sort key of the order of :func:`monomials_up_to_degree`: degree
+    ascending, then exponent descending."""
+    return sum(expo), tuple(-e for e in expo)
+
+
+def _expand_block_vector(block: WeightBlock, vec: Sequence) -> dict:
+    """The nonzero coefficients on the real monomials of a block vector, a
+    term map in :func:`_basis_order`: floats for the float fit, Python
+    ints for the exact one.  The CLI sums a fit's terms in this order for
+    its held-out residuals, and the exact fit takes its sign from the first.
 
     With alpha on Re(m) and beta on Im(m), the term c * i^q * x^e of m
     contributes c * (alpha, beta, -alpha, -beta)[q] to x^e.
     """
-    index = basis.index
-    beta = np.zeros(len(block.pairs), dtype=vec.dtype)
-    beta[block.imaginary] = vec[len(block.pairs):]
-    coeffs = np.zeros(basis.size, dtype=vec.dtype)
-    for (a, b), re, im in zip(block.pairs, vec, beta):
+    n = len(block.pairs)
+    beta = dict(zip(block.imaginary, vec[n:]))
+    terms: dict[Exponent, object] = {}
+    for j, ((a, b), re) in enumerate(zip(block.pairs, vec)):
+        im = beta.get(j, 0)
         if not (re or im):
             continue
         sign = (re, im, -re, -im)
         for expo, c, q in _pair_terms(a, b):
-            coeffs[index[expo]] += c * sign[q]
-    return coeffs
+            terms[expo] = terms.get(expo, 0) + c * sign[q]
+    return {expo: terms[expo] for expo in sorted(terms, key=_basis_order)
+            if terms[expo]}
+
+
+def _on_support(maps: Sequence[dict]) -> tuple[list[Exponent], list[list]]:
+    """The union support of term maps, in basis order, and each map's
+    coefficients on it: the input of :func:`cleared_values`."""
+    support = sorted({expo for terms in maps for expo in terms},
+                     key=_basis_order)
+    return support, [[terms.get(expo, 0) for expo in support]
+                     for terms in maps]
 
 
 def _factor_block(u_pow: np.ndarray, conj_pow: np.ndarray, block: WeightBlock,
@@ -448,16 +443,13 @@ def _factor_block(u_pow: np.ndarray, conj_pow: np.ndarray, block: WeightBlock,
     return halves
 
 
-def _fit_float(rep: Representation, basis: MonomialBasis,
-               blocks: list[WeightBlock], points: np.ndarray,
-               seed: int) -> FitResult:
+def _fit_float(rep: Representation, degree: int, blocks: list[WeightBlock],
+               points: np.ndarray, seed: int) -> FitResult:
     u = points[:, 0::2] + 1j * points[:, 1::2]
-    u_pow = np.ones((rep.r, basis.max_degree + 1, len(points)), dtype=complex)
-    for e in range(1, basis.max_degree + 1):
+    u_pow = np.ones((rep.r, degree + 1, len(points)), dtype=complex)
+    for e in range(1, degree + 1):
         u_pow[:, e] = u_pow[:, e - 1] * u.T
     conj_pow = u_pow.conj()
-
-    assert sum(block.size for block in blocks) == basis.size
     count = len(points)
 
     def on_all_rows(block):
@@ -478,16 +470,16 @@ def _fit_float(rep: Representation, basis: MonomialBasis,
                   if any((s < cut).any() for s, _ in entry[1]) else entry
                   for entry in solved]
         try:
-            return _float_null_space(basis, solved, count, seed)
+            return _float_null_space(rep, degree, solved, count, seed)
         except FitError:
             # the mixed pool does not decide: the fit on all rows does
             solved = [entry if entry[2] == count else on_all_rows(entry[0])
                       for entry in solved]
-    return _float_null_space(basis, solved, count, seed)
+    return _float_null_space(rep, degree, solved, count, seed)
 
 
-def _float_null_space(basis: MonomialBasis, solved: list, count: int,
-                      seed: int) -> FitResult:
+def _float_null_space(rep: Representation, degree: int, solved: list,
+                      count: int, seed: int) -> FitResult:
     """The rank decision and the null vectors over the factored halves of
     every block, each entry ``(block, halves, rows)`` with the number of
     sample rows it was factored on.  An entry factored on fewer than
@@ -499,7 +491,7 @@ def _float_null_space(basis: MonomialBasis, solved: list, count: int,
     nullity = int(np.sum(sigma < threshold))
     report = {
         "mode": "float",
-        "basis_size": basis.size,
+        "basis_size": sum(block.size for block, _, _ in solved),
         "sample_count": count,
         "seed": seed,
         "sigma_max": float(sigma[0]),
@@ -509,7 +501,7 @@ def _float_null_space(basis: MonomialBasis, solved: list, count: int,
     }
     if nullity == 0:
         raise NoVanishingPolynomialError(
-            f"no degree-{basis.max_degree} equation vanishes on the samples "
+            f"no degree-{degree} equation vanishes on the samples "
             f"(smallest singular value {sigma[-1]:.3e} vs threshold "
             f"{threshold:.3e})", report)
     smallest_kept = float(sigma[len(sigma) - nullity - 1])
@@ -542,8 +534,8 @@ def _float_null_space(basis: MonomialBasis, solved: list, count: int,
                 "the null vectors of a weight block are dependent at "
                 f"{SIGMA_NULL_FACTOR:.0e} of their largest entry", report)
         for row in echelon:
-            coeffs = _expand_block_vector(basis, block, row)
-            polys.append(_float_poly(basis, coeffs))
+            polys.append(_float_poly(rep.ambient_dim,
+                                     _expand_block_vector(block, row)))
     return FitResult(tuple(polys), report)
 
 
@@ -575,15 +567,16 @@ def _reversed_echelon(vectors: np.ndarray) -> np.ndarray | None:
     return rows[::-1] if done == len(rows) else None
 
 
-def _float_poly(basis: MonomialBasis, coeffs: np.ndarray) -> SparsePoly:
-    """Deterministic normalization: unit max coefficient, positive leading
-    term; coefficients at or below SIGMA_NULL_FACTOR are dropped as noise."""
-    coeffs = coeffs / float(np.max(np.abs(coeffs)))
-    terms = {expo: float(c) for expo, c in zip(basis.exponents, coeffs)
-             if abs(c) > SIGMA_NULL_FACTOR}
+def _float_poly(nvars: int, terms: dict) -> SparsePoly:
+    """Deterministic normalization of a float term map: unit max
+    coefficient, positive leading term; coefficients at or below
+    SIGMA_NULL_FACTOR are dropped as noise.  The terms keep their order."""
+    top = float(max(abs(c) for c in terms.values()))
+    scaled = [(expo, float(c) / top) for expo, c in terms.items()]
+    terms = {expo: c for expo, c in scaled if abs(c) > SIGMA_NULL_FACTOR}
     if terms[max(terms, key=grlex_key)] < 0:
         terms = {expo: -c for expo, c in terms.items()}
-    return SparsePoly(basis.nvars, terms, CoeffMode.FLOAT)
+    return SparsePoly(nvars, terms, CoeffMode.FLOAT)
 
 
 # Points per call of :func:`cleared_values` in the exact test and the exact
@@ -597,19 +590,19 @@ _VANISH_CHUNK = 256
 _VANISH_CHUNK_BITS = 1 << 22
 
 
-def _block_rows(cleared: list[tuple[int, ...]], basis: MonomialBasis,
+def _block_rows(cleared: list[tuple[int, ...]], degree: int,
                 block: WeightBlock) -> list[list[int]]:
     """The block's columns at the cleared points as exact integer rows.
 
     Entry j of a point's row is L^D times row j of :func:`_block_matrix`
-    there: the value, by :func:`cleared_values`, of the integer vector
-    :func:`_expand_block_vector` of the j-th unit vector.  Only Bareiss
-    takes these rows; wider fits use :func:`_block_residues`.
+    there: the value, by :func:`cleared_values` on the block's monomials,
+    of the integer term map :func:`_expand_block_vector` of the j-th unit
+    vector.  Only Bareiss takes these rows; wider fits use
+    :func:`_block_residues`.
     """
-    change = [_expand_block_vector(basis, block, unit)
-              for unit in np.eye(block.size, dtype=int).astype(object)]
-    return cleared_values(basis.exponents, change, basis.max_degree,
-                          cleared).T.tolist()
+    exponents, ints = _on_support([_expand_block_vector(block, unit) for unit
+                                   in np.eye(block.size, dtype=int).tolist()])
+    return cleared_values(exponents, ints, degree, cleared).T.tolist()
 
 
 def _residue_tables(cleared: list[tuple[int, ...]], top: int,
@@ -662,20 +655,19 @@ def _block_residues(powers: np.ndarray, block: WeightBlock,
     return matrix
 
 
-def _vanishes(cleared: list[tuple[int, ...]], basis: MonomialBasis,
-              vectors) -> bool:
-    """Whether every coefficient vector on ``basis`` vanishes, exactly, at
-    every cleared point: the exact kernel test of :func:`_fit_exact`.
+def _vanishes(cleared: list[tuple[int, ...]], degree: int,
+              polys: Sequence[dict]) -> bool:
+    """Whether every integer term map of degree <= ``degree`` vanishes,
+    exactly, at every cleared point: the exact kernel test of
+    :func:`_fit_exact`.
 
-    The vectors are integer, and :func:`cleared_values` evaluates all of
-    them on their union support, one chunk of ``_VANISH_CHUNK`` points at a
-    time; a chunk with a nonzero value ends the test.
+    :func:`cleared_values` evaluates all of them on their union support
+    (:func:`_on_support`), one chunk of ``_VANISH_CHUNK`` points at a time;
+    a chunk with a nonzero value ends the test.
     """
-    support = sorted({i for vec in vectors for i, c in enumerate(vec) if c})
-    exponents = [basis.exponents[i] for i in support]
-    ints = [[vec[i] for i in support] for vec in vectors]
+    exponents, ints = _on_support(polys)
     return not any(
-        cleared_values(exponents, ints, basis.max_degree,
+        cleared_values(exponents, ints, degree,
                        cleared[start:start + _VANISH_CHUNK]).any()
         for start in range(0, len(cleared), _VANISH_CHUNK))
 
@@ -700,7 +692,7 @@ def _verify_chunks(cleared: list[tuple[int, ...]], top: int,
     yield cleared[start:]
 
 
-def _fit_exact(basis: MonomialBasis, blocks: list[WeightBlock],
+def _fit_exact(rep: Representation, degree: int, blocks: list[WeightBlock],
                cleared: list[tuple[int, ...]], seed: int) -> FitResult:
     """The certified exact fit, one weight block at a time.
 
@@ -714,40 +706,37 @@ def _fit_exact(basis: MonomialBasis, blocks: list[WeightBlock],
     the fit is certified when every block is.  Each solver returns a
     block's kernel in its reduced echelon form with the columns reversed
     (:mod:`orbitopes.exactla`), and that is the printed basis: blocks in
-    weight order, each block vector expanded to integer monomial
-    coefficients and divided by their gcd, its first nonzero coefficient
-    made positive.
+    weight order, each block vector's term map (:func:`_expand_block_vector`)
+    divided by the gcd of its coefficients, its first one made positive.
 
     The fit works on the cleared points (L, L*x_1, ..., L*x_n) as the
     sampler drew them.  The residue tables are built once per prime
     and fit and shared by the blocks; the Bareiss rows and the exact test
-    evaluate integer vectors at the cleared points (:func:`cleared_values`).
+    evaluate integer term maps at the cleared points (:func:`cleared_values`).
     """
-    tables = cache(partial(_residue_tables, cleared, basis.max_degree))
+    tables = cache(partial(_residue_tables, cleared, degree))
 
     # the exact test and the printing share each block kernel's expansion
     @cache
     def expand(j, vectors):
-        return [_expand_block_vector(basis, blocks[j], np.array(v, dtype=object))
-                for v in vectors]
+        return [_expand_block_vector(blocks[j], v) for v in vectors]
 
     bases, info = nullspace_exact(
         [block.size for block in blocks],
-        lambda j: _block_rows(cleared, basis, blocks[j]),
+        lambda j: _block_rows(cleared, degree, blocks[j]),
         lambda j, p: _block_residues(tables(p), blocks[j], p),
-        lambda j, vectors: _vanishes(cleared, basis,
+        lambda j, vectors: _vanishes(cleared, degree,
                                      expand(j, tuple(vectors))))
     polys = []
     for j, block_basis in enumerate(bases):
-        for vec in expand(j, tuple(block_basis)):
-            terms = {expo: c for expo, c in zip(basis.exponents, vec) if c}
+        for terms in expand(j, tuple(block_basis)):
             lead = next(iter(terms.values()))
             g = math.gcd(*terms.values()) * (1 if lead > 0 else -1)
-            polys.append(SparsePoly(basis.nvars, {
+            polys.append(SparsePoly(rep.ambient_dim, {
                 expo: c // g for expo, c in terms.items()}, CoeffMode.RATIONAL))
     report = {
         "mode": "exact",
-        "basis_size": basis.size,
+        "basis_size": sum(block.size for block in blocks),
         "sample_count": len(cleared),
         "seed": seed,
         "nullity": len(polys),
@@ -755,7 +744,7 @@ def _fit_exact(basis: MonomialBasis, blocks: list[WeightBlock],
     }
     if not polys:
         raise NoVanishingPolynomialError(
-            f"no degree-{basis.max_degree} equation vanishes on the exact "
+            f"no degree-{degree} equation vanishes on the exact "
             f"samples", report)
     return FitResult(tuple(polys), report)
 

@@ -20,9 +20,8 @@ from orbitopes.curve import (DegenerateHyperplaneError, Representation,
                              curve_info, numeric_degree_probe, orbit_points)
 from orbitopes.faces4d import (boundary_components, closure_is_unit_interval,
                                is_basic_closed_4d, is_edge, pq_data)
-from orbitopes.poly import CoeffMode, SparsePoly
-from orbitopes.secantfit import (fit_hypersurface, monomial_basis,
-                                 verify_vanishing)
+from orbitopes.poly import CoeffMode, SparsePoly, monomials_up_to_degree
+from orbitopes.secantfit import fit_hypersurface, verify_vanishing
 from orbitopes.toeplitz import (Verdict, det_polynomial, eigenvalues,
                                 is_member, membership_report, numerical_rank)
 
@@ -64,9 +63,9 @@ def test_criterion_03_f_vanishing_and_control(f_stored):
     start = time.time()
     residual = verify_vanishing(f_stored.to_float(), REP13, 2, 10_000, seed=303)
     rng = np.random.default_rng(304)
-    basis = monomial_basis(4, 8)
-    control = SparsePoly(4, dict(zip(basis.exponents,
-                                     rng.uniform(-1, 1, size=basis.size))),
+    exponents = monomials_up_to_degree(4, 8)
+    control = SparsePoly(4, dict(zip(exponents,
+                                     rng.uniform(-1, 1, size=len(exponents)))),
                          CoeffMode.FLOAT)
     control_residual = verify_vanishing(control, REP13, 2, 10_000, seed=303)
     elapsed = time.time() - start

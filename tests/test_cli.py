@@ -373,9 +373,9 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_exhausted_exact_sampler_exits_2(tmp_path, capsys):
-    # with r = 1, 2503 or 3000 samples exceed the ~2225 distinct exact
-    # curve parameters (2503 is 2.5 x the degree-10 basis; the exact
-    # default, 2.5 x the largest weight block, draws far fewer)
+    # with r = 1, 2503 samples exceed the ~2225 distinct exact curve
+    # parameters (2503 is 2.5 x the degree-10 basis; the exact default,
+    # 2.5 x the largest weight block, draws far fewer)
     start = time.monotonic()
     code = main(["secant-fit", "--rep", "1,3", "--r", "1", "--degree", "10",
                  "--mode", "exact", "--count", "2503"])
@@ -383,13 +383,25 @@ def test_exhausted_exact_sampler_exits_2(tmp_path, capsys):
     assert time.monotonic() - start < 30.0
     assert "secant samples" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("rep,count", [("1,3", "3000"), ("1,2", "10000")])
+def test_exhausted_exact_verify_is_a_usage_error(tmp_path, capsys, rep,
+                                                 count):
+    # verify computes no residual when its sampler runs out, so there is
+    # no verdict to report: exit 1, the message on stderr, no stdout and
+    # no --out files (the default --count 10000 draws only 2225 points)
     from orbitopes import fixtures
     path = tmp_path / "f.poly"
     path.write_text(fixtures.secant_surface_13().dumps())
-    code = main(["verify", "--rep", "1,3", "--r", "1", "--mode", "exact",
-                 "--count", "3000", "--poly", str(path)])
-    assert code == 2
-    assert "secant samples" in capsys.readouterr().err
+    code = main(["verify", "--rep", rep, "--r", "1", "--mode", "exact",
+                 "--count", count, "--poly", str(path),
+                 "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"of {count} secant samples" in captured.err
+    assert "lower --count" in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 def test_membership_rejects_non_finite_point(capsys):
@@ -509,8 +521,8 @@ def test_every_fit_error_exits_2_with_a_report(tmp_path, capsys):
     for argv, message in [
         (["secant-fit", "--rep", "1,2", "--r", "2", "--degree", "3",
           "--count", "5"], "need at least 35 samples"),
-        (["verify", "--rep", "1,3", "--r", "1", "--mode", "exact",
-          "--count", "3000", "--poly", str(path)], "secant samples"),
+        (["secant-fit", "--rep", "1,3", "--r", "1", "--degree", "3",
+          "--mode", "exact", "--count", "3000"], "secant samples"),
     ]:
         assert main(argv) == 2
         captured = capsys.readouterr()

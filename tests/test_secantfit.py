@@ -13,23 +13,16 @@ import pytest
 from orbitopes import cli, exactla, secantfit
 from orbitopes.curve import (Representation, antipodal_point, orbit_points,
                             rational_point)
-from orbitopes.poly import CoeffMode, SparsePoly, cleared_power_table
+from orbitopes.poly import CoeffMode, SparsePoly, monomials_up_to_degree
 from orbitopes.secantfit import (InsufficientSamplesError,
                                  NoVanishingPolynomialError,
-                                 evaluate_on_points,
-                                 fit_hypersurface, monomial_basis,
+                                 evaluate_on_points, fit_hypersurface,
                                  rationalize, sample_secants, secant_point,
                                  verify_vanishing, weight_blocks)
 from orbitopes.toeplitz import det_polynomial
 
 REP13 = Representation((1, 3))
 REP12 = Representation((1, 2))
-
-
-def test_monomial_basis_sizes():
-    assert monomial_basis(4, 8).size == 495
-    assert monomial_basis(4, 15).size == 3876
-    assert monomial_basis(4, 3).size == 35
 
 
 def test_secant_point_midpoint_example():
@@ -242,27 +235,37 @@ def test_exact_rank_rows_are_scaled_curve_differences(monkeypatch, indices,
 
 
 def cleared(points):
-    """Each rational point as the integers (L, L*x_1, ..., L*x_n)."""
-    return [tuple(row[1] for row in cleared_power_table(x, 1)) for x in points]
+    """Each rational point as the integers (L, L*x_1, ..., L*x_n), L the
+    least common denominator of its coordinates."""
+    out = []
+    for x in points:
+        denom = math.lcm(*[v.denominator for v in x])
+        out.append((denom, *[v.numerator * (denom // v.denominator)
+                             for v in x]))
+    return out
+
+
+def power_table(point, degree):
+    """Powers 0..degree of each entry of the cleared point."""
+    return [[v ** e for e in range(degree + 1)] for v in cleared([point])[0]]
+
+
+def term_map(exponents, vec):
+    """The nonzero coefficients of a vector on ``exponents``."""
+    return {e: c for e, c in zip(exponents, vec) if c}
 
 
 def test_exact_kernel_test_refuses_the_last_vector_at_the_last_point():
     # x2 and 2*x1*x2 vanish at every point, x1^2 - x1 everywhere but at the
     # last point, which lies in the last chunk; its monomials are outside
     # the support of the other two vectors
-    basis = monomial_basis(2, 2)
     points = [(Fraction(k % 2), Fraction(0))
               for k in range(2 * secantfit._VANISH_CHUNK + 1)]
     points.append((Fraction(1, 3), Fraction(0)))
-
-    def vector(terms):
-        return tuple(terms.get(e, 0) for e in basis.exponents)
-
-    vectors = [vector({(0, 1): 1}), vector({(1, 1): 2}),
-               vector({(2, 0): 1, (1, 0): -1})]
-    assert not secantfit._vanishes(cleared(points), basis, vectors)
-    assert secantfit._vanishes(cleared(points[:-1]), basis, vectors)
-    assert secantfit._vanishes(cleared(points), basis, vectors[:-1])
+    polys = [{(0, 1): 1}, {(1, 1): 2}, {(2, 0): 1, (1, 0): -1}]
+    assert not secantfit._vanishes(cleared(points), 2, polys)
+    assert secantfit._vanishes(cleared(points[:-1]), 2, polys)
+    assert secantfit._vanishes(cleared(points), 2, polys[:-1])
 
 
 def sequential_float_samples(rep, r, count, seed):
@@ -343,12 +346,16 @@ def test_float_sampler_windows_stay_within_the_byte_budget(monkeypatch):
 
 
 @pytest.mark.parametrize("indices,degree", [((1, 2), 3), ((1, 4), 6),
-                                            ((1, 2, 3), 4)])
+                                            ((1, 2, 3), 4), ((1, 3), 8),
+                                            ((1, 4), 15)])
 def test_weight_blocks_partition_the_monomial_basis(indices, degree):
+    # the fit's basis size is the sum of the block sizes: 35, 495 and 3876
+    # at degrees 3, 8 and 15 in 4 variables
     rep = Representation(indices)
     blocks = weight_blocks(rep, degree)
-    assert sum(b.size for b in blocks) == monomial_basis(rep.ambient_dim,
-                                                        degree).size
+    size = math.comb(rep.ambient_dim + degree, degree)
+    assert sum(b.size for b in blocks) == size
+    assert len(monomials_up_to_degree(rep.ambient_dim, degree)) == size
     pairs = [pair for b in blocks for pair in b.pairs]
     assert len(set(pairs)) == len(pairs)
     assert not {(b, a) for a, b in pairs if a != b} & set(pairs)
@@ -366,7 +373,6 @@ def test_weight_blocks_partition_the_monomial_basis(indices, degree):
 
 def test_weight_block_expansion_matches_complex_monomials():
     rep = Representation((1, 3))
-    basis = monomial_basis(4, 5)
     rng = np.random.default_rng(31)
     pts = rng.uniform(-1, 1, size=(10, 4))
     u = pts[:, 0::2] + 1j * pts[:, 1::2]
@@ -375,8 +381,7 @@ def test_weight_block_expansion_matches_complex_monomials():
         for col in range(block.size):
             vec = np.zeros(block.size)
             vec[col] = 1.0
-            coeffs = secantfit._expand_block_vector(basis, block, vec)
-            poly = SparsePoly(4, dict(zip(basis.exponents, coeffs)),
+            poly = SparsePoly(4, secantfit._expand_block_vector(block, vec),
                               CoeffMode.FLOAT)
             a, b = block.pairs[col if col < n_pairs
                                else block.imaginary[col - n_pairs]]
@@ -442,12 +447,11 @@ def test_exact_fit_residues_match_reduced_integer_rows(indices, r, degree):
     # integer block rows that Bareiss eliminates, reduced entry by entry;
     # those against Gaussian-integer arithmetic
     rep = Representation(indices)
-    basis = monomial_basis(rep.ambient_dim, degree)
     points = sample_secants(rep, r, 40, seed=0, mode=CoeffMode.RATIONAL)
     tables = {p: secantfit._residue_tables(points, degree, p)
               for p in (exactla.PRIMES[0], exactla.PRIMES[-1], 13)}
     for block in weight_blocks(rep, degree):
-        rows = secantfit._block_rows(points, basis, block)
+        rows = secantfit._block_rows(points, degree, block)
         assert rows == [gaussian_block_row(x, block, degree) for x in points]
         for p, table in tables.items():
             residues = secantfit._block_residues(table, block, p)
@@ -461,9 +465,9 @@ def test_wide_exact_fit_forms_no_integer_rows(monkeypatch):
     calls = []
     block_rows = secantfit._block_rows
 
-    def spy(points, basis, block):
+    def spy(points, degree, block):
         calls.append(block)
-        return block_rows(points, basis, block)
+        return block_rows(points, degree, block)
 
     monkeypatch.setattr(secantfit, "_block_rows", spy)
     fit = fit_hypersurface(REP12, r=2, degree=3, seed=0,
@@ -481,13 +485,12 @@ def test_wide_exact_fit_forms_no_integer_rows(monkeypatch):
     assert fit.polynomials == narrow
 
 
-def reference_integer_row(point, basis):
+def reference_integer_row(point, exponents, top):
     """The monomial row of a rational point scaled by L^D, L its common
     denominator: the degree-D homogeneous monomials in (L, L*point)."""
-    top = basis.max_degree
-    pow_table = cleared_power_table(point, top)
+    pow_table = power_table(point, top)
     row = []
-    for expo in basis.exponents:
+    for expo in exponents:
         val = pow_table[0][top - sum(expo)]
         for i, e in enumerate(expo, start=1):
             if e:
@@ -496,19 +499,18 @@ def reference_integer_row(point, basis):
     return row
 
 
-def reference_residue_rows(points, basis, p):
+def reference_residue_rows(points, exponents, top, p):
     """The reference_integer_row rows modulo p, from int64 power tables."""
-    top = basis.max_degree
-    base = np.array([[row[1] % p for row in cleared_power_table(x, 1)]
-                     for x in points], dtype=np.int64).T
+    base = np.array([[v % p for v in x] for x in cleared(points)],
+                    dtype=np.int64).T
     powers = np.empty((base.shape[0], top + 1, base.shape[1]), dtype=np.int64)
     powers[:, 0] = 1
     for e in range(1, top + 1):
         np.multiply(powers[:, e - 1], base, out=powers[:, e])
         powers[:, e] %= p
-    exponents = np.array(basis.exponents)
+    exponents = np.array(exponents)
     matrix = powers[0, top - exponents.sum(axis=1)]
-    for i in range(basis.nvars):
+    for i in range(exponents.shape[1]):
         matrix *= powers[i + 1, exponents[:, i]]
         matrix %= p
     return np.ascontiguousarray(matrix.T)
@@ -519,22 +521,24 @@ def full_monomial_exact_fit(rep, r, degree, seed):
     weight blocks: Bareiss on its integer rows up to _BAREISS_MAX_COLS
     columns, the modular solver on its residues beyond.  Returns the
     kernel's coefficient vectors on the monomials and the report."""
-    basis = monomial_basis(rep.ambient_dim, degree)
-    count = secantfit.default_sample_count(basis.size)
+    exponents = monomials_up_to_degree(rep.ambient_dim, degree)
+    count = secantfit.default_sample_count(len(exponents))
     points = rational_points(sample_secants(rep, r, count, seed,
                                             CoeffMode.RATIONAL))
-    if basis.size <= exactla._BAREISS_MAX_COLS:
+    if len(exponents) <= exactla._BAREISS_MAX_COLS:
         kernel = exactla.nullspace_bareiss(
-            [reference_integer_row(x, basis) for x in points])
+            [reference_integer_row(x, exponents, degree) for x in points])
         info = {"method": "bareiss", "certified": True,
                 "nullity_upper_bound": len(kernel)}
     else:
         kernel, info = exactla.nullspace_modular(
-            basis.size, lambda p: reference_residue_rows(points, basis, p),
-            lambda vectors: secantfit._vanishes(cleared(points), basis,
-                                                vectors))
+            len(exponents),
+            lambda p: reference_residue_rows(points, exponents, degree, p),
+            lambda vectors: secantfit._vanishes(
+                cleared(points), degree,
+                [term_map(exponents, v) for v in vectors]))
         info["method"] = "modular"
-    report = {"mode": "exact", "basis_size": basis.size,
+    report = {"mode": "exact", "basis_size": len(exponents),
               "sample_count": count, "seed": seed, "nullity": len(kernel),
               **info}
     return kernel, report
@@ -559,7 +563,7 @@ def test_block_fit_matches_full_monomial_fit(monkeypatch, indices, r, degree,
         monkeypatch.setattr(exactla, "_BAREISS_MAX_COLS", bareiss_max_cols)
     rep = Representation(indices)
     kernel, report = full_monomial_exact_fit(rep, r, degree, seed)
-    exponents = monomial_basis(rep.ambient_dim, degree).exponents
+    exponents = monomials_up_to_degree(rep.ambient_dim, degree)
 
     def fit(count=None):
         return fit_hypersurface(rep, r, degree, count=count, seed=seed,
@@ -662,6 +666,18 @@ def test_float_f_fit_recovers_stored_polynomial(f_float_fit, f_stored):
     assert dist < 1e-8
 
 
+def test_fits_keep_the_basis_term_order(f_float_fit, g_float_fit,
+                                        f_exact_fit):
+    # terms by degree ascending, then exponent descending: the CLI sums a
+    # fit's terms in this order for its held-out residuals, so it fixes
+    # their bits, and the exact fit's sign is that of its first term
+    for fit in (f_float_fit, g_float_fit, f_exact_fit):
+        (p,) = fit.polynomials
+        assert list(p.terms) == sorted(
+            p.terms, key=lambda e: (sum(e), [-x for x in e]))
+    assert next(iter(f_exact_fit.polynomials[0].terms.values())) > 0
+
+
 def test_float_g_fit_rounds_to_known_terms_for_hard_seed(g_printed_terms):
     # With this sampler seed the degree-15 fit once rounded 3 of the 88
     # known terms wrongly (coefficients off by up to 6.1e-7).
@@ -742,10 +758,10 @@ def test_verify_vanishing_float_and_control(f_stored):
     residual = verify_vanishing(f_stored.to_float(), REP13, 2, 2000, seed=23)
     assert residual <= 1e-8
     rng = np.random.default_rng(24)
-    basis = monomial_basis(4, 8)
+    exponents = monomials_up_to_degree(4, 8)
     control = SparsePoly(4, {e: float(c) for e, c in
-                             zip(basis.exponents,
-                                 rng.uniform(-1, 1, size=basis.size))},
+                             zip(exponents,
+                                 rng.uniform(-1, 1, size=len(exponents)))},
                          CoeffMode.FLOAT)
     control_residual = verify_vanishing(control, REP13, 2, 2000, seed=23)
     assert control_residual > 1e-2
@@ -765,7 +781,7 @@ def reference_evaluate(p, point):
     M L^D."""
     top = p.degree
     denom = math.lcm(*[c.denominator for c in p.terms.values()])
-    lead, *rows = cleared_power_table(point, top)
+    lead, *rows = power_table(point, top)
     total = 0
     for expo, c in p.terms.items():
         term = c.numerator * (denom // c.denominator) * lead[top - sum(expo)]
@@ -915,7 +931,6 @@ def test_block_columns_match_their_monomial_expansion(indices, degree):
     # Two independent evaluations of every weight-block column: from complex
     # powers, and from the column's exact expansion into real monomials.
     rep = Representation(indices)
-    basis = monomial_basis(rep.ambient_dim, degree)
     pts = sample_secants(rep, 2, 4, seed=degree)
     u = pts[:, 0::2] + 1j * pts[:, 1::2]
     u_pow = u.T[:, None, :] ** np.arange(degree + 1)[None, :, None]
@@ -925,10 +940,8 @@ def test_block_columns_match_their_monomial_expansion(indices, degree):
         for col, row in enumerate(matrix):
             unit = np.zeros(block.size)
             unit[col] = 1.0
-            coeffs = secantfit._expand_block_vector(basis, block, unit)
             poly = SparsePoly(rep.ambient_dim,
-                              {basis.exponents[i]: coeffs[i]
-                               for i in np.flatnonzero(coeffs)},
+                              secantfit._expand_block_vector(block, unit),
                               CoeffMode.FLOAT)
             expected = evaluate_on_points(poly, pts)
             assert np.all(np.abs(row - expected)
@@ -966,7 +979,7 @@ def test_block_matrix_is_bit_identical_to_the_gathered_product(indices,
     # it saw before; {1,2,3} runs the coordinate loop twice
     rep = Representation(indices)
     count = secantfit.default_sample_count(
-        monomial_basis(rep.ambient_dim, degree).size)
+        math.comb(rep.ambient_dim + degree, degree))
     pts = sample_secants(rep, 2, count, seed=20)
     u_pow = _u_powers(pts[:, 0::2] + 1j * pts[:, 1::2], degree)
     conj_pow = u_pow.conj()
@@ -998,11 +1011,11 @@ def test_block_matrix_holds_no_block_sized_temporaries():
     assert peak <= matrix.nbytes + 4 * count * 16
 
 
-def all_rows_fit_float(rep, basis, blocks, points, seed):
+def all_rows_fit_float(rep, degree, blocks, points, seed):
     """The float fit with every parity half of every block factored on all
     sample rows: the fit before the row prefix, kept as the reference the
     prefix fit must reproduce."""
-    u_pow = _u_powers(points[:, 0::2] + 1j * points[:, 1::2], basis.max_degree)
+    u_pow = _u_powers(points[:, 0::2] + 1j * points[:, 1::2], degree)
     conj_pow = u_pow.conj()
     solved = []
     for block in blocks:
@@ -1021,14 +1034,15 @@ def all_rows_fit_float(rep, basis, blocks, points, seed):
         [s for _, halves in solved for s, _ in halves]))[::-1]
     threshold = secantfit.SIGMA_NULL_FACTOR * sigma[0]
     nullity = int(np.sum(sigma < threshold))
-    report = {"mode": "float", "basis_size": basis.size,
+    report = {"mode": "float",
+              "basis_size": sum(block.size for block in blocks),
               "sample_count": len(points), "seed": seed,
               "sigma_max": float(sigma[0]),
               "sigma_tail": [float(s) for s in sigma[-min(5, len(sigma)):]],
               "null_threshold": float(threshold), "nullity": nullity}
     if nullity == 0:
         raise NoVanishingPolynomialError(
-            f"no degree-{basis.max_degree} equation vanishes on the samples "
+            f"no degree-{degree} equation vanishes on the samples "
             f"(smallest singular value {sigma[-1]:.3e} vs threshold "
             f"{threshold:.3e})", report)
     report["smallest_kept"] = float(sigma[len(sigma) - nullity - 1])
@@ -1044,8 +1058,8 @@ def all_rows_fit_float(rep, basis, blocks, points, seed):
         null[:len(re), :n] = re
         null[len(re):, n:] = im
         for row in secantfit._reversed_echelon(null):
-            coeffs = secantfit._expand_block_vector(basis, block, row)
-            polys.append(secantfit._float_poly(basis, coeffs))
+            polys.append(secantfit._float_poly(
+                rep.ambient_dim, secantfit._expand_block_vector(block, row)))
     return secantfit.FitResult(tuple(polys), report)
 
 
@@ -1173,7 +1187,7 @@ def test_prefix_rows_give_no_printed_null_vector():
     # the pool of the degree-8 {1,3} fit with every block factored on the
     # 130 prefix rows only, singular values only, finds its null direction,
     # and refuses to print it: the fit then factors every block on all rows
-    basis, blocks = monomial_basis(4, 8), weight_blocks(REP13, 8)
+    blocks = weight_blocks(REP13, 8)
     pts = sample_secants(REP13, 2, 1238, seed=11)
     u_pow = _u_powers(pts[:, 0::2] + 1j * pts[:, 1::2], 8)
     conj_pow = u_pow.conj()
@@ -1183,7 +1197,7 @@ def test_prefix_rows_give_no_printed_null_vector():
               for block in blocks]
     with pytest.raises(secantfit.AmbiguousRankError,
                        match="factored on 130 of the 1238 samples") as info:
-        secantfit._float_null_space(basis, solved, 1238, 11)
+        secantfit._float_null_space(REP13, 8, solved, 1238, 11)
     assert info.value.report["nullity"] == 1
 
 
