@@ -250,11 +250,6 @@ def power_table(point, degree):
     return [[v ** e for e in range(degree + 1)] for v in cleared([point])[0]]
 
 
-def term_map(exponents, vec):
-    """The nonzero coefficients of a vector on ``exponents``."""
-    return {e: c for e, c in zip(exponents, vec) if c}
-
-
 def test_exact_kernel_test_refuses_the_last_vector_at_the_last_point():
     # x2 and 2*x1*x2 vanish at every point, x1^2 - x1 everywhere but at the
     # last point, which lies in the last chunk; its monomials are outside
@@ -536,7 +531,8 @@ def full_monomial_exact_fit(rep, r, degree, seed):
             lambda p: reference_residue_rows(points, exponents, degree, p),
             lambda vectors: secantfit._vanishes(
                 cleared(points), degree,
-                [term_map(exponents, v) for v in vectors]))
+                [{e: c for e, c in zip(exponents, v) if c}
+                 for v in vectors]))
         info["method"] = "modular"
     report = {"mode": "exact", "basis_size": len(exponents),
               "sample_count": count, "seed": seed, "nullity": len(kernel),
