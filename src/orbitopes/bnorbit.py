@@ -114,8 +114,10 @@ def top_face(n: int, theta: float) -> dict:
     Vertices are the curve points at theta + 2*pi*j/n and the exposing
     hyperplane has normal (0, ..., 0, cos n*theta, sin n*theta): on the
     curve the functional evaluates to cos(n(phi - theta)), which is 1
-    exactly at the vertices.
+    exactly at the vertices.  theta is taken modulo 2*pi: far from 0 the
+    vertex parameters lose their spacing.
     """
+    theta %= tau
     rep = sm_rep(n)
     params = tuple(theta + tau * j / n for j in range(n))
     normal = np.zeros(n + 1)

@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--count", type=_int_in(1, MAX_SAMPLES),
                    help="sample count (default: 2.5x basis in float mode, "
-                        "2.5x the largest weight block in exact mode)")
+                        "2.5x the widest weight-block half in exact mode)")
     p.add_argument("--mode", choices=("float", "exact"), default="float")
     p.set_defaults(func=cmd_secant_fit)
 
@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, rep=True)
     p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--count", type=_int_in(None, MAX_SAMPLES), default=10000)
+    p.add_argument("--count", type=_int_in(1, MAX_SAMPLES), default=10000)
     p.add_argument("--poly", required=True, help="polynomial file to verify")
     p.add_argument("--mode", choices=("float", "exact"), default="float")
     p.set_defaults(func=cmd_verify)

@@ -409,7 +409,7 @@ def cleared_values(exponents: Sequence[Exponent], vectors: Sequence[Sequence[int
 
 
 def monomials_up_to_degree(nvars: int, max_degree: int) -> list[Exponent]:
-    """All exponent tuples of total degree <= max_degree, ascending graded-lex."""
+    """All exponents of total degree <= max_degree, by degree, then descending."""
     if nvars < 1:
         raise ValueError("nvars must be positive")
     if max_degree < 0:

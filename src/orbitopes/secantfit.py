@@ -3,21 +3,21 @@
 Points on the chord variety of a frequency curve are cheap to sample: pick
 r curve parameters and convex weights and form the combination.  Every
 polynomial of degree at most D vanishing on the variety is then a null
-vector of the sample-by-monomial evaluation matrix.  The float path splits
+vector of the sample-by-monomial evaluation matrix.  Both fit paths split
 that matrix by rotation weight, and each weight block by parity under the
-reflection t -> -t into its even Re and odd Im columns, and finds the null
-space of each half by singular values with an explicit rank-gap policy.
-The exact path samples rational curve points, clears their denominators
-once, and computes a certified integer kernel of each weight block
-(:mod:`orbitopes.exactla`): over GF(p), p = 1 (mod 4), the block columns
-2 Re and 2 Im of a complex monomial are int64 residues of
-z_k = X_k + i_p Y_k, the cleared u_k = x_k + i y_k with i_p a square root
-of -1 modulo p.  Both paths print one basis: each weight
-block's kernel in its reduced echelon form with the columns reversed,
-blocks in weight order, each block vector expanded straight to a term map
-{exponent: coefficient} (:func:`_expand_block_vector`), which the exact
-test evaluates and the printing normalizes.  A continued-fraction rounding
-step converts float fits to exact candidates for comparison.
+reflection t -> -t into its even Re and odd Im columns, and solve each
+half on its own: the float path by singular values with an explicit
+rank-gap policy, the exact path as a certified integer kernel
+(:mod:`orbitopes.exactla`) of rational samples cleared of denominators
+once.  Over GF(p), p = 1 (mod 4), the Re and Im columns of a complex
+monomial are, doubled, int64 residues of z_k = X_k + i_p Y_k, the cleared
+u_k = x_k + i y_k with i_p a square root of -1 modulo p.  Both paths
+print one basis: each half's kernel in its reduced echelon form with the
+columns reversed, blocks in weight order and a block's Re half first,
+each half vector expanded straight to a term map {exponent: coefficient}
+(:func:`_expand_block_vector`), which the exact test evaluates and the
+printing normalizes.  A continued-fraction rounding step converts float
+fits to exact candidates for comparison.
 """
 
 from __future__ import annotations
@@ -246,18 +246,18 @@ def fit_hypersurface(rep: Representation, r: int, degree: int,
     that fit's report or error stands.  With m rows or fewer, the one pass
     is on all rows.
     Exact mode: certified integer kernels of the cleared-denominator
-    evaluation matrices of the weight blocks (:func:`_fit_exact`).  Raises
-    :class:`NoVanishingPolynomialError` when the kernel is
-    zero-dimensional.
+    evaluation matrices of the blocks' Re and Im halves
+    (:func:`_fit_exact`).  Raises :class:`NoVanishingPolynomialError` when
+    the kernel is zero-dimensional.
 
     ``count`` defaults to :func:`default_sample_count` of, and may not be
-    below, the columns of the largest weight block in exact mode and of
-    the whole basis, the sum of the block sizes, in float mode.  The float
-    fit solves block by block too, but its null vectors are rounded to
-    rationals afterwards, and the rounding needs the samples of the whole
-    basis: at 445 samples, 2.5 times the largest degree-15 {1,4} block,
-    the rounded float fit got 3 to 13 of the 88 known terms wrong on 11 of
-    22 seeds.
+    below, the columns of the widest half in exact mode, the Re half of
+    the largest block, and of the whole basis, the sum of the block sizes,
+    in float mode.  The float fit solves half by half too, but its null
+    vectors are rounded to rationals afterwards, and the rounding needs
+    the samples of the whole basis: at 445 samples, 2.5 times the largest
+    degree-15 {1,4} block, the rounded float fit got 3 to 13 of the 88
+    known terms wrong on 11 of 22 seeds.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -266,8 +266,8 @@ def fit_hypersurface(rep: Representation, r: int, degree: int,
         need = sum(block.size for block in blocks)
         columns = f"{need} monomials"
     else:
-        need = max(block.size for block in blocks)
-        columns = f"a weight block of {need} columns"
+        need = max(len(block.pairs) for block in blocks)
+        columns = f"a weight-block half of {need} columns"
     if count is None:
         count = default_sample_count(need)
     if count < need:
@@ -291,13 +291,14 @@ class WeightBlock:
 
     pairs: tuple[tuple[Exponent, Exponent], ...]
 
-    @property
-    def imaginary(self) -> list[int]:
-        return [i for i, (a, b) in enumerate(self.pairs) if a != b]
+    def half(self, odd: bool) -> tuple[tuple[Exponent, Exponent], ...]:
+        """The pairs with a column in the Re half, all of them, or if ``odd``
+        in the Im half, those with a != b."""
+        return tuple((a, b) for a, b in self.pairs if not odd or a != b)
 
     @property
     def size(self) -> int:
-        return len(self.pairs) + len(self.imaginary)
+        return len(self.pairs) + len(self.half(True))
 
 
 def weight_blocks(rep: Representation, max_degree: int) -> list[WeightBlock]:
@@ -380,23 +381,21 @@ def _basis_order(expo: Exponent) -> tuple:
     return sum(expo), tuple(-e for e in expo)
 
 
-def _expand_block_vector(block: WeightBlock, vec: Sequence) -> dict:
-    """The nonzero coefficients on the real monomials of a block vector, a
-    term map in :func:`_basis_order`: floats for the float fit, Python
-    ints for the exact one.  The CLI sums a fit's terms in this order for
-    its held-out residuals, and the exact fit takes its sign from the first.
+def _expand_block_vector(block: WeightBlock, odd: bool, vec: Sequence) -> dict:
+    """The nonzero coefficients on the real monomials of a vector of the
+    block's Re half, or of its Im half if ``odd``, a term map in
+    :func:`_basis_order`: floats for the float fit, Python ints for the
+    exact one.  The CLI sums a fit's terms in this order for its held-out
+    residuals, and the exact fit takes its sign from the first.
 
-    With alpha on Re(m) and beta on Im(m), the term c * i^q * x^e of m
-    contributes c * (alpha, beta, -alpha, -beta)[q] to x^e.
+    With v on Re(m), the term c * i^q * x^e of m contributes
+    c * (v, 0, -v, 0)[q] to x^e, and with v on Im(m) c * (0, v, 0, -v)[q].
     """
-    n = len(block.pairs)
-    beta = dict(zip(block.imaginary, vec[n:]))
     terms: dict[Exponent, object] = {}
-    for j, ((a, b), re) in enumerate(zip(block.pairs, vec)):
-        im = beta.get(j, 0)
-        if not (re or im):
+    for (a, b), v in zip(block.half(odd), vec):
+        if not v:
             continue
-        sign = (re, im, -re, -im)
+        sign = (0, v, 0, -v) if odd else (v, 0, -v, 0)
         for expo, c, q in _pair_terms(a, b):
             terms[expo] = terms.get(expo, 0) + c * sign[q]
     return {expo: terms[expo] for expo in sorted(terms, key=_basis_order)
@@ -523,24 +522,20 @@ def _float_null_space(rep: Representation, degree: int, solved: list,
                     "samples has a null direction", report)
             continue
         # the block's null vectors: the Re half's, then the Im half's
-        re, im = (vh[s < threshold] for s, vh in halves)
-        n = len(block.pairs)
-        null = np.zeros((len(re) + len(im), block.size))
-        null[:len(re), :n] = re
-        null[len(re):, n:] = im
-        echelon = _reversed_echelon(null)
-        if echelon is None:
-            raise AmbiguousRankError(
-                "the null vectors of a weight block are dependent at "
-                f"{SIGMA_NULL_FACTOR:.0e} of their largest entry", report)
-        for row in echelon:
-            polys.append(_float_poly(rep.ambient_dim,
-                                     _expand_block_vector(block, row)))
+        for (s, vh), odd in zip(halves, (False, True)):
+            echelon = _reversed_echelon(vh[s < threshold])
+            if echelon is None:
+                raise AmbiguousRankError(
+                    "the null vectors of a weight block are dependent at "
+                    f"{SIGMA_NULL_FACTOR:.0e} of their largest entry", report)
+            for row in echelon:
+                polys.append(_float_poly(
+                    rep.ambient_dim, _expand_block_vector(block, odd, row)))
     return FitResult(tuple(polys), report)
 
 
 def _reversed_echelon(vectors: np.ndarray) -> np.ndarray | None:
-    """The float form of the basis the exact solvers give a block kernel:
+    """The float form of the basis the exact solvers give a half's kernel:
     the reduced echelon form of the rows with the columns in reverse
     order, by increasing pivot column, each row zero on the other rows'
     pivots and left unnormalized (the printing scales it).
@@ -591,17 +586,19 @@ _VANISH_CHUNK_BITS = 1 << 22
 
 
 def _block_rows(cleared: list[tuple[int, ...]], degree: int,
-                block: WeightBlock) -> list[list[int]]:
-    """The block's columns at the cleared points as exact integer rows.
+                block: WeightBlock, odd: bool) -> list[list[int]]:
+    """The columns of the block's Re half, or of its Im half if ``odd``,
+    at the cleared points as exact integer rows.
 
-    Entry j of a point's row is L^D times row j of :func:`_block_matrix`
-    there: the value, by :func:`cleared_values` on the block's monomials,
-    of the integer term map :func:`_expand_block_vector` of the j-th unit
+    Entry j of a point's row is L^D times column j of the half there: the
+    value, by :func:`cleared_values` on the half's monomials, of the
+    integer term map :func:`_expand_block_vector` of the half's j-th unit
     vector.  Only Bareiss takes these rows; wider fits use
     :func:`_block_residues`.
     """
-    exponents, ints = _on_support([_expand_block_vector(block, unit) for unit
-                                   in np.eye(block.size, dtype=int).tolist()])
+    units = np.eye(len(block.half(odd)), dtype=int).tolist()
+    exponents, ints = _on_support([_expand_block_vector(block, odd, unit)
+                                   for unit in units])
     return cleared_values(exponents, ints, degree, cleared).T.tolist()
 
 
@@ -627,32 +624,29 @@ def _residue_tables(cleared: list[tuple[int, ...]], top: int,
     return powers
 
 
-def _block_residues(powers: np.ndarray, block: WeightBlock,
+def _block_residues(powers: np.ndarray, block: WeightBlock, odd: bool,
                     p: int) -> np.ndarray:
-    """Twice the :func:`_block_rows` rows modulo p, without them, from the
-    :func:`_residue_tables` of the points.
+    """Twice the :func:`_block_rows` rows of a half modulo p, without them,
+    from the :func:`_residue_tables` of the points.
 
     m = L^(D - |a| - |b|) z^a zbar^b is the image of L^D u^a ubar^b and
     mbar, with a and b swapped, that of its conjugate, so m + mbar is
-    2 Re and (m - mbar) / i_p is 2 Im of it, modulo p.  Each is a product
-    of gathered table rows, reduced after every product (each below p^2).
+    2 Re (the Re half) and (m - mbar) / i_p is 2 Im (the Im half) of it,
+    modulo p.  Each is a product of gathered table rows, reduced after
+    every product (each below p^2).
     """
     r = (powers.shape[0] - 1) // 2
     top = powers.shape[1] - 1
-    pairs = np.array(block.pairs)
+    pairs = np.array(block.half(odd))
     a, b = pairs[:, 0], pairs[:, 1]
     m = mbar = powers[0, top - a.sum(axis=1) - b.sum(axis=1)]
     for k in range(r):
         m = m * powers[1 + k, a[:, k]] % p * powers[1 + r + k, b[:, k]] % p
         mbar = (mbar * powers[1 + k, b[:, k]] % p
                 * powers[1 + r + k, a[:, k]] % p)
-    n = len(block.pairs)
-    matrix = np.empty((m.shape[1], block.size), dtype=np.int64)
-    matrix[:, :n] = ((m + mbar) % p).T
     # 1 / i_p = -i_p modulo p
-    diff = (m - mbar)[block.imaginary]
-    matrix[:, n:] = (diff * (p - sqrt_minus_one(p)) % p).T
-    return matrix
+    half = (m - mbar) * (p - sqrt_minus_one(p)) if odd else m + mbar
+    return np.ascontiguousarray((half % p).T)
 
 
 def _vanishes(cleared: list[tuple[int, ...]], degree: int,
@@ -694,42 +688,46 @@ def _verify_chunks(cleared: list[tuple[int, ...]], top: int,
 
 def _fit_exact(rep: Representation, degree: int, blocks: list[WeightBlock],
                cleared: list[tuple[int, ...]], seed: int) -> FitResult:
-    """The certified exact fit, one weight block at a time.
+    """The certified exact fit, one parity half of a weight block at a time.
 
     Why the split is sound: the secant varieties are invariant under the
     rotations, so the weight components of a polynomial in their ideal are
-    in the ideal too (:func:`weight_blocks`).  Every equation is then a sum
-    of block equations, and the fit solves each block on the same samples,
-    which need only match the widest block's columns in number.  Per
-    block, the prime-field nullity bounds the block's kernel from above
-    and the exact test of its expanded vectors bounds it from below, so
-    the fit is certified when every block is.  Each solver returns a
-    block's kernel in its reduced echelon form with the columns reversed
-    (:mod:`orbitopes.exactla`), and that is the printed basis: blocks in
-    weight order, each block vector's term map (:func:`_expand_block_vector`)
-    divided by the gcd of its coefficients, its first one made positive.
+    in the ideal too (:func:`weight_blocks`); and under t -> -t, which maps
+    u_k to ubar_k, so the even Re and odd Im parts of a block polynomial
+    are too.  Every equation is then a sum of half equations, and the fit
+    solves each half on the same samples, which need only match the widest
+    half's columns in number.  Per half, the prime-field nullity bounds its
+    kernel from above and the exact test of its expanded vectors from
+    below, so the fit is certified when every half is.  Each solver
+    returns a half's kernel in its reduced echelon form with the columns
+    reversed (:mod:`orbitopes.exactla`), and that is the printed basis:
+    blocks in weight order, Re half first, each vector's term map
+    (:func:`_expand_block_vector`) divided by the gcd of its coefficients,
+    its first one made positive.
 
     The fit works on the cleared points (L, L*x_1, ..., L*x_n) as the
     sampler drew them.  The residue tables are built once per prime
-    and fit and shared by the blocks; the Bareiss rows and the exact test
+    and fit and shared by the halves; the Bareiss rows and the exact test
     evaluate integer term maps at the cleared points (:func:`cleared_values`).
     """
+    halves = [(block, odd) for block in blocks for odd in (False, True)
+              if block.half(odd)]
     tables = cache(partial(_residue_tables, cleared, degree))
 
-    # the exact test and the printing share each block kernel's expansion
+    # the exact test and the printing share each half kernel's expansion
     @cache
     def expand(j, vectors):
-        return [_expand_block_vector(blocks[j], v) for v in vectors]
+        return [_expand_block_vector(*halves[j], v) for v in vectors]
 
     bases, info = nullspace_exact(
-        [block.size for block in blocks],
-        lambda j: _block_rows(cleared, degree, blocks[j]),
-        lambda j, p: _block_residues(tables(p), blocks[j], p),
+        [len(block.half(odd)) for block, odd in halves],
+        lambda j: _block_rows(cleared, degree, *halves[j]),
+        lambda j, p: _block_residues(tables(p), *halves[j], p),
         lambda j, vectors: _vanishes(cleared, degree,
                                      expand(j, tuple(vectors))))
     polys = []
-    for j, block_basis in enumerate(bases):
-        for terms in expand(j, tuple(block_basis)):
+    for j, half_basis in enumerate(bases):
+        for terms in expand(j, tuple(half_basis)):
             lead = next(iter(terms.values()))
             g = math.gcd(*terms.values()) * (1 if lead > 0 else -1)
             polys.append(SparsePoly(rep.ambient_dim, {

@@ -101,7 +101,7 @@ def test_criterion_04_g_recovery_exact(g_recovered, g_printed_terms):
     fit = fit_hypersurface(Representation((1, 4)), r=2, degree=15, seed=0,
                            mode=CoeffMode.RATIONAL)
     elapsed = time.time() - start
-    assert fit.report["sample_count"] == 445
+    assert fit.report["sample_count"] == 223
     assert fit.nullity == 1 and fit.report["certified"]
     p = fit.polynomials[0]
     anchor = (12, 0, 3, 0)
@@ -110,7 +110,7 @@ def test_criterion_04_g_recovery_exact(g_recovered, g_printed_terms):
     assert all(g.coefficient(e) == c for e, c in g_printed_terms.terms.items())
     # the rounded float fit is a second, independent oracle
     assert g == g_recovered[0]
-    report(4, f"exact fit at degree 15 from 445 samples has a certified "
+    report(4, f"exact fit at degree 15 from 223 samples has a certified "
               f"1-dim kernel; its 281-term generator matches all "
               f"{g_printed_terms.num_terms} known terms and the rounded "
               f"float fit ({elapsed:.2f}s)")

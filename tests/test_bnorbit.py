@@ -104,6 +104,17 @@ def test_top_face_margin_lower_bound():
     assert face["certificate"]["margin"] >= (1 - math.cos(3e-3)) / 2
 
 
+@pytest.mark.parametrize("n,theta", [(3, 1e12), (3, 1e17), (3, -1e300),
+                                     (201, 1e8)])
+def test_top_face_far_from_zero_keeps_its_vertices_apart(n, theta):
+    # far from 0 the floats theta + 2 pi j / n lose their spacing: 1e12
+    # failed the vertex check, and 1e17 gave three equal vertices with
+    # margin 0
+    face = top_face(n, theta)
+    assert len(set(face["face"]["parameters"])) == n
+    assert face["certificate"]["margin"] > 0
+
+
 @pytest.mark.parametrize("indices,angles", [
     ((1, 3), [0.7]), ((1, 3), [0.2, 2.9]), ((2, 5), [0.1, 1.3]),
     ((1, 3, 5, 7), [0.4, 2.0, 4.4]), ((3, 64), [5.9, 1.0])])

@@ -79,7 +79,8 @@ GRAMMAR = {
     "rationalize": ({"--poly": POLY,
                      "--anchor": lists("0,0,4,0", bad=["1,0,0,0", "0,0,0"]),
                      "--anchor-value": value("1", "3/2", "-2")}, {}, []),
-    "bn top-face": ({"--n": N}, {"--theta": value("0", "0.3", "-1")}, []),
+    "bn top-face": ({"--n": N}, {"--theta": value("0", "0.3", "-1", "1e12",
+                                                  "1e17", "-1e300")}, []),
     "bn certify-face": ({"--n": N,
                          "--params": lists("0,0.1", "0", "0,3.141592653589793",
                                            "0,1,2", bad=["0.5,0.5"])},
@@ -100,6 +101,9 @@ EXAMPLES = {
     "rationalize": [["rationalize", "--poly", name, "--anchor", "0,0,4,0",
                      "--anchor-value", "1"]
                     for name in ("high-degree.poly", "many-terms.poly")],
+    # a theta far from 0 (a leading "-" needs the "=" form)
+    "bn top-face": [["bn", "top-face", "--n", "3", f"--theta={theta}"]
+                    for theta in ("1e12", "1e17", "-1e300")],
 }
 
 

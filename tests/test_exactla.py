@@ -102,9 +102,9 @@ def test_bareiss_falls_back_when_the_prefix_repeats_one_row():
 
 
 def test_degree_8_fit_eliminates_one_prefix(monkeypatch):
-    # one rref_mod_p call per weight block for the one prime, each of which
-    # eliminates the block's columns + margin of the 130 rows (2.5 x the
-    # largest block) and needs no fallback
+    # one rref_mod_p call per weight-block half for the one prime, each of
+    # which eliminates the half's columns + margin of the 65 rows (2.5 x
+    # the widest half) and needs no fallback
     shapes = []
     rref_mod_p = exactla.rref_mod_p
 
@@ -117,9 +117,15 @@ def test_degree_8_fit_eliminates_one_prefix(monkeypatch):
     rep = Representation((1, 3))
     fit = fit_hypersurface(rep, r=2, degree=8, seed=0, mode=CoeffMode.RATIONAL)
     assert fit.report["primes"] == [PRIMES[0]] and fit.report["certified"]
-    widths = [block.size for block in weight_blocks(rep, 8)]
-    assert sum(widths) == 495 and len(widths) == 24
-    assert shapes == [(130, w) for w in widths]
+    blocks = weight_blocks(rep, 8)
+    assert sum(block.size for block in blocks) == 495 and len(blocks) == 24
+    # each block's Re half, a column per pair, then its Im half, a column
+    # per pair with a != b
+    widths = [w for block in blocks
+              for w in (len(block.pairs),
+                        sum(a != b for a, b in block.pairs)) if w]
+    assert sum(widths) == 495 and max(widths) == 26
+    assert shapes == [(65, w) for w in widths]
     assert eliminated == [w + exactla._PREFIX_MARGIN for w in widths]
 
 

@@ -372,18 +372,19 @@ def test_weight_block_expansion_matches_complex_monomials():
     pts = rng.uniform(-1, 1, size=(10, 4))
     u = pts[:, 0::2] + 1j * pts[:, 1::2]
     for block in weight_blocks(rep, 5):
-        n_pairs = len(block.pairs)
-        for col in range(block.size):
-            vec = np.zeros(block.size)
-            vec[col] = 1.0
-            poly = SparsePoly(4, secantfit._expand_block_vector(block, vec),
-                              CoeffMode.FLOAT)
-            a, b = block.pairs[col if col < n_pairs
-                               else block.imaginary[col - n_pairs]]
-            m = np.prod(u ** np.array(a) * u.conj() ** np.array(b), axis=1)
-            expected = m.real if col < n_pairs else m.imag
-            assert np.allclose(evaluate_on_points(poly, pts), expected,
-                               atol=1e-12)
+        for odd in (False, True):
+            # the Re half has a column per pair, the Im half per a != b
+            pairs = [(a, b) for a, b in block.pairs if not odd or a != b]
+            for col, (a, b) in enumerate(pairs):
+                vec = np.zeros(len(pairs))
+                vec[col] = 1.0
+                poly = SparsePoly(
+                    4, secantfit._expand_block_vector(block, odd, vec),
+                    CoeffMode.FLOAT)
+                m = np.prod(u ** np.array(a) * u.conj() ** np.array(b),
+                            axis=1)
+                assert np.allclose(evaluate_on_points(poly, pts),
+                                   m.imag if odd else m.real, atol=1e-12)
 
 
 # Float nullities of the weight-block fit against the certified exact fit
@@ -414,14 +415,17 @@ def test_float_weight_fit_nullity_matches_exact_fit(monkeypatch, indices, r,
     assert fitted_nullity(CoeffMode.RATIONAL) == nullity
 
 
-def gaussian_block_row(point, block, degree):
-    """The block's columns at one cleared point (L, X_1, Y_1, ...), from
-    Gaussian integers: Re and Im of L^pad (X + iY)^a (X - iY)^b."""
+def gaussian_half_row(point, block, odd, degree):
+    """The columns of the block's Re half, or of its Im half if ``odd``, at
+    one cleared point (L, X_1, Y_1, ...), from Gaussian integers: Re or Im
+    of L^pad (X + iY)^a (X - iY)^b."""
     def times(z, w):
         return (z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0])
 
     values = []
     for a, b in block.pairs:
+        if odd and a == b:
+            continue
         m = (point[0] ** (degree - sum(a) - sum(b)), 0)
         for k, (ak, bk) in enumerate(zip(a, b)):
             x, y = point[1 + 2 * k], point[2 + 2 * k]
@@ -429,29 +433,32 @@ def gaussian_block_row(point, block, degree):
                 m = times(m, (x, y))
             for _ in range(bk):
                 m = times(m, (x, -y))
-        values.append(m)
-    return ([re for re, _ in values]
-            + [values[i][1] for i in block.imaginary])
+        values.append(m[1] if odd else m[0])
+    return values
 
 
 @pytest.mark.parametrize("indices,r,degree", [
     ((1, 3), 2, 8), ((1, 2, 3), 3, 4), ((1, 2), 1, 3),
 ])
 def test_exact_fit_residues_match_reduced_integer_rows(indices, r, degree):
-    # the block residues the modular solver eliminates, against the exact
-    # integer block rows that Bareiss eliminates, reduced entry by entry;
+    # the half residues the modular solver eliminates, against the exact
+    # integer half rows that Bareiss eliminates, reduced entry by entry;
     # those against Gaussian-integer arithmetic
     rep = Representation(indices)
     points = sample_secants(rep, r, 40, seed=0, mode=CoeffMode.RATIONAL)
     tables = {p: secantfit._residue_tables(points, degree, p)
               for p in (exactla.PRIMES[0], exactla.PRIMES[-1], 13)}
-    for block in weight_blocks(rep, degree):
-        rows = secantfit._block_rows(points, degree, block)
-        assert rows == [gaussian_block_row(x, block, degree) for x in points]
+    halves = [(block, odd) for block in weight_blocks(rep, degree)
+              for odd in (False, True)
+              if not odd or any(a != b for a, b in block.pairs)]
+    for block, odd in halves:
+        rows = secantfit._block_rows(points, degree, block, odd)
+        assert rows == [gaussian_half_row(x, block, odd, degree)
+                        for x in points]
         for p, table in tables.items():
-            residues = secantfit._block_residues(table, block, p)
+            residues = secantfit._block_residues(table, block, odd, p)
             assert residues.dtype == np.int64
-            # the residue columns are 2 Re and 2 Im
+            # the residue columns are 2 Re, or 2 Im in the Im half
             assert residues.tolist() == [[2 * x % p for x in row]
                                          for row in rows]
 
@@ -460,15 +467,18 @@ def test_wide_exact_fit_forms_no_integer_rows(monkeypatch):
     calls = []
     block_rows = secantfit._block_rows
 
-    def spy(points, degree, block):
-        calls.append(block)
-        return block_rows(points, degree, block)
+    def spy(points, degree, block, odd):
+        calls.append((block, odd))
+        return block_rows(points, degree, block, odd)
 
     monkeypatch.setattr(secantfit, "_block_rows", spy)
     fit = fit_hypersurface(REP12, r=2, degree=3, seed=0,
                            mode=CoeffMode.RATIONAL)
     assert fit.report["method"] == "bareiss"
-    assert calls == weight_blocks(REP12, 3)
+    # each block's Re half, then its Im half if some pair has a != b
+    assert calls == [(block, odd) for block in weight_blocks(REP12, 3)
+                     for odd in (False, True)
+                     if not odd or any(a != b for a, b in block.pairs)]
     narrow = fit.polynomials
 
     calls.clear()
@@ -613,15 +623,16 @@ def test_float_fit_needs_a_sample_per_monomial(g_float_fit):
         fit_hypersurface(REP13, r=2, degree=8, count=494, seed=0)
 
 
-def test_exact_fit_needs_a_sample_per_column_of_the_largest_block():
-    # the exact blocks are solved one at a time, so the widest one sets
-    # the floor
-    widest = max(block.size for block in weight_blocks(REP13, 8))
-    assert widest == 52
+def test_exact_fit_needs_a_sample_per_column_of_the_widest_half():
+    # the exact halves are solved one at a time, so the widest one, the
+    # Re half of the largest block, sets the floor
+    blocks = weight_blocks(REP13, 8)
+    assert max(block.size for block in blocks) == 52
+    assert max(len(block.pairs) for block in blocks) == 26
     with pytest.raises(InsufficientSamplesError,
-                       match="need at least 52 samples for a weight block of "
-                             "52 columns, got 51"):
-        fit_hypersurface(REP13, r=2, degree=8, count=51, seed=0,
+                       match="need at least 26 samples for a weight-block "
+                             "half of 26 columns, got 25"):
+        fit_hypersurface(REP13, r=2, degree=8, count=25, seed=0,
                          mode=CoeffMode.RATIONAL)
 
 
@@ -936,8 +947,11 @@ def test_block_columns_match_their_monomial_expansion(indices, degree):
         for col, row in enumerate(matrix):
             unit = np.zeros(block.size)
             unit[col] = 1.0
+            n = len(block.pairs)
+            odd = col >= n
             poly = SparsePoly(rep.ambient_dim,
-                              secantfit._expand_block_vector(block, unit),
+                              secantfit._expand_block_vector(
+                                  block, odd, unit[n:] if odd else unit[:n]),
                               CoeffMode.FLOAT)
             expected = evaluate_on_points(poly, pts)
             assert np.all(np.abs(row - expected)
@@ -964,7 +978,7 @@ def _gathered_block_matrix(u_pow, conj_pow, block):
     n = len(block.pairs)
     matrix = np.empty((block.size, values.shape[1]))
     matrix[:n] = values.real
-    matrix[n:] = values.imag[block.imaginary]
+    matrix[n:] = values.imag[[a != b for a, b in block.pairs]]
     return matrix
 
 
@@ -1048,14 +1062,21 @@ def all_rows_fit_float(rep, degree, blocks, points, seed):
     assert report["gap_ratio"] >= secantfit.GAP_RATIO_REQUIRED
     polys = []
     for block, ((re_sigma, re_vh), (im_sigma, im_vh)) in solved:
+        # the block's null vectors as zero-padded block vectors, put in the
+        # reversed echelon form over the whole block: the fit solves and
+        # prints each half on its own, and must print these rows
         re, im = re_vh[re_sigma < threshold], im_vh[im_sigma < threshold]
         n = len(block.pairs)
         null = np.zeros((len(re) + len(im), block.size))
         null[:len(re), :n] = re
         null[len(re):, n:] = im
         for row in secantfit._reversed_echelon(null):
+            # each echelon row stays in one half
+            odd = bool(row[n:].any())
+            assert not (odd and row[:n].any())
             polys.append(secantfit._float_poly(
-                rep.ambient_dim, secantfit._expand_block_vector(block, row)))
+                rep.ambient_dim, secantfit._expand_block_vector(
+                    block, odd, row[n:] if odd else row[:n])))
     return secantfit.FitResult(tuple(polys), report)
 
 
@@ -1144,7 +1165,7 @@ def test_degree_15_fit_factors_only_its_null_block_on_all_rows(monkeypatch):
     assert [m for m, _ in shapes] == [445] * 118 + [9690] * 2
     # the k-th SVD takes the square R factor of the k-th QR
     assert svds == [((n, n), m == 9690) for m, n in shapes]
-    halves = {(len(block.pairs), len(block.imaginary))
+    halves = {(len(block.pairs), len(block.half(True)))
               for block in weight_blocks(Representation((1, 4)), 15)}
     assert (shapes[-2][1], shapes[-1][1]) in halves
 
