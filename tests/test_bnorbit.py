@@ -107,9 +107,8 @@ def test_top_face_margin_lower_bound():
 @pytest.mark.parametrize("n,theta", [(3, 1e12), (3, 1e17), (3, -1e300),
                                      (201, 1e8)])
 def test_top_face_far_from_zero_keeps_its_vertices_apart(n, theta):
-    # far from 0 the floats theta + 2 pi j / n lose their spacing: 1e12
-    # failed the vertex check, and 1e17 gave three equal vertices with
-    # margin 0
+    # far from 0 the floats theta + 2 pi j / n lose their spacing (at 1e17
+    # the three are equal), so the face is built at theta mod 2 pi
     face = top_face(n, theta)
     assert len(set(face["face"]["parameters"])) == n
     assert face["certificate"]["margin"] > 0

@@ -90,8 +90,8 @@ GRAMMAR = {
 }
 
 
-# Over-budget inputs that the derandomized draws do not pick; each runs as
-# an explicit example of its subcommand's property.
+# Over-budget inputs and far thetas that the derandomized draws do not
+# pick; each runs as an explicit example of its subcommand's property.
 EXAMPLES = {
     "membership": [["membership", "--point", p] for p in LONG_POINTS],
     "face-dim": [["face-dim", "--point", p] for p in LONG_POINTS],
