@@ -22,6 +22,9 @@ fits to exact candidates for comparison.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import importlib
 import itertools
 import math
 import operator
@@ -212,6 +215,56 @@ def default_sample_count(basis_size: int) -> int:
     return math.ceil(SAMPLE_FACTOR * basis_size)
 
 
+@cache
+def _blas_thread_calls():
+    """The (get, set) thread-count functions of numpy's OpenBLAS, or None
+    where numpy links another BLAS.  The extension that links the BLAS
+    resolves its symbols, under the names of numpy 2's scipy-openblas
+    wheels or plain OpenBLAS."""
+    for module in ("numpy._core._multiarray_umath",
+                   "numpy.core._multiarray_umath"):
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+            break
+        except (ImportError, OSError):
+            continue
+    else:
+        return None
+    for prefix, suffix in itertools.product(("scipy_openblas", "openblas"),
+                                            ("64_", "")):
+        try:
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        put.restype, put.argtypes = None, [ctypes.c_int]
+        return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one BLAS thread and restore the caller's count.
+
+    The float fit's QRs and SVDs are at most a few hundred columns wide:
+    OpenBLAS's thread hand-off costs more than it saves on them, and the
+    threaded kernels sum in an order that depends on the thread count, so
+    the printed floats would too.  Without an OpenBLAS this does nothing.
+    """
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def fit_hypersurface(rep: Representation, r: int, degree: int,
                      count: int | None = None, seed: int = 0,
                      mode: CoeffMode = CoeffMode.FLOAT) -> FitResult:
@@ -244,7 +297,9 @@ def fit_hypersurface(rep: Representation, r: int, degree: int,
     no null direction, fails the gap, or puts a null direction in a block
     factored on the prefix only, every block is factored on all rows, and
     that fit's report or error stands.  With m rows or fewer, the one pass
-    is on all rows.
+    is on all rows.  The float fit runs on one BLAS thread
+    (:func:`_one_blas_thread`), so its report does not depend on the
+    caller's thread count.
     Exact mode: certified integer kernels of the cleared-denominator
     evaluation matrices of the blocks' Re and Im halves
     (:func:`_fit_exact`).  Raises :class:`NoVanishingPolynomialError` when
@@ -275,7 +330,8 @@ def fit_hypersurface(rep: Representation, r: int, degree: int,
             f"need at least {need} samples for {columns}, got {count}")
     points = sample_secants(rep, r, count, seed, mode)
     if mode is CoeffMode.FLOAT:
-        return _fit_float(rep, degree, blocks, points, seed)
+        with _one_blas_thread():
+            return _fit_float(rep, degree, blocks, points, seed)
     return _fit_exact(rep, degree, blocks, points, seed)
 
 

@@ -1,11 +1,13 @@
 """CLI reports compared byte for byte with stored ones.
 
-Each case is a command line whose report carries no LAPACK-computed float
-(those may differ in the last bits between BLAS builds).  Its stdout and
-exit code are stored in ``data/golden_reports.json``.  Commands run in a
-directory that holds copies of the bundled polynomial files, so ``--poly``
-and ``--out`` paths, and with them the reports' ``config``, do not depend
-on where the repository lives.
+Each case is a command line whose report carries no LAPACK-computed float:
+those may differ in the last bits between BLAS builds, though no longer
+between thread counts, since the float fit runs on one BLAS thread (see
+``test_secantfit.py``).  Its stdout and exit code are stored in
+``data/golden_reports.json``.  Commands run in a directory that holds
+copies of the bundled polynomial files, so ``--poly`` and ``--out`` paths,
+and with them the reports' ``config``, do not depend on where the
+repository lives.
 
 When a report changes on purpose, regenerate the file with
 ``PYTHONPATH=src python tests/test_golden_reports.py``.

@@ -1,10 +1,15 @@
+import contextlib
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -1228,6 +1233,80 @@ def test_float_fit_without_an_equation_reports_the_all_rows_error(
     assert out == ref_out
     assert json.loads(out)["error"].startswith(
         f"no degree-{degree} equation vanishes")
+
+
+@pytest.mark.parametrize("degree,exit_code", [(15, 0), (14, 2)])
+def test_float_fit_report_does_not_depend_on_blas_threads(degree, exit_code):
+    # the degree-15 fit prints the 281-term equation, the degree-14 one an
+    # error with the fit's singular values; both differed in their last
+    # bits between OpenBLAS runs on one and on two threads
+    src = str(Path(secantfit.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        runs.append(subprocess.run(
+            [sys.executable, "-m", "orbitopes.cli", "secant-fit", "--rep",
+             "1,4", "--r", "2", "--degree", str(degree), "--mode", "float",
+             "--seed", "0"], env=env, capture_output=True, timeout=300))
+    assert runs[0].returncode == runs[1].returncode == exit_code
+    assert runs[0].stdout == runs[1].stdout
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS thread-count functions (get, set), with the count
+    set to 2 for the test and restored after it; skips without OpenBLAS."""
+    calls = secantfit._blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy links no OpenBLAS with a thread-count symbol")
+    get, put = calls
+    before = get()
+    put(2)
+    yield get, put
+    put(before)
+
+
+@pytest.mark.parametrize("indices,degree,error", [
+    ((1, 3), 8, None),
+    ((1, 4), 14, NoVanishingPolynomialError),
+])
+def test_float_fit_runs_on_one_blas_thread_and_restores_the_count(
+        monkeypatch, blas_threads, indices, degree, error):
+    get, _ = blas_threads
+    during = []
+    fit_float = secantfit._fit_float
+
+    def spy(*args):
+        during.append(get())
+        return fit_float(*args)
+
+    monkeypatch.setattr(secantfit, "_fit_float", spy)
+    with pytest.raises(error) if error else contextlib.nullcontext():
+        fit_hypersurface(Representation(indices), r=2, degree=degree,
+                         seed=11)
+    assert during == [1]
+    assert get() == 2
+
+
+def test_float_fit_without_a_thread_count_symbol(monkeypatch, g_float_fit):
+    # where numpy's BLAS has no OpenBLAS symbol the fit runs on the
+    # caller's threads; on one thread it prints the polynomials of the fit
+    # that sets the count itself, and it leaves the count as it found it
+    calls = secantfit._blas_thread_calls()
+    monkeypatch.setattr(secantfit, "_blas_thread_calls", lambda: None)
+    if calls is not None:
+        before = calls[0]()
+        calls[1](1)
+    try:
+        fit = fit_hypersurface(Representation((1, 4)), r=2, degree=15,
+                               seed=20)
+        assert calls is None or calls[0]() == 1
+    finally:
+        if calls is not None:
+            calls[1](before)
+    assert fit.polynomials == g_float_fit.polynomials
 
 
 def _random_exponent(rng: random.Random, nvars: int, total: int):
